@@ -10,11 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DEFAULT_RSS_HI, DEFAULT_RSS_LO, binarize_matrix, normalize_values
 from .errors import ConfigError, LogNetError
-from .evaluate import evaluate, latent_diff
+from .evaluate import evaluate, latent_diff, majority_by_rp
 from .experiment import (
-    DEFAULT_EPOCHS,
     OUT_ROOT_ENV,
     ExperimentConfig,
     compare_models,
@@ -28,11 +26,10 @@ from .fileio import (
     write_latents_csv,
     write_rp_map_csv,
 )
-from .gates import GateType, LatentCode, LogicEncoderConfig, ceil_chain, encode_matrix
-from .models import TrainConfig
+from .gates import GateType, LatentCode, LogicEncoderConfig, ceil_chain
 from .noise import SynthSpec, synth_dataset
 from .pgm import write_pgm
-from .pipeline import fit_dnn, fit_lognet, load_model, save_model
+from .pipeline import encode_rss, fit_dnn, fit_lognet, load_model, save_model
 
 GATE_NAMES = [g.value for g in GateType]
 
@@ -65,6 +62,13 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", metavar="CSV", help="fingerprint CSV path")
     p.add_argument("--rp-map", metavar="CSV", help="RP coordinate CSV path")
+
+
+def _add_synth_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--synth-rps", type=int, metavar="K")
+    p.add_argument("--synth-aps", type=int, metavar="N")
+    p.add_argument("--synth-per-rp", type=int, metavar="M")
+    p.add_argument("--synth-seed", type=int, metavar="N")
 
 
 def _add_noise_flags(p: argparse.ArgumentParser) -> None:
@@ -132,10 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="full pipeline: load/synth, split, train, simulate, evaluate")
     p.add_argument("--config", metavar="JSON", help="experiment config file; flags override")
     _add_data_flags(p)
-    p.add_argument("--synth-rps", type=int, metavar="K")
-    p.add_argument("--synth-aps", type=int, metavar="N")
-    p.add_argument("--synth-per-rp", type=int, metavar="M")
-    p.add_argument("--synth-seed", type=int, metavar="N")
+    _add_synth_flags(p)
     _add_model_flags(p)
     _add_train_flags(p)
     _add_noise_flags(p)
@@ -146,10 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="run several model variants on one dataset")
     p.add_argument("--config", metavar="JSON", help="base experiment config; flags override")
     _add_data_flags(p)
-    p.add_argument("--synth-rps", type=int, metavar="K")
-    p.add_argument("--synth-aps", type=int, metavar="N")
-    p.add_argument("--synth-per-rp", type=int, metavar="M")
-    p.add_argument("--synth-seed", type=int, metavar="N")
+    _add_synth_flags(p)
     p.add_argument(
         "--variants",
         required=True,
@@ -181,33 +179,19 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _train_config(args, family: str) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=args.lr if args.lr is not None else 0.01,
-        epochs=args.epochs if args.epochs is not None else DEFAULT_EPOCHS[family],
-        seed=args.seed if args.seed is not None else 0,
-        batch_size=args.batch_size,
-    )
-
-
 def cmd_train(args) -> int:
     if not args.data:
         raise ConfigError("train requires --data")
     out = _out_dir(args)
     ds = read_fingerprints_csv(args.data)
-    family = args.model or "lognet"
-    cfg = _train_config(args, family)
-    if family == "lognet":
-        encoder = LogicEncoderConfig(
-            GateType.from_name(args.gate or "nor"),
-            args.threshold if args.threshold is not None else 0.5,
-            args.hidden if args.hidden is not None else 1,
-        )
-        clf, history = fit_lognet(ds, encoder, cfg)
+    cfg = ExperimentConfig.from_dict(_flag_overrides(args))
+    if cfg.model_family == "lognet":
+        clf, history = fit_lognet(ds, cfg.encoder_config(), cfg.train)
     else:
-        clf, history = fit_dnn(ds, args.hidden if args.hidden is not None else 1, cfg)
+        clf, history = fit_dnn(ds, cfg.hidden_layers, cfg.train)
     save_model(clf, out / "model.json")
-    print(f"trained {family} on {len(ds)} fingerprints; final loss {history[-1]:.6f}")
+    loss = f"; final loss {history[-1]:.6f}" if history else ""
+    print(f"trained {cfg.model_family} on {len(ds)} fingerprints{loss}")
     print(f"model written to {out / 'model.json'}")
     return 0
 
@@ -237,27 +221,16 @@ def cmd_encode(args) -> int:
     out = _out_dir(args)
     ds = read_fingerprints_csv(args.data)
     encoder = LogicEncoderConfig(GateType.from_name(args.gate), args.threshold, args.hidden)
-    norm = normalize_values(ds.rss_matrix(), DEFAULT_RSS_LO, DEFAULT_RSS_HI)
-    latents = encode_matrix(binarize_matrix(norm, encoder.threshold), encoder.gate, encoder.hidden_layers)
+    latents = encode_rss(ds.rss_matrix(), encoder)
     write_latents_csv([fp.rp_id for fp in ds], latents, out / "latents.csv")
     print(f"encoded {len(ds)} fingerprints into {latents.shape[1]}-bit latents at {out / 'latents.csv'}")
     return 0
 
 
-def _majority_rows(rp_ids: np.ndarray, bits: np.ndarray) -> tuple[list[int], np.ndarray]:
-    order = sorted(set(int(r) for r in rp_ids))
-    rows = []
-    for rp in order:
-        group = bits[rp_ids == rp]
-        ones = group.sum(axis=0, dtype=np.int64)
-        rows.append((2 * ones >= len(group)).astype(np.uint8))
-    return order, np.stack(rows)
-
-
 def cmd_bitmap(args) -> int:
     out = _out_dir(args)
     rp_ids, bits = read_latents_csv(args.latents)
-    _, rows = _majority_rows(rp_ids, bits)
+    _, rows = majority_by_rp(rp_ids, bits)
     write_pgm(rows * np.uint8(255), out / "latent_bitmap.pgm")
     print(f"wrote {rows.shape[0]}x{rows.shape[1]} bitmap to {out / 'latent_bitmap.pgm'}")
     return 0
@@ -288,14 +261,12 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _load_config_doc(args) -> tuple[dict, str]:
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        base_dir = os.path.dirname(os.path.abspath(args.config))
-    else:
-        doc, base_dir = {}, "."
-    return doc, base_dir
+def _read_json(path: str, what: str):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from None
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -308,70 +279,65 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+# (argparse dest, config key path) for every flag that overrides the config file.
+_FLAG_KEYS = (
+    ("data", ("data", "fingerprints")),
+    ("rp_map", ("data", "rp_map")),
+    ("synth_rps", ("synth", "num_rps")),
+    ("synth_aps", ("synth", "num_aps")),
+    ("synth_per_rp", ("synth", "fingerprints_per_rp")),
+    ("synth_seed", ("synth", "seed")),
+    ("model", ("model", "family")),
+    ("gate", ("model", "gate")),
+    ("hidden", ("model", "hidden_layers")),
+    ("threshold", ("model", "threshold")),
+    ("lr", ("train", "learning_rate")),
+    ("epochs", ("train", "epochs")),
+    ("seed", ("train", "seed")),
+    ("batch_size", ("train", "batch_size")),
+    ("noise_mode", ("noise", "mode")),
+    ("delta", ("noise", "delta")),
+    ("delta_csv", ("noise", "delta_csv")),
+    ("sigma", ("noise", "sigma")),
+    ("noise_seed", ("noise", "seed")),
+    ("schedule", ("schedule",)),
+    ("holdout", ("per_rp_holdout",)),
+    ("out", ("out_dir",)),
+)
+_PATH_FLAGS = {"data", "rp_map", "delta_csv", "out"}
+
+
 def _flag_overrides(args) -> dict:
     """Map provided CLI flags onto the config-file schema (flags win)."""
     over: dict = {}
-    if getattr(args, "data", None):
-        over["data"] = {
-            "fingerprints": os.path.abspath(args.data),
-            "rp_map": os.path.abspath(args.rp_map) if args.rp_map else None,
-        }
-    synth_over = {}
-    for flag, key in (
-        ("synth_rps", "num_rps"),
-        ("synth_aps", "num_aps"),
-        ("synth_per_rp", "fingerprints_per_rp"),
-        ("synth_seed", "seed"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            synth_over[key] = value
-    if synth_over:
-        over["synth"] = synth_over
-    model_over = {}
-    if getattr(args, "model", None):
-        model_over["family"] = args.model
-    if getattr(args, "gate", None):
-        model_over["gate"] = args.gate
-    if getattr(args, "hidden", None) is not None:
-        model_over["hidden_layers"] = args.hidden
-    if getattr(args, "threshold", None) is not None:
-        model_over["threshold"] = args.threshold
-    if model_over:
-        over["model"] = model_over
-    train_over = {}
-    if getattr(args, "lr", None) is not None:
-        train_over["learning_rate"] = args.lr
-    if getattr(args, "epochs", None) is not None:
-        train_over["epochs"] = args.epochs
-    if getattr(args, "seed", None) is not None:
-        train_over["seed"] = args.seed
-    if getattr(args, "batch_size", None) is not None:
-        train_over["batch_size"] = args.batch_size
-    if train_over:
-        over["train"] = train_over
-    noise_over = {}
-    if getattr(args, "noise_mode", None):
-        noise_over["mode"] = args.noise_mode
-    if getattr(args, "delta", None) is not None:
-        noise_over["delta"] = args.delta
-    if getattr(args, "delta_csv", None):
-        noise_over["delta_csv"] = os.path.abspath(args.delta_csv)
-    if getattr(args, "sigma", None) is not None:
-        noise_over["sigma"] = args.sigma
-    if getattr(args, "noise_seed", None) is not None:
-        noise_over["seed"] = args.noise_seed
-    if noise_over:
-        over["noise"] = noise_over
-    if getattr(args, "schedule", None):
-        with open(args.schedule, encoding="utf-8") as fh:
-            sched = json.load(fh)
-        over["schedule"] = sched["entries"] if isinstance(sched, dict) else sched
-    if getattr(args, "holdout", None) is not None:
-        over["per_rp_holdout"] = args.holdout
-    if getattr(args, "out", None):
-        over["out_dir"] = os.path.abspath(args.out)
+    for dest, keys in _FLAG_KEYS:
+        value = getattr(args, dest, None)  # a subcommand may lack the flag
+        if value is None or value == "":
+            continue
+        if dest in _PATH_FLAGS:
+            value = os.path.abspath(value)
+        elif dest == "schedule":
+            sched = _read_json(value, "schedule")
+            value = sched["entries"] if isinstance(sched, dict) else sched
+        *parents, leaf = keys
+        node = over
+        for key in parents:
+            node = node.setdefault(key, {})
+        node[leaf] = value
+    if "fingerprints" in over.get("data", {}):
+        over["data"].setdefault("rp_map", None)
     return over
+
+
+def _merged_config(args) -> tuple[dict, str]:
+    """The --config document (if any) with flag overrides, and its base directory."""
+    doc, base_dir = {}, "."
+    if args.config:
+        doc = _read_json(args.config, "config")
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
+        base_dir = os.path.dirname(os.path.abspath(args.config))
+    return _deep_merge(doc, _flag_overrides(args)), base_dir
 
 
 def _prefer_synth(doc: dict) -> None:
@@ -381,8 +347,7 @@ def _prefer_synth(doc: dict) -> None:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    doc, base_dir = _load_config_doc(args)
-    merged = _deep_merge(doc, _flag_overrides(args))
+    merged, base_dir = _merged_config(args)
     merged.setdefault("out_dir", _default_out(args.command))
     _prefer_synth(merged)
     return ExperimentConfig.from_dict(merged, base_dir)
@@ -415,8 +380,7 @@ def _parse_variant(text: str) -> dict:
 
 
 def cmd_compare(args) -> int:
-    doc, base_dir = _load_config_doc(args)
-    merged = _deep_merge(doc, _flag_overrides(args))
+    merged, base_dir = _merged_config(args)
     root = merged.get("out_dir") or _default_out(args.command)
     if not os.path.isabs(root):
         root = os.path.join(base_dir if merged.get("out_dir") else ".", root)

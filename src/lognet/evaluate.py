@@ -110,10 +110,12 @@ def evaluate(classifier, test: Dataset, rp_map: RpMap, config: dict | None = Non
         preds = classifier.predict(subset)
         truth = subset.labels()
         errors = sample_errors(preds, truth, rp_map)
+        lo, hi = float(errors.min()), float(errors.max())
         per_ci[ci] = CiStats(
-            mean_error_m=float(errors.mean()),
-            min_error_m=float(errors.min()),
-            max_error_m=float(errors.max()),
+            # A float mean of equal samples can round just outside [lo, hi].
+            mean_error_m=min(max(float(errors.mean()), lo), hi),
+            min_error_m=lo,
+            max_error_m=hi,
             accuracy=float((preds == truth).mean()),
             samples=int(len(subset)),
         )
@@ -166,9 +168,23 @@ def majority_code(latents: list[LatentCode]) -> LatentCode:
     depth, input_len = latents[0].depth, latents[0].input_len
     if any(l.depth != depth or l.input_len != input_len for l in latents):
         raise ShapeError("all latents must share depth and input length")
-    stack = np.stack([l.bits for l in latents])
-    ones = stack.sum(axis=0, dtype=np.int64)
-    return LatentCode((2 * ones >= len(latents)).astype(np.uint8), depth, input_len)
+    ones = np.stack([l.bits for l in latents]).sum(axis=0, dtype=np.int64)
+    return LatentCode(_vote(ones, len(latents)), depth, input_len)
+
+
+def majority_by_rp(rp_ids, bits: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Sorted RP ids and each RP's bitwise majority row; ties resolve to 1."""
+    if len(rp_ids) == 0:
+        raise ValidationError("majority over an empty latent list")
+    rps, group, counts = np.unique(rp_ids, return_inverse=True, return_counts=True)
+    starts = np.cumsum(counts) - counts
+    ones = np.add.reduceat(bits[np.argsort(group)].astype(np.int64), starts, axis=0)
+    return rps.tolist(), _vote(ones, counts[:, None])
+
+
+def _vote(ones: np.ndarray, n) -> np.ndarray:
+    """Majority bit from per-position counts of ones among n codes."""
+    return (2 * ones >= n).astype(np.uint8)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from .evaluate import (
     export_gray_bitmap,
     export_latent_bitmap,
     latent_diff,
-    majority_code,
+    majority_by_rp,
     measure_latency,
 )
 from .fileio import (
@@ -171,7 +171,7 @@ class ExperimentConfig:
             out_dir=respath(doc.get("out_dir", "out")),
             data_path=respath(data.get("fingerprints")),
             rp_map_path=respath(data.get("rp_map")),
-            synth=SynthSpec(**synth_doc) if synth_doc is not None else None,
+            synth=_synth_spec(synth_doc) if synth_doc is not None else None,
             model_family=family,
             gate=GateType.from_name(gate_name),
             hidden_layers=model.get("hidden_layers", 1),
@@ -186,19 +186,22 @@ class ExperimentConfig:
         )
 
 
-def _latents_by_rp(clf: LogNetClassifier, ds: Dataset) -> dict[int, LatentCode]:
-    matrix = clf.latent_matrix(ds)
-    depth, n = clf.encoder.hidden_layers, clf.ap_count
-    by_rp: dict[int, list[LatentCode]] = {}
-    for fp, bits in zip(ds, matrix):
-        by_rp.setdefault(fp.rp_id, []).append(LatentCode(bits, depth, n))
-    return {rp: majority_code(codes) for rp, codes in by_rp.items()}
+def _synth_spec(doc: dict) -> SynthSpec:
+    fields = dataclasses.fields(SynthSpec)
+    unknown = sorted(set(doc) - {f.name for f in fields})
+    if unknown:
+        raise ConfigError(f"unknown config key 'synth.{unknown[0]}'")
+    missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in doc]
+    if missing:
+        raise ConfigError(f"missing config key 'synth.{missing[0]}'")
+    return SynthSpec(**doc)
 
 
 def _write_lognet_artifacts(clf: LogNetClassifier, train_ds: Dataset, out: Path) -> None:
-    by_rp = _latents_by_rp(clf, train_ds)
-    rp_ids = sorted(by_rp)
-    write_latents_csv(rp_ids, np.stack([by_rp[rp].bits for rp in rp_ids]), out / "latents.csv")
+    rp_ids, rows = majority_by_rp(train_ds.labels(), clf.latent_matrix(train_ds))
+    write_latents_csv(rp_ids, rows, out / "latents.csv")
+    depth, n = clf.encoder.hidden_layers, clf.ap_count
+    by_rp = {rp: LatentCode(row, depth, n) for rp, row in zip(rp_ids, rows)}
     export_latent_bitmap(by_rp, out / "latent_bitmap.pgm")
     blocks = []
     for rp_a, rp_b in zip(rp_ids, rp_ids[1:]):

@@ -84,22 +84,23 @@ def _gate_columns(left: np.ndarray, right: np.ndarray, gate: GateType) -> np.nda
     raise ConfigError(f"unknown gate {gate!r}")
 
 
+def _check_bit_vector(bits, name: str) -> np.ndarray:
+    arr = np.asarray(bits)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValidationError(f"{name} requires a non-empty 1-D bit vector")
+    if not np.all((arr == 0) | (arr == 1)):
+        raise ValidationError(f"{name} input must contain only 0 and 1")
+    return arr
+
+
 def encode_layer(bits: np.ndarray, gate: GateType) -> np.ndarray:
     """Apply one gate pairwise over adjacent, non-overlapping bit pairs.
 
     A vector of odd length gets a single 0 appended before pairing, so the
     output length is always ceil(len/2).
     """
-    arr = np.asarray(bits)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError("encode_layer requires a non-empty 1-D bit vector")
-    if not np.all((arr == 0) | (arr == 1)):
-        raise ValidationError("encode_layer input must contain only 0 and 1")
-    arr = arr.astype(np.uint8)
-    if arr.size % 2 != 0:
-        arr = np.append(arr, np.uint8(0))
-    pairs = arr.reshape(-1, 2)
-    return _gate_columns(pairs[:, 0], pairs[:, 1], gate)
+    arr = _check_bit_vector(bits, "encode_layer")
+    return encode_layer_matrix(arr[None, :], gate)[0]
 
 
 def encode_layer_matrix(bits: np.ndarray, gate: GateType) -> np.ndarray:
@@ -179,9 +180,8 @@ class LatentCode:
 
 def encode(bf: BinaryFingerprint, cfg: LogicEncoderConfig) -> LatentCode:
     """Run the layered encoder over one binary fingerprint."""
-    bits = bf.bits
-    for _ in range(cfg.hidden_layers):
-        bits = encode_layer(bits, cfg.gate)
+    arr = _check_bit_vector(bf.bits, "encode")
+    bits = encode_matrix(arr[None, :], cfg.gate, cfg.hidden_layers)[0]
     return LatentCode(bits, cfg.hidden_layers, bf.source_ap_count)
 
 

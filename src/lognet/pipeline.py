@@ -30,6 +30,18 @@ from .models import (
 SCHEMA_VERSION = 1
 
 
+def encode_rss(
+    rss: np.ndarray,
+    encoder: LogicEncoderConfig,
+    rss_lo: float = DEFAULT_RSS_LO,
+    rss_hi: float = DEFAULT_RSS_HI,
+) -> np.ndarray:
+    """Normalize, binarize and gate-encode a raw dBm matrix into uint8 latents."""
+    norm = normalize_values(rss, rss_lo, rss_hi)
+    bits = binarize_matrix(norm, encoder.threshold)
+    return encode_matrix(bits, encoder.gate, encoder.hidden_layers)
+
+
 @dataclass(frozen=True)
 class LogNetClassifier:
     """Logic-gate encoder plus trained softmax head over raw dBm fingerprints."""
@@ -51,9 +63,7 @@ class LogNetClassifier:
     def latent_matrix(self, ds: Dataset) -> np.ndarray:
         """Binary latent codes for every fingerprint, as a uint8 matrix."""
         self._check(ds)
-        norm = normalize_values(ds.rss_matrix(), self.rss_lo, self.rss_hi)
-        bits = binarize_matrix(norm, self.encoder.threshold)
-        return encode_matrix(bits, self.encoder.gate, self.encoder.hidden_layers)
+        return encode_rss(ds.rss_matrix(), self.encoder, self.rss_lo, self.rss_hi)
 
     def predict_proba(self, ds: Dataset) -> np.ndarray:
         return softmax_forward(self.head, self.latent_matrix(ds).astype(np.float64))
@@ -104,9 +114,7 @@ def fit_lognet(
     rss_hi: float = DEFAULT_RSS_HI,
 ) -> tuple[LogNetClassifier, list[float]]:
     """Encode a raw training dataset and fit the softmax head on the latents."""
-    norm = normalize_values(train_ds.rss_matrix(), rss_lo, rss_hi)
-    bits = binarize_matrix(norm, encoder.threshold)
-    latents = encode_matrix(bits, encoder.gate, encoder.hidden_layers)
+    latents = encode_rss(train_ds.rss_matrix(), encoder, rss_lo, rss_hi)
     head, history = train_softmax(latents.astype(np.float64), train_ds.labels(), cfg)
     clf = LogNetClassifier(encoder, head, train_ds.ap_count, rss_lo, rss_hi)
     return clf, history
@@ -177,27 +185,30 @@ def load_model(path: str):
     if version != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema_version {version!r}", path=path)
     family = doc.get("family")
-    if family == "lognet":
-        enc = doc["encoder"]
-        encoder = LogicEncoderConfig(
-            gate=GateType.from_name(enc["gate"]),
-            threshold=enc["threshold"],
-            hidden_layers=enc["hidden_layers"],
-        )
-        head = SoftmaxModel(
-            np.asarray(doc["weights"], dtype=np.float64),
-            np.asarray(doc["biases"], dtype=np.float64),
-            tuple(doc["class_labels"]),
-        )
-        return LogNetClassifier(encoder, head, enc["ap_count"], doc["rss_lo"], doc["rss_hi"])
-    if family == "dnn":
-        layers = tuple(
-            (
-                np.asarray(layer["weights"], dtype=np.float64),
-                np.asarray(layer["biases"], dtype=np.float64),
+    try:
+        if family == "lognet":
+            enc = doc["encoder"]
+            encoder = LogicEncoderConfig(
+                gate=GateType.from_name(enc["gate"]),
+                threshold=enc["threshold"],
+                hidden_layers=enc["hidden_layers"],
             )
-            for layer in doc["layers"]
-        )
-        model = DnnModel(layers, tuple(doc["class_labels"]))
-        return DnnClassifier(model, doc["rss_lo"], doc["rss_hi"])
+            head = SoftmaxModel(
+                np.asarray(doc["weights"], dtype=np.float64),
+                np.asarray(doc["biases"], dtype=np.float64),
+                tuple(doc["class_labels"]),
+            )
+            return LogNetClassifier(encoder, head, enc["ap_count"], doc["rss_lo"], doc["rss_hi"])
+        if family == "dnn":
+            layers = tuple(
+                (
+                    np.asarray(layer["weights"], dtype=np.float64),
+                    np.asarray(layer["biases"], dtype=np.float64),
+                )
+                for layer in doc["layers"]
+            )
+            model = DnnModel(layers, tuple(doc["class_labels"]))
+            return DnnClassifier(model, doc["rss_lo"], doc["rss_hi"])
+    except KeyError as exc:
+        raise ParseError(f"model document lacks key {exc.args[0]!r}", path=path) from None
     raise ParseError(f"unknown model family {family!r}", path=path)

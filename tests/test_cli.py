@@ -1,7 +1,7 @@
 import json
 
 from lognet import read_latents_csv, read_pgm
-from lognet.cli import main
+from lognet.cli import _flag_overrides, build_parser, main
 
 
 def test_synth_writes_dataset(tmp_path):
@@ -127,3 +127,78 @@ def test_schedule_file_flag(tmp_path):
                  "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert sorted(int(ci) for ci in report["per_ci"]) == [0, 1, 4]
+
+
+def test_train_with_zero_epochs_prints_no_final_loss(tmp_path, fixture_dir, capsys):
+    out = tmp_path / "train0"
+    assert main(["train", "--data", f"{fixture_dir}/fingerprints_2rp3ap.csv",
+                 "--epochs", "0", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "trained lognet on 12 fingerprints" in printed
+    assert "final loss" not in printed
+    assert (out / "model.json").exists()
+
+
+def test_malformed_config_file_is_a_config_error(tmp_path, capsys):
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"synth": {"num_rps": 4,')
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[1, 2]")
+    for cfg_path in (broken, not_object, tmp_path / "missing.json"):
+        for command in (["run"], ["compare", "--variants", "dnn-1"]):
+            code = main(command + ["--config", str(cfg_path), "--out", str(tmp_path / "x")])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(cfg_path) in err
+
+
+def test_unknown_or_missing_synth_key_is_named(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    for synth, key in (({"num_rps": 4, "num_aps": 8, "rooms": 3}, "synth.rooms"),
+                       ({"num_aps": 8}, "synth.num_rps")):
+        cfg_path.write_text(json.dumps({"synth": synth}))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+
+
+def test_model_file_missing_key_is_a_parse_error(tmp_path, fixture_dir, capsys):
+    out = tmp_path / "train"
+    assert main(["train", "--data", f"{fixture_dir}/fingerprints_2rp3ap.csv",
+                 "--epochs", "2", "--out", str(out)]) == 0
+    doc = json.loads((out / "model.json").read_text())
+    del doc["encoder"]
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["eval", "--model-file", str(bad),
+                 "--data", f"{fixture_dir}/fingerprints_2rp3ap.csv",
+                 "--rp-map", f"{fixture_dir}/rp_map_2rp.csv", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err and "'encoder'" in err
+
+
+def test_every_run_flag_maps_onto_its_config_key(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    sched = tmp_path / "sched.json"
+    sched.write_text(json.dumps({"entries": [[0, 0.0], [1, 1.0]]}))
+    args = build_parser().parse_args([
+        "run", "--data", "f.csv", "--synth-rps", "4", "--synth-aps", "8",
+        "--synth-per-rp", "3", "--synth-seed", "5", "--model", "dnn", "--gate", "xor",
+        "--hidden", "2", "--threshold", "0.25", "--lr", "0.5", "--epochs", "0",
+        "--seed", "7", "--batch-size", "16", "--noise-mode", "non-ed", "--delta", "-3",
+        "--delta-csv", "d.csv", "--sigma", "0", "--noise-seed", "9",
+        "--schedule", str(sched), "--holdout", "2", "--out", "o",
+    ])
+    assert _flag_overrides(args) == {
+        "data": {"fingerprints": str(tmp_path / "f.csv"), "rp_map": None},
+        "synth": {"num_rps": 4, "num_aps": 8, "fingerprints_per_rp": 3, "seed": 5},
+        "model": {"family": "dnn", "gate": "xor", "hidden_layers": 2, "threshold": 0.25},
+        "train": {"learning_rate": 0.5, "epochs": 0, "seed": 7, "batch_size": 16},
+        "noise": {"mode": "non-ed", "delta": -3.0, "delta_csv": str(tmp_path / "d.csv"),
+                  "sigma": 0.0, "seed": 9},
+        "schedule": [[0, 0.0], [1, 1.0]],
+        "per_rp_holdout": 2,
+        "out_dir": str(tmp_path / "o"),
+    }
+    assert _flag_overrides(build_parser().parse_args(["run"])) == {}

@@ -10,6 +10,7 @@ from lognet import (
     LogicEncoderConfig,
     RpMap,
     ShapeError,
+    SoftmaxModel,
     SynthSpec,
     TrainConfig,
     UnknownRpError,
@@ -26,7 +27,8 @@ from lognet import (
     synth_dataset,
     trace_bit_to_aps,
 )
-from lognet.pipeline import fit_dnn, fit_lognet
+from lognet.evaluate import majority_by_rp
+from lognet.pipeline import LogNetClassifier, fit_dnn, fit_lognet
 
 PATH_MAP = RpMap({rp: (float(rp), 0.0) for rp in range(8)})
 
@@ -234,3 +236,36 @@ class TestBitmaps:
         path = tmp_path / "gray.pgm"
         export_gray_bitmap(np.array([[0.0, 0.5, 1.0]]), path)
         assert read_pgm(path)[0].tolist() == [0, 128, 255]
+
+
+class TestMajorityByRp:
+    def test_matches_majority_code_per_rp(self):
+        rng = np.random.default_rng(7)
+        rp_ids = rng.integers(0, 5, 40)
+        bits = rng.integers(0, 2, (40, 9)).astype(np.uint8)
+        ids, rows = majority_by_rp(rp_ids, bits)
+        assert ids == sorted(set(rp_ids.tolist()))
+        assert rows.dtype == np.uint8 and rows.shape == (len(ids), 9)
+        for rp, row in zip(ids, rows):
+            codes = [LatentCode(b, 1, 18) for b in bits[rp_ids == rp]]
+            assert np.array_equal(row, majority_code(codes).bits)
+
+    def test_ties_resolve_to_one(self):
+        ids, rows = majority_by_rp([3, 3], np.array([[1, 0], [0, 1]], dtype=np.uint8))
+        assert ids == [3] and rows.tolist() == [[1, 1]]
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValidationError):
+            majority_by_rp([], np.zeros((0, 4), dtype=np.uint8))
+
+
+class TestCiStatsRounding:
+    def test_equal_non_integer_errors_keep_mean_within_min_max(self):
+        # The float mean of three 0.1 m errors is 0.10000000000000002 > max.
+        head = SoftmaxModel(np.zeros((1, 2)), np.array([0.0, 1.0]), (0, 1))
+        clf = LogNetClassifier(LogicEncoderConfig(GateType.NOR), head, ap_count=2)
+        test = Dataset.from_fingerprints(Fingerprint(0, "d", 0, [-40.0, -80.0]) for _ in range(3))
+        report = evaluate(clf, test, RpMap({0: (0.0, 0.0), 1: (0.1, 0.0)}))
+        stats = report.per_ci[0]
+        assert stats.samples == 3 and stats.accuracy == 0.0
+        assert stats.min_error_m == stats.mean_error_m == stats.max_error_m == 0.1
