@@ -222,7 +222,7 @@ def cmd_encode(args) -> int:
     ds = read_fingerprints_csv(args.data)
     encoder = LogicEncoderConfig(GateType.from_name(args.gate), args.threshold, args.hidden)
     latents = encode_rss(ds.rss_matrix(), encoder)
-    write_latents_csv([fp.rp_id for fp in ds], latents, out / "latents.csv")
+    write_latents_csv(ds.labels(), latents, out / "latents.csv")
     print(f"encoded {len(ds)} fingerprints into {latents.shape[1]}-bit latents at {out / 'latents.csv'}")
     return 0
 

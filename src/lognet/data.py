@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -21,10 +21,32 @@ DEFAULT_RSS_HI = 0.0
 
 DEFAULT_THRESHOLD = 0.5
 
+# rp_id and ci are stored as int64 columns.
+_ID_LIMIT = 2**63
+
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def check_fingerprint(rp_id: int, ci: int, rss) -> np.ndarray:
+    """Validate one fingerprint's fields; return its RSS as a float64 vector.
+
+    Raises ValidationError for an empty or non-1-D RSS vector, a non-finite
+    RSS value, or an rp_id or ci outside [0, 2**63), checked in that order.
+    """
+    rss = np.asarray(rss, dtype=np.float64)
+    if rss.ndim != 1 or rss.size == 0:
+        raise ValidationError("rss must be a non-empty 1-D vector")
+    if not np.all(np.isfinite(rss)):
+        raise ValidationError("rss values must be finite")
+    for name, value in (("rp_id", rp_id), ("ci", ci)):
+        if value < 0:
+            raise ValidationError(f"{name} must be non-negative, got {value}")
+        if value >= _ID_LIMIT:
+            raise ValidationError(f"{name} must be below 2**63, got {value}")
+    return rss
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,16 +59,14 @@ class Fingerprint:
     rss: np.ndarray  # dBm per AP
 
     def __post_init__(self):
-        rss = np.asarray(self.rss, dtype=np.float64)
-        if rss.ndim != 1 or rss.size == 0:
-            raise ValidationError("rss must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(rss)):
-            raise ValidationError("rss values must be finite")
-        if self.rp_id < 0:
-            raise ValidationError(f"rp_id must be non-negative, got {self.rp_id}")
-        if self.ci < 0:
-            raise ValidationError(f"ci must be non-negative, got {self.ci}")
-        object.__setattr__(self, "rss", _readonly(rss))
+        object.__setattr__(self, "rss", _readonly(check_fingerprint(self.rp_id, self.ci, self.rss)))
+
+    @classmethod
+    def _row(cls, rp_id: int, device_id: str, ci: int, rss: np.ndarray) -> "Fingerprint":
+        """A row of a Dataset, whose columns are validated already."""
+        fp = object.__new__(cls)
+        fp.__dict__.update(rp_id=rp_id, device_id=device_id, ci=ci, rss=rss)
+        return fp
 
     @property
     def ap_count(self) -> int:
@@ -63,22 +83,52 @@ class Fingerprint:
         )
 
 
-@dataclass(frozen=True, eq=False)
 class Dataset:
-    """A collection of fingerprints sharing one AP inventory."""
+    """Fingerprints sharing one AP inventory, stored as read-only columns.
 
-    fingerprints: tuple[Fingerprint, ...]
-    ap_count: int
+    `rss` is an (n, ap_count) float64 matrix, `rp_id` and `ci` are int64
+    vectors and `device_id` an object vector of str, one entry per row.
+    Iterating yields one `Fingerprint` per row; those rows are built on first
+    use from the columns and not validated again.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "fingerprints", tuple(self.fingerprints))
-        if self.ap_count <= 0:
-            raise ValidationError(f"ap_count must be positive, got {self.ap_count}")
-        for fp in self.fingerprints:
-            if fp.ap_count != self.ap_count:
+    __slots__ = ("ap_count", "rss", "rp_id", "ci", "device_id", "_rows")
+
+    def __init__(self, fingerprints: Iterable[Fingerprint], ap_count: int):
+        fps = tuple(fingerprints)
+        if ap_count <= 0:
+            raise ValidationError(f"ap_count must be positive, got {ap_count}")
+        for fp in fps:
+            if fp.ap_count != ap_count:
                 raise ValidationError(
-                    f"fingerprint for rp {fp.rp_id} has {fp.ap_count} APs, expected {self.ap_count}"
+                    f"fingerprint for rp {fp.rp_id} has {fp.ap_count} APs, expected {ap_count}"
                 )
+        self._adopt(
+            ap_count,
+            np.array([fp.rss for fp in fps], dtype=np.float64).reshape(len(fps), ap_count),
+            np.array([fp.rp_id for fp in fps], dtype=np.int64),
+            np.array([fp.ci for fp in fps], dtype=np.int64),
+            np.array([fp.device_id for fp in fps], dtype=object),
+            fps,
+        )
+
+    def _adopt(self, ap_count, rss, rp_id, ci, device_id, rows=None) -> None:
+        for col in (rss, rp_id, ci, device_id):
+            col.setflags(write=False)
+        init = object.__setattr__
+        init(self, "ap_count", int(ap_count))
+        init(self, "rss", rss)
+        init(self, "rp_id", rp_id)
+        init(self, "ci", ci)
+        init(self, "device_id", device_id)
+        init(self, "_rows", rows)
+
+    @classmethod
+    def _of(cls, ap_count, rss, rp_id, ci, device_id) -> "Dataset":
+        """Wrap columns that are validated already, without copying them."""
+        ds = object.__new__(cls)
+        ds._adopt(ap_count, rss, rp_id, ci, device_id)
+        return ds
 
     @classmethod
     def from_fingerprints(cls, fingerprints: Iterable[Fingerprint]) -> "Dataset":
@@ -87,37 +137,100 @@ class Dataset:
             raise ValidationError("cannot infer ap_count from an empty fingerprint list")
         return cls(fps, fps[0].ap_count)
 
+    @classmethod
+    def from_columns(cls, rp_id, device_id: Sequence[str], ci, rss) -> "Dataset":
+        """Build a dataset from per-row columns and an (n, ap_count) RSS matrix.
+
+        The arrays are adopted without a copy where their dtype already fits,
+        and they become read-only. Raises ValidationError on mismatched
+        lengths or on a row that `Fingerprint` would reject.
+        """
+        rss = np.asarray(rss, dtype=np.float64)
+        if rss.ndim != 2 or rss.shape[1] == 0:
+            raise ValidationError("rss must be an (n, ap_count) matrix with ap_count >= 1")
+        n = rss.shape[0]
+        ids, cis = (np.asarray(col) for col in (rp_id, ci))
+        device_id = np.asarray(device_id, dtype=object)
+        if any(col.shape != (n,) for col in (ids, cis, device_id)):
+            raise ValidationError(f"rp_id, device_id and ci must each hold {n} entries")
+        finite = np.isfinite(rss).all(axis=1)
+        in_range = (ids >= 0) & (ids < _ID_LIMIT) & (cis >= 0) & (cis < _ID_LIMIT)
+        bad = np.flatnonzero(~(finite & in_range))
+        if bad.size:
+            i = int(bad[0])
+            try:
+                check_fingerprint(int(ids[i]), int(cis[i]), rss[i])
+            except ValidationError as exc:
+                raise ValidationError(f"row {i}: {exc}") from None
+        return cls._of(
+            rss.shape[1], rss, ids.astype(np.int64, copy=False), cis.astype(np.int64, copy=False),
+            device_id,
+        )
+
     def __len__(self) -> int:
-        return len(self.fingerprints)
+        return self.rss.shape[0]
 
     def __iter__(self) -> Iterator[Fingerprint]:
         return iter(self.fingerprints)
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Dataset is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return Dataset._of, (self.ap_count, self.rss, self.rp_id, self.ci, self.device_id)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return self.ap_count == other.ap_count and self.fingerprints == other.fingerprints
+        return (
+            self.ap_count == other.ap_count
+            and np.array_equal(self.rss, other.rss)
+            and np.array_equal(self.rp_id, other.rp_id)
+            and np.array_equal(self.ci, other.ci)
+            and self.device_id.tolist() == other.device_id.tolist()
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Dataset({len(self)} fingerprints, ap_count={self.ap_count})"
+
+    @property
+    def fingerprints(self) -> tuple[Fingerprint, ...]:
+        """One Fingerprint per row; its `rss` is a read-only view of `rss_matrix()`."""
+        if self._rows is None:
+            rows = tuple(
+                map(Fingerprint._row, self.rp_id.tolist(), self.device_id.tolist(),
+                    self.ci.tolist(), self.rss)
+            )
+            object.__setattr__(self, "_rows", rows)
+        return self._rows
 
     @property
     def rp_ids(self) -> frozenset[int]:
-        return frozenset(fp.rp_id for fp in self.fingerprints)
+        return frozenset(self.rp_id.tolist())
 
     @property
     def cis(self) -> tuple[int, ...]:
-        return tuple(sorted({fp.ci for fp in self.fingerprints}))
+        return tuple(np.unique(self.ci).tolist())
 
     def rss_matrix(self) -> np.ndarray:
-        """Stack all RSS vectors into a (num_fingerprints, ap_count) matrix."""
-        if not self.fingerprints:
-            return np.empty((0, self.ap_count), dtype=np.float64)
-        return np.stack([fp.rss for fp in self.fingerprints])
+        """The read-only (num_fingerprints, ap_count) RSS matrix, without a copy."""
+        return self.rss
 
     def labels(self) -> np.ndarray:
-        return np.asarray([fp.rp_id for fp in self.fingerprints], dtype=np.int64)
+        """The read-only rp_id of every row."""
+        return self.rp_id
+
+    def _take(self, rows) -> "Dataset":
+        """Sub-dataset of the rows selected by a boolean mask or index array."""
+        return Dataset._of(
+            self.ap_count, self.rss[rows], self.rp_id[rows], self.ci[rows], self.device_id[rows]
+        )
 
     def with_ci(self, ci: int) -> "Dataset":
         """Sub-dataset containing only the given collection instance."""
-        return Dataset(tuple(fp for fp in self.fingerprints if fp.ci == ci), self.ap_count)
+        return self._take(self.ci == ci)
 
 
 @dataclass(frozen=True)
@@ -192,10 +305,7 @@ def normalize_values(
 
 def normalize(ds: Dataset, lo: float = DEFAULT_RSS_LO, hi: float = DEFAULT_RSS_HI) -> Dataset:
     """Normalize every fingerprint in the dataset onto [0, 1]."""
-    if lo >= hi:
-        raise ConfigError(f"normalization range requires lo < hi, got [{lo}, {hi}]")
-    fps = tuple(replace(fp, rss=normalize_values(fp.rss, lo, hi)) for fp in ds)
-    return Dataset(fps, ds.ap_count)
+    return Dataset.from_columns(ds.rp_id, ds.device_id, ds.ci, normalize_values(ds.rss, lo, hi))
 
 
 def binarize(fp: Fingerprint, threshold: float = DEFAULT_THRESHOLD) -> BinaryFingerprint:
@@ -239,22 +349,24 @@ def split_train_test(ds: Dataset, per_rp_holdout: int, seed: int) -> tuple[Datas
     if per_rp_holdout < 0:
         raise ConfigError(f"per_rp_holdout must be non-negative, got {per_rp_holdout}")
 
-    groups: dict[tuple[int, int], list[int]] = {}
-    for idx, fp in enumerate(ds):
-        groups.setdefault((fp.rp_id, fp.ci), []).append(idx)
+    # Rows sorted by (rp_id, ci); the sort is stable, so each group keeps row order.
+    order = np.lexsort((ds.ci, ds.rp_id))
+    rp, ci = ds.rp_id[order], ds.ci[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (rp[1:] != rp[:-1]) | (ci[1:] != ci[:-1])
+    starts = np.flatnonzero(first)
+    sizes = np.diff(np.append(starts, len(order)))
+    small = np.flatnonzero(sizes < per_rp_holdout + 1)
+    if small.size:
+        g = small[0]
+        raise SplitError(
+            f"group rp_id={rp[starts[g]]} ci={ci[starts[g]]} has {sizes[g]} fingerprints; "
+            f"need at least {per_rp_holdout + 1} for a holdout of {per_rp_holdout}"
+        )
 
     rng = np.random.default_rng(seed)
-    test_idx: set[int] = set()
-    for (rp_id, ci) in sorted(groups):
-        members = groups[(rp_id, ci)]
-        if len(members) < per_rp_holdout + 1:
-            raise SplitError(
-                f"group rp_id={rp_id} ci={ci} has {len(members)} fingerprints; "
-                f"need at least {per_rp_holdout + 1} for a holdout of {per_rp_holdout}"
-            )
-        order = rng.permutation(len(members))
-        test_idx.update(members[i] for i in order[:per_rp_holdout])
-
-    train = tuple(fp for i, fp in enumerate(ds) if i not in test_idx)
-    test = tuple(fp for i, fp in enumerate(ds) if i in test_idx)
-    return Dataset(train, ds.ap_count), Dataset(test, ds.ap_count)
+    test = np.zeros(len(order), dtype=bool)
+    for start, size in zip(starts.tolist(), sizes.tolist()):
+        members = order[start : start + size]
+        test[members[rng.permutation(size)[:per_rp_holdout]]] = True
+    return ds._take(~test), ds._take(test)

@@ -11,6 +11,7 @@ import numpy as np
 
 from .data import Dataset, RpMap
 from .errors import ShapeError, ValidationError
+from .fileio import atomic_open
 from .gates import LatentCode, trace_bit_to_aps
 from .models import count_params, model_size_bytes
 from .pgm import write_pgm
@@ -93,7 +94,8 @@ class EvalReport:
         return cls(per_ci, doc["model_meta"], doc.get("config", {}))
 
     def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        """Replace `path` atomically with the JSON report."""
+        with atomic_open(path) as fh:
             fh.write(self.to_json())
 
 

@@ -139,6 +139,7 @@ class ExperimentConfig:
         def respath(p):
             return p if p is None or os.path.isabs(p) else os.path.join(base_dir, p)
 
+        _check_keys(doc, _CONFIG_KEYS)
         data = doc.get("data") or {}
         synth_doc = doc.get("synth")
         model = doc.get("model") or {}
@@ -186,11 +187,35 @@ class ExperimentConfig:
         )
 
 
+# Every key from_dict reads: section name -> its keys (None: any value).
+_CONFIG_KEYS = {
+    "out_dir": None,
+    "data": {"fingerprints": None, "rp_map": None},
+    "synth": {f.name: None for f in dataclasses.fields(SynthSpec)},
+    "model": {"family": None, "gate": None, "hidden_layers": None, "threshold": None},
+    "rss_range": None,
+    "per_rp_holdout": None,
+    "train": {f.name: None for f in dataclasses.fields(TrainConfig)},
+    "noise": {"mode": None, "delta": None, "delta_csv": None, "sigma": None, "seed": None},
+    "schedule": None,
+    "latency_repetitions": None,
+}
+
+
+def _check_keys(doc, allowed: dict, prefix: str = "") -> None:
+    """Reject a key that from_dict would ignore, naming its path."""
+    if not isinstance(doc, dict):
+        where = f"config key '{prefix[:-1]}'" if prefix else "config"
+        raise ConfigError(f"{where} must hold a JSON object")
+    for key, value in doc.items():
+        if key not in allowed:
+            raise ConfigError(f"unknown config key '{prefix}{key}'")
+        if allowed[key] is not None and value is not None:
+            _check_keys(value, allowed[key], f"{prefix}{key}.")
+
+
 def _synth_spec(doc: dict) -> SynthSpec:
     fields = dataclasses.fields(SynthSpec)
-    unknown = sorted(set(doc) - {f.name for f in fields})
-    if unknown:
-        raise ConfigError(f"unknown config key 'synth.{unknown[0]}'")
     missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in doc]
     if missing:
         raise ConfigError(f"missing config key 'synth.{missing[0]}'")
@@ -265,6 +290,7 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
         train_ds, test_ds = split_train_test(ds, cfg.per_rp_holdout, cfg.train.seed)
     except Exception as exc:
         fail("split", exc)
+    del ds  # the split copied its rows; release the full matrix for the later stages
 
     # Stage: train at CI:0.
     try:

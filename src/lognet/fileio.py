@@ -8,13 +8,68 @@ write -> read is lossless.
 from __future__ import annotations
 
 import csv
+import io
+import os
+import uuid
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
-from .data import Dataset, Fingerprint, RpMap
-from .errors import ParseError
+from .data import Dataset, RpMap, check_fingerprint
+from .errors import ParseError, ValidationError
 
 _FP_FIXED_COLS = ("rp_id", "device_id", "ci")
+
+
+@contextmanager
+def reading(path):
+    """Open `path` as UTF-8 text; a file that cannot be opened or decoded raises ParseError."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise ParseError(f"cannot read file: {exc.strerror or exc}", path=path) from None
+    except UnicodeDecodeError:
+        raise ParseError("file is not valid UTF-8", path=path) from None
+
+
+@contextmanager
+def _csv_rows(path):
+    """A csv.reader over `path`; malformed CSV raises ParseError with its line."""
+    with reading(path) as fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise ParseError(f"malformed CSV: {exc}", path=path, line=reader.line_num) from None
+
+
+def _header(reader, path) -> list[str]:
+    header = next(reader, None)
+    if header is None:
+        raise ParseError("empty file", path=path, line=1)
+    return header
+
+
+@contextmanager
+def atomic_open(path):
+    """A UTF-8 text file whose contents replace `path` only if the block succeeds.
+
+    The block writes a temp file in the target directory, which os.replace
+    then renames over `path`. On any failure the temp file is removed and a
+    previous file at `path` is left as it was.
+    """
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _ap_header(ap_count: int) -> list[str]:
@@ -22,23 +77,36 @@ def _ap_header(ap_count: int) -> list[str]:
     return [f"ap_{i:0{width}d}" for i in range(ap_count)]
 
 
+def _csv_field(value) -> str:
+    """`value` as csv.writer's default dialect writes it inside a row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow((value, ""))
+    return buf.getvalue()[: -len(",\r\n")]
+
+
 def write_fingerprints_csv(ds: Dataset, path: str) -> None:
-    """Write a dataset in the `rp_id,device_id,ci,ap_000,...` schema."""
+    """Write a dataset in the `rp_id,device_id,ci,ap_000,...` schema.
+
+    The bytes are those of csv.writer's default dialect with every RSS value
+    written as repr(float). Rows are formatted and written one at a time.
+    """
+    device_ids = ds.device_id.tolist()
+    quoted = {dev: _csv_field(dev) for dev in set(device_ids)}
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(_FP_FIXED_COLS) + _ap_header(ds.ap_count))
-        for fp in ds:
-            writer.writerow([fp.rp_id, fp.device_id, fp.ci] + [repr(float(v)) for v in fp.rss])
+        csv.writer(fh).writerow(list(_FP_FIXED_COLS) + _ap_header(ds.ap_count))
+        for rp_id, dev, ci, rss in zip(ds.rp_id.tolist(), device_ids, ds.ci.tolist(), ds.rss):
+            fh.write(f"{rp_id},{quoted[dev]},{ci},{','.join(map(repr, rss.tolist()))}\r\n")
 
 
 def read_fingerprints_csv(path: str) -> Dataset:
-    """Parse a fingerprint CSV, reporting the offending line on any violation."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", path=path, line=1) from None
+    """Parse a fingerprint CSV, reporting the offending line on any violation.
+
+    Rows are checked in file order, so the first bad row is the one
+    reported. Each row's RSS fields are converted in one call and copied
+    into the dataset's matrix.
+    """
+    with _csv_rows(path) as reader:
+        header = _header(reader, path)
         if tuple(header[:3]) != _FP_FIXED_COLS or len(header) < 4:
             raise ParseError(
                 f"header must start with {','.join(_FP_FIXED_COLS)} followed by AP columns",
@@ -49,7 +117,11 @@ def read_fingerprints_csv(path: str) -> Dataset:
         if header[3:] != _ap_header(ap_count):
             raise ParseError("malformed AP column names", path=path, line=1)
 
-        fps = []
+        rp_ids, device_ids, cis = [], [], []
+        # Rows are written into one matrix that doubles when full. resize()
+        # reallocates in place (nothing else references `rss`), so the file
+        # is never held twice, as it would be by stacking per-row arrays.
+        rss = np.empty((64, ap_count))
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -60,16 +132,23 @@ def read_fingerprints_csv(path: str) -> Dataset:
             try:
                 rp_id = int(row[0])
                 ci = int(row[2])
-                rss = np.asarray([float(v) for v in row[3:]], dtype=np.float64)
+                values = np.fromiter(map(float, row[3:]), np.float64, ap_count)
             except ValueError as exc:
                 raise ParseError(f"non-numeric field: {exc}", path=path, line=lineno) from None
             try:
-                fps.append(Fingerprint(rp_id, row[1], ci, rss))
-            except Exception as exc:
+                check_fingerprint(rp_id, ci, values)
+            except ValidationError as exc:
                 raise ParseError(str(exc), path=path, line=lineno) from None
-        if not fps:
+            if len(rp_ids) == len(rss):
+                rss.resize((2 * len(rss), ap_count), refcheck=False)
+            rss[len(rp_ids)] = values
+            rp_ids.append(rp_id)
+            device_ids.append(row[1])
+            cis.append(ci)
+        if not rp_ids:
             raise ParseError("no fingerprint rows", path=path, line=2)
-    return Dataset(tuple(fps), ap_count)
+        rss.resize((len(rp_ids), ap_count), refcheck=False)
+    return Dataset.from_columns(rp_ids, device_ids, cis, rss)
 
 
 def write_rp_map_csv(rp_map: RpMap, path: str) -> None:
@@ -82,12 +161,8 @@ def write_rp_map_csv(rp_map: RpMap, path: str) -> None:
 
 
 def read_rp_map_csv(path: str) -> RpMap:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", path=path, line=1) from None
+    with _csv_rows(path) as reader:
+        header = _header(reader, path)
         if header != ["rp_id", "x_m", "y_m"]:
             raise ParseError("header must be rp_id,x_m,y_m", path=path, line=1)
         entries = {}
@@ -124,12 +199,8 @@ def write_latents_csv(rp_ids, bit_matrix: np.ndarray, path: str) -> None:
 
 def read_latents_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Read latent codes back as (rp_ids, (rows, bits) uint8 matrix)."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", path=path, line=1) from None
+    with _csv_rows(path) as reader:
+        header = _header(reader, path)
         if not header or header[0] != "rp_id" or len(header) < 2:
             raise ParseError("header must be rp_id,bit_000,...", path=path, line=1)
         n_bits = len(header) - 1
@@ -148,6 +219,8 @@ def read_latents_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
                 raise ParseError(f"non-numeric field: {exc}", path=path, line=lineno) from None
             if any(b not in (0, 1) for b in bits):
                 raise ParseError("latent bits must be 0 or 1", path=path, line=lineno)
+            if not -(2**63) <= rp_ids[-1] < 2**63:
+                raise ParseError(f"rp_id {rp_ids[-1]} does not fit in int64", path=path, line=lineno)
             rows.append(bits)
         if not rows:
             raise ParseError("no latent rows", path=path, line=2)
@@ -159,12 +232,8 @@ def read_delta_csv(path: str) -> np.ndarray:
 
     Indices must cover 0..N-1 exactly once; the vector length is inferred.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", path=path, line=1) from None
+    with _csv_rows(path) as reader:
+        header = _header(reader, path)
         if header != ["ap_index", "delta_db"]:
             raise ParseError("header must be ap_index,delta_db", path=path, line=1)
         deltas: dict[int, float] = {}

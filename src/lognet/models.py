@@ -3,6 +3,7 @@ down-sampling MLP baseline, sharing one Adam optimizer and loss."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,8 +31,8 @@ class TrainConfig:
     batch_size: int | None = None  # None = full batch
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
         if self.batch_size is not None and self.batch_size < 1:
@@ -283,7 +284,8 @@ def train_softmax(latents, labels, cfg: TrainConfig,
     """Fit the softmax head with Adam on mean cross-entropy.
 
     Returns the trained model and the per-epoch loss history (full-set loss
-    after each epoch's updates). Deterministic for a fixed config.
+    after each epoch's updates). Deterministic for a fixed config. Raises
+    TrainingError, naming the epoch, once that loss is not finite.
     """
     X = as_latent_matrix(latents)
     y = np.asarray(labels, dtype=np.int64)
@@ -305,7 +307,17 @@ def train_softmax(latents, labels, cfg: TrainConfig,
             grads = _softmax_grads(params, X[idx], y_idx[idx])
             opt.step(params, grads)
         history.append(sparse_cross_entropy(X @ params[0] + params[1], y_idx))
+        _check_loss(history, cfg)
     return SoftmaxModel(params[0], params[1], classes), history
+
+
+def _check_loss(history: list[float], cfg: TrainConfig) -> None:
+    """Stop training once the latest recorded loss is not finite."""
+    if not math.isfinite(history[-1]):
+        raise TrainingError(
+            f"loss became {history[-1]} at epoch {len(history)} of {cfg.epochs}; "
+            f"try a smaller learning_rate than {cfg.learning_rate}"
+        )
 
 
 def _softmax_grads(params, X: np.ndarray, y_idx: np.ndarray) -> list[np.ndarray]:
@@ -328,7 +340,11 @@ def init_dnn(input_dim: int, hidden_layers: int, class_labels: Sequence[int],
 
 def train_dnn(ds: Dataset, hidden_layers: int, cfg: TrainConfig,
               class_labels=None) -> tuple[DnnModel, list[float]]:
-    """Train the down-sampling MLP on a normalized dataset."""
+    """Train the down-sampling MLP on a normalized dataset.
+
+    Returns the model and the per-epoch full-set loss history; raises
+    TrainingError, naming the epoch, once that loss is not finite.
+    """
     X = ds.rss_matrix()
     y = ds.labels()
     if X.shape[0] == 0:
@@ -350,6 +366,7 @@ def train_dnn(ds: Dataset, hidden_layers: int, cfg: TrainConfig,
             opt.step(params, grads)
         layers = _params_to_layers(params)
         history.append(sparse_cross_entropy(_dnn_logits(layers, X), y_idx))
+        _check_loss(history, cfg)
     return DnnModel(_params_to_layers(params), classes), history
 
 

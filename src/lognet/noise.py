@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .data import RSS_SENTINEL, Dataset, Fingerprint, RpMap
+from .data import RSS_SENTINEL, Dataset, RpMap
 from .errors import CapacityError, ConfigError, ValidationError
 
 
@@ -258,14 +258,16 @@ def synth_dataset(spec: SynthSpec) -> tuple[Dataset, RpMap]:
     if len({row.tobytes() for row in base}) != spec.num_rps:
         raise CapacityError("generated RP patterns are not pairwise distinct")
 
-    fps = []
-    for rp in range(spec.num_rps):
-        for _ in range(spec.fingerprints_per_rp):
-            rss = base[rp]
-            if spec.jitter_sigma_db > 0:
-                rss = rss + rng.normal(0.0, spec.jitter_sigma_db, spec.num_aps)
-            fps.append(Fingerprint(rp, spec.device_id, 0, rss))
-    return Dataset(tuple(fps), spec.num_aps), _rp_coordinates(spec)
+    n = spec.num_rps * spec.fingerprints_per_rp
+    rss = np.repeat(base.astype(np.float64), spec.fingerprints_per_rp, axis=0)
+    if spec.jitter_sigma_db > 0:
+        # One RP's rows per draw: the same stream as one draw per row, and
+        # no second matrix-sized temporary.
+        for block in np.split(rss, spec.num_rps):
+            block += rng.normal(0.0, spec.jitter_sigma_db, block.shape)
+    rp_id = np.repeat(np.arange(spec.num_rps), spec.fingerprints_per_rp)
+    device_id = np.full(n, spec.device_id, dtype=object)
+    return Dataset.from_columns(rp_id, device_id, np.zeros(n, np.int64), rss), _rp_coordinates(spec)
 
 
 def inject_noise(ds: Dataset, spec: NoiseSpec) -> Dataset:
@@ -283,17 +285,11 @@ def inject_noise(ds: Dataset, spec: NoiseSpec) -> Dataset:
         )
     rng = np.random.default_rng(spec.seed)
     sigma = np.broadcast_to(np.asarray(spec.stochastic_sigma, dtype=np.float64), (ds.ap_count,))
-    has_jitter = bool(np.any(sigma > 0))
-
-    fps = []
-    for fp in ds:
-        offset = np.full(ds.ap_count, spec.delta) if spec.mode is NoiseMode.ED else spec.delta
-        if has_jitter:
-            offset = offset + rng.normal(0.0, 1.0, ds.ap_count) * sigma
-        detected = fp.rss != RSS_SENTINEL
-        rss = np.where(detected, fp.rss + offset, fp.rss)
-        fps.append(replace(fp, rss=rss))
-    return Dataset(tuple(fps), ds.ap_count)
+    offset = spec.delta
+    if np.any(sigma > 0):
+        offset = offset + rng.normal(0.0, 1.0, ds.rss.shape) * sigma
+    rss = np.where(ds.rss != RSS_SENTINEL, ds.rss + offset, ds.rss)
+    return Dataset.from_columns(ds.rp_id, ds.device_id, ds.ci, rss)
 
 
 def _ci_seed(base_seed: int, ci: int) -> int:
@@ -308,14 +304,15 @@ def simulate_cis(ds: Dataset, base: NoiseSpec, sched: TemporalSchedule) -> Datas
     Each schedule entry emits a relabeled copy of the dataset with the base
     noise scaled by the entry's multiplier; ci 0 passes through unmodified.
     """
-    if any(fp.ci != 0 for fp in ds):
+    if np.any(ds.ci != 0):
         raise ValidationError("simulate_cis expects a clean CI:0 dataset")
-    out: list[Fingerprint] = []
-    for ci, mult in sched.entries:
+    n, copies = len(ds), len(sched)
+    rss = np.empty((copies * n, ds.ap_count))
+    for k, (ci, mult) in enumerate(sched.entries):
         if mult == 0.0:
-            out.extend(replace(fp, ci=ci) for fp in ds)
-            continue
-        scaled = base.scaled(mult, seed=_ci_seed(base.seed, ci))
-        noisy = inject_noise(ds, scaled)
-        out.extend(replace(fp, ci=ci) for fp in noisy)
-    return Dataset(tuple(out), ds.ap_count)
+            rss[k * n : (k + 1) * n] = ds.rss
+        else:
+            scaled = base.scaled(mult, seed=_ci_seed(base.seed, ci))
+            rss[k * n : (k + 1) * n] = inject_noise(ds, scaled).rss
+    cis = np.repeat(np.asarray(sched.cis, dtype=np.int64), n)
+    return Dataset.from_columns(np.tile(ds.rp_id, copies), np.tile(ds.device_id, copies), cis, rss)

@@ -16,6 +16,7 @@ from .data import (
     normalize_values,
 )
 from .errors import ParseError, ShapeError
+from .fileio import atomic_open, reading
 from .gates import GateType, LogicEncoderConfig, ceil_chain, encode_matrix
 from .models import (
     DnnModel,
@@ -137,7 +138,8 @@ def save_model(clf, path: str) -> None:
 
     Parameter arrays are stored row-major as nested lists; floats use Python's
     shortest round-trip representation, so save -> load -> forward is
-    bit-exact.
+    bit-exact. The file is replaced atomically: a failed save leaves any
+    previous file at `path` intact.
     """
     if isinstance(clf, LogNetClassifier):
         doc = {
@@ -169,14 +171,14 @@ def save_model(clf, path: str) -> None:
         }
     else:
         raise ShapeError(f"cannot serialize {type(clf).__name__}")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
 def load_model(path: str):
     """Load a classifier written by save_model."""
-    with open(path, encoding="utf-8") as fh:
+    with reading(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -202,3 +202,25 @@ def test_every_run_flag_maps_onto_its_config_key(tmp_path, monkeypatch):
         "out_dir": str(tmp_path / "o"),
     }
     assert _flag_overrides(build_parser().parse_args(["run"])) == {}
+
+
+def test_unreadable_model_or_data_file_exits_one(tmp_path, fixture_dir, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["eval", "--model-file", str(missing),
+                 "--data", f"{fixture_dir}/fingerprints_2rp3ap.csv",
+                 "--rp-map", f"{fixture_dir}/rp_map_2rp.csv", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes("rp_id,device_id,ci,ap_000\n0,café,0,-40.0\n".encode("latin-1"))
+    assert main(["encode", "--data", str(latin1), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(latin1) in err and "UTF-8" in err
+
+
+def test_unknown_config_key_exits_one(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"synth": {"num_rps": 4, "num_aps": 8}, "train": {"epoch": 3}}))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "train.epoch" in err

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -176,3 +179,79 @@ class TestSplit:
         for ci in (0, 1):
             for rp in (0, 1):
                 assert sum(fp.rp_id == rp and fp.ci == ci for fp in test) == 1
+
+
+def _split_by_row(ds, per_rp_holdout, seed):
+    """Reference split: the per-row loop the columnar split replaced."""
+    groups = {}
+    for idx, fp in enumerate(ds):
+        groups.setdefault((fp.rp_id, fp.ci), []).append(idx)
+    rng = np.random.default_rng(seed)
+    test_idx = set()
+    for key in sorted(groups):
+        members = groups[key]
+        order = rng.permutation(len(members))
+        test_idx.update(members[i] for i in order[:per_rp_holdout])
+    fps = ds.fingerprints
+    train = [fp for i, fp in enumerate(fps) if i not in test_idx]
+    test = [fp for i, fp in enumerate(fps) if i in test_idx]
+    return Dataset(train, ds.ap_count), Dataset(test, ds.ap_count)
+
+
+class TestColumnarDataset:
+    def test_rss_matrix_is_the_stored_read_only_matrix(self, tiny_dataset):
+        X = tiny_dataset.rss_matrix()
+        assert X is tiny_dataset.rss_matrix() and X.shape == (12, 3)
+        with pytest.raises(ValueError):
+            X[0, 0] = 0.0
+        assert not tiny_dataset.labels().flags.writeable
+
+    def test_iterated_rows_are_views_and_not_validated_again(self, monkeypatch):
+        import lognet.data
+
+        ds = Dataset.from_columns([0, 1], ["a", "b"], [0, 2], [[-40.0, -50.0], [-60.0, -70.0]])
+        expected = [Fingerprint(0, "a", 0, [-40.0, -50.0]), Fingerprint(1, "b", 2, [-60.0, -70.0])]
+
+        def never(*args):
+            raise AssertionError("row validated again")
+
+        monkeypatch.setattr(lognet.data, "check_fingerprint", never)
+        rows = list(ds)
+        assert rows == expected
+        assert all(np.shares_memory(fp.rss, ds.rss_matrix()) for fp in rows)
+        assert ds.fingerprints is ds.fingerprints
+
+    def test_from_columns_rejects_what_fingerprint_rejects(self):
+        with pytest.raises(ValidationError, match="row 1: rss values must be finite"):
+            Dataset.from_columns([0, 1], ["d", "d"], [0, 0], [[-50.0], [np.inf]])
+        with pytest.raises(ValidationError, match="row 0: ci must be non-negative"):
+            Dataset.from_columns([0], ["d"], [-1], [[-50.0]])
+        with pytest.raises(ValidationError, match="below 2\\*\\*63"):
+            Dataset.from_columns([2**63], ["d"], [0], [[-50.0]])
+        with pytest.raises(ValidationError):
+            Dataset.from_columns([0, 1], ["d"], [0, 0], [[-50.0], [-60.0]])
+
+    def test_immutable_and_copyable(self, tiny_dataset):
+        with pytest.raises(AttributeError):
+            tiny_dataset.ap_count = 4
+        for clone in (pickle.loads(pickle.dumps(tiny_dataset)), copy.deepcopy(tiny_dataset)):
+            assert clone == tiny_dataset and not clone.rss_matrix().flags.writeable
+
+    def test_equality_compares_every_column(self, tiny_dataset):
+        assert tiny_dataset == Dataset(tiny_dataset.fingerprints, 3)
+        other = Dataset.from_columns(
+            tiny_dataset.rp_id, ["x"] * len(tiny_dataset), tiny_dataset.ci, tiny_dataset.rss
+        )
+        assert other != tiny_dataset
+
+    @pytest.mark.parametrize("holdout,seed", [(0, 1), (1, 0), (2, 9), (3, 4)])
+    def test_split_matches_the_per_row_reference(self, holdout, seed):
+        rng = np.random.default_rng(seed)
+        fps = [
+            Fingerprint(int(rp), f"d{k}", int(ci), rng.uniform(-90.0, -30.0, 5))
+            for k, (rp, ci) in enumerate(rng.integers(0, 3, (80, 2)))
+        ]
+        fps += [Fingerprint(rp, "pad", ci, [-50.0] * 5) for rp in range(3) for ci in range(3)
+                for _ in range(4)]
+        ds = Dataset.from_fingerprints(fps)
+        assert split_train_test(ds, holdout, seed) == _split_by_row(ds, holdout, seed)

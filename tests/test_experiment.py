@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -167,3 +168,38 @@ class TestCompareModels:
         lines = out.read_text().splitlines()
         assert len(lines) == 3
         assert lines[0].startswith("model,gate,hidden_layers,params,size_bytes,latency_ms")
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("doc,key", [
+        ({"train": {"epoch": 3}}, "train.epoch"),
+        ({"modle": {}}, "modle"),
+        ({"model": {"family": "dnn", "layers": 2}}, "model.layers"),
+        ({"noise": {"mode": "ed", "jitter": 1.0}}, "noise.jitter"),
+        ({"data": {"fingerprints": "f.csv", "map": "m.csv"}}, "data.map"),
+        ({"synth": {"num_rps": 4, "num_aps": 8, "rooms": 3}}, "synth.rooms"),
+    ])
+    def test_unknown_key_names_its_path(self, doc, key):
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            ExperimentConfig.from_dict(doc)
+
+    def test_section_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="'train' must hold a JSON object"):
+            ExperimentConfig.from_dict({"train": 5})
+
+    def test_every_report_config_loads_back(self, tmp_path, fixture_dir):
+        variants = [
+            _synth_cfg(tmp_path / "lognet"),
+            _synth_cfg(tmp_path / "dnn", family="dnn", epochs=5),
+            ExperimentConfig(
+                out_dir=str(tmp_path / "files"),
+                data_path=f"{fixture_dir}/fingerprints_2rp3ap.csv",
+                rp_map_path=f"{fixture_dir}/rp_map_2rp.csv",
+                train=TrainConfig(epochs=5, batch_size=4),
+                noise=NoiseSpec(NoiseMode.NON_ED, [1.0, -2.0, 0.5], [0.0, 1.0, 0.5], seed=2),
+            ),
+        ]
+        for cfg in variants:
+            run_experiment(cfg)
+            echo = json.loads((Path(cfg.out_dir) / "report.json").read_text())["config"]
+            assert ExperimentConfig.from_dict(echo).to_dict() == echo

@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from lognet import (
+    CiStats,
+    EvalReport,
     GateType,
     LogicEncoderConfig,
     ParseError,
@@ -194,3 +198,70 @@ class TestModelSerialization:
         path.write_text('{"schema_version": 99, "family": "dnn"}')
         with pytest.raises(ParseError):
             load_model(path)
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize("reader,header", [
+        (read_fingerprints_csv, b"rp_id,device_id,ci,ap_000\n"),
+        (read_rp_map_csv, b"rp_id,x_m,y_m\n"),
+        (read_latents_csv, b"rp_id,bit_000\n"),
+        (read_delta_csv, b"ap_index,delta_db\n"),
+    ])
+    def test_invalid_utf8_and_missing_file_are_parse_errors(self, tmp_path, reader, header):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(header + b"0,\xff,0,1\n")
+        with pytest.raises(ParseError, match="not valid UTF-8") as err:
+            reader(path)
+        assert str(path) in str(err.value)
+        with pytest.raises(ParseError, match="cannot read file") as err:
+            reader(tmp_path / "missing.csv")
+        assert str(tmp_path / "missing.csv") in str(err.value)
+
+    def test_csv_syntax_error_is_a_parse_error_with_its_line(self, tmp_path):
+        path = tmp_path / "long.csv"
+        field = b'"' + b"x" * 200_000 + b'"'  # beyond csv's field size limit
+        path.write_bytes(b"rp_id,device_id,ci,ap_000\n0,d,0,-40.0\n0," + field + b",0,-40.0\n")
+        with pytest.raises(ParseError, match="field limit") as err:
+            read_fingerprints_csv(path)
+        assert err.value.line == 3
+
+    def test_latent_rp_id_beyond_int64_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "lat.csv"
+        path.write_text("rp_id,bit_000\n0,1\n99999999999999999999,1\n")
+        with pytest.raises(ParseError, match="int64") as err:
+            read_latents_csv(path)
+        assert err.value.line == 3
+
+    def test_model_file_missing_or_not_utf8(self, tmp_path):
+        with pytest.raises(ParseError, match="cannot read file"):
+            load_model(tmp_path / "missing.json")
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"family": "\xff"}')
+        with pytest.raises(ParseError, match="not valid UTF-8"):
+            load_model(bad)
+
+
+class TestAtomicWrites:
+    def test_failed_model_save_keeps_previous_file(self, tmp_path):
+        ds, _ = synth_dataset(SynthSpec(num_rps=4, num_aps=8, fingerprints_per_rp=2, seed=1))
+        clf, _ = fit_lognet(ds, LogicEncoderConfig(GateType.NOR, 0.5, 1), TrainConfig(epochs=2))
+        path = tmp_path / "model.json"
+        save_model(clf, path)
+        before = path.read_bytes()
+        # numpy float32 is not JSON-serializable: json.dump fails part-way.
+        broken = dataclasses.replace(clf, rss_lo=np.float32(-100.0))
+        with pytest.raises(TypeError):
+            save_model(broken, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+    def test_failed_report_write_keeps_previous_file(self, tmp_path):
+        report = EvalReport({0: CiStats(0.0, 0.0, 0.0, 1.0, 1)}, {"params": 1})
+        path = tmp_path / "report.json"
+        report.write(path)
+        before = path.read_text()
+        report.model_meta["latency_ms"] = np.float32(1.0)
+        with pytest.raises(TypeError):
+            report.write(path)
+        assert path.read_text() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]

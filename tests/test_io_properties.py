@@ -1,0 +1,143 @@
+"""Property tests of the CSV loaders and the fingerprint writer."""
+
+import csv
+import io
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from lognet import (
+    RSS_SENTINEL,
+    Dataset,
+    LogNetError,
+    ParseError,
+    read_fingerprints_csv,
+    read_rp_map_csv,
+    write_fingerprints_csv,
+)
+
+SETTINGS = settings(max_examples=150, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+FP_HEADER = "rp_id,device_id,ci,ap_000,ap_001,ap_002\n"
+RP_HEADER = "rp_id,x_m,y_m\n"
+
+# Any text, minus lone surrogates, which UTF-8 cannot encode.
+DEVICE_IDS = st.one_of(
+    st.sampled_from(["synth", "a,b", 'say "hi"', " padded ", "", "two\nlines", "\r"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+)
+RSS_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([RSS_SENTINEL, -0.0, 0.0, -100.0000000001]),
+)
+IDS = st.integers(0, 2**63 - 1)
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory):
+    return tmp_path_factory.mktemp("props")
+
+
+@st.composite
+def datasets(draw):
+    aps = draw(st.integers(1, 9))
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(RSS_VALUES, min_size=aps, max_size=aps), min_size=n, max_size=n))
+    return Dataset.from_columns(
+        draw(st.lists(IDS, min_size=n, max_size=n)),
+        draw(st.lists(DEVICE_IDS, min_size=n, max_size=n)),
+        draw(st.lists(IDS, min_size=n, max_size=n)),
+        np.asarray(rows, dtype=np.float64),
+    )
+
+
+def _csv_writer_bytes(ds: Dataset) -> bytes:
+    """Reference: the csv.writer loop that wrote fingerprint CSVs row by row."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["rp_id", "device_id", "ci"] + [f"ap_{i:03d}" for i in range(ds.ap_count)])
+    for fp in ds:
+        writer.writerow([fp.rp_id, fp.device_id, fp.ci] + [repr(float(v)) for v in fp.rss])
+    return buf.getvalue().encode("utf-8")
+
+
+def _loads_or_lognet_error(reader, path):
+    try:
+        reader(path)
+    except LogNetError:
+        pass
+
+
+NEAR_CSV = st.text(st.sampled_from('0123456789-+._e,"\n\r abdfinx\xe9'), max_size=120)
+
+
+@SETTINGS
+@given(data=st.one_of(
+    st.binary(max_size=200),
+    st.tuples(st.sampled_from([FP_HEADER, RP_HEADER]), NEAR_CSV).map(lambda t: "".join(t).encode()),
+    st.tuples(st.sampled_from([FP_HEADER, RP_HEADER]), st.binary(max_size=60)).map(
+        lambda t: t[0].encode() + t[1]),
+))
+def test_any_bytes_load_or_raise_a_lognet_error(work, data):
+    path = work / "any.csv"
+    path.write_bytes(data)
+    _loads_or_lognet_error(read_fingerprints_csv, path)
+    _loads_or_lognet_error(read_rp_map_csv, path)
+
+
+@SETTINGS
+@given(ds=datasets())
+def test_write_read_is_bit_exact_and_matches_csv_writer(work, ds):
+    path = work / "round.csv"
+    write_fingerprints_csv(ds, path)
+    assert path.read_bytes() == _csv_writer_bytes(ds)
+    back = read_fingerprints_csv(path)
+    assert back == ds
+    assert back.rss_matrix().tobytes() == ds.rss_matrix().tobytes()
+
+
+FAULTS = {
+    "extra": (lambda f: f + ["1.0"], "expected 6 fields, got 7"),
+    "missing": (lambda f: f[:-1], "expected 6 fields, got 5"),
+    "nan": (lambda f: f[:4] + ["nan"] + f[5:], "rss values must be finite"),
+    "inf": (lambda f: f[:5] + ["-inf"], "rss values must be finite"),
+    "rp_id": (lambda f: ["-3"] + f[1:], "rp_id must be non-negative, got -3"),
+    "ci": (lambda f: f[:2] + ["-2"] + f[3:], "ci must be non-negative, got -2"),
+    "text": (lambda f: f[:3] + ["n/a"] + f[4:], "non-numeric field"),
+}
+
+
+@SETTINGS
+@given(
+    rows=st.integers(1, 8),
+    blanks=st.lists(st.integers(0, 8), max_size=4),
+    bad=st.integers(0, 7),
+    fault=st.sampled_from(sorted(FAULTS)),
+)
+def test_faulty_row_reports_its_error_and_line(work, rows, blanks, bad, fault):
+    bad %= rows
+    corrupt, message = FAULTS[fault]
+    records = []  # csv records after the header; [] is a blank line
+    for i in range(rows):
+        records.extend([] for b in blanks if b == i)
+        fields = [str(i), "dev,ice", "0", "-40.0", "-55.5", "-100.0"]
+        if i == bad:
+            bad_record, fields = len(records), corrupt(fields)
+        records.append(fields)
+    buf = io.StringIO(newline="")
+    buf.write(FP_HEADER)
+    for rec in records:
+        if rec:
+            csv.writer(buf).writerow(rec)
+        else:
+            buf.write("\r\n")
+    path = work / "fault.csv"
+    path.write_text(buf.getvalue(), encoding="utf-8", newline="")
+    with pytest.raises(ParseError) as err:
+        read_fingerprints_csv(path)
+    # Line 1 is the header; every record, blank or not, is one line.
+    assert err.value.line == bad_record + 2
+    assert message in str(err.value) and str(path) in str(err.value)

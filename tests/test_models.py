@@ -255,3 +255,22 @@ class TestGradientCheck:
         m = SoftmaxModel(np.zeros((2, 2)), np.zeros(2), (0, 1))
         with pytest.raises(ConfigError):
             gradient_check(m, (np.ones(2), 0), epsilon=1e-2)
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_learning_rate_must_be_positive_and_finite(self, lr):
+        with pytest.raises(ConfigError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
+
+    def test_softmax_divergence_names_the_epoch(self):
+        X = np.array([[1.0, 0.0], [0.0, 1.0]] * 3)
+        with np.errstate(all="ignore"), pytest.raises(TrainingError, match="epoch 1 of 5"):
+            train_softmax(X, [0, 1] * 3, TrainConfig(learning_rate=1e308, epochs=5))
+
+    def test_dnn_divergence_names_the_epoch(self):
+        ds = Dataset.from_fingerprints(
+            Fingerprint(i % 2, "d", 0, [float(i % 2), 1.0 - i % 2]) for i in range(6)
+        )
+        with np.errstate(all="ignore"), pytest.raises(TrainingError, match="epoch 1 of 5"):
+            train_dnn(ds, 1, TrainConfig(learning_rate=1e308, epochs=5))

@@ -18,6 +18,7 @@ from lognet import (
     simulate_cis,
     synth_dataset,
 )
+from lognet.noise import _random_patterns
 from lognet.pipeline import LogNetClassifier
 from lognet.models import SoftmaxModel
 
@@ -215,3 +216,47 @@ class TestSubThresholdInvariance:
         clf = LogNetClassifier(encoder, head, ap_count=16)
         noisy = inject_noise(ds, NoiseSpec(NoiseMode.NON_ED, delta, 0.0))
         assert np.array_equal(clf.latent_matrix(ds), clf.latent_matrix(noisy))
+
+
+class TestColumnarNoiseMatchesPerRowReference:
+    """The matrix forms draw the same random numbers as the per-row loops they replaced."""
+
+    def test_synth_jitter(self):
+        spec = SynthSpec(num_rps=6, num_aps=11, fingerprints_per_rp=3, seed=4,
+                         base_pattern="random", jitter_sigma_db=2.0)
+        ds, _ = synth_dataset(spec)
+        rng = np.random.default_rng(spec.seed)
+        base = np.where(_random_patterns(spec, rng), spec.strong_dbm, spec.weak_dbm)
+        rows = [base[rp] + rng.normal(0.0, 2.0, 11) for rp in range(6) for _ in range(3)]
+        assert ds.rss_matrix().tobytes() == np.stack(rows).tobytes()
+        assert ds.labels().tolist() == [rp for rp in range(6) for _ in range(3)]
+
+    def test_integer_dbm_levels_take_jitter(self):
+        ints = SynthSpec(num_rps=4, num_aps=8, seed=1, strong_dbm=-40, weak_dbm=-85,
+                         jitter_sigma_db=1.0)
+        floats = SynthSpec(num_rps=4, num_aps=8, seed=1, jitter_sigma_db=1.0)
+        assert synth_dataset(ints)[0] == synth_dataset(floats)[0]
+
+    @pytest.mark.parametrize("spec", [
+        NoiseSpec(NoiseMode.ED, -3.0, 1.5, seed=2),
+        NoiseSpec(NoiseMode.NON_ED, np.array([1.0, -2.0, 0.5]), np.array([0.0, 1.0, 2.0]), seed=3),
+        NoiseSpec(NoiseMode.ED, 4.0, 0.0),
+    ])
+    def test_inject_noise(self, spec):
+        ds = Dataset.from_fingerprints(
+            Fingerprint(rp, "d", 0, [-40.0 - rp, RSS_SENTINEL, -60.0 + rp]) for rp in range(5)
+        )
+        rng = np.random.default_rng(spec.seed)
+        sigma = np.broadcast_to(np.asarray(spec.stochastic_sigma, dtype=np.float64), (3,))
+        rows = []
+        for fp in ds:
+            offset = np.full(3, spec.delta) if spec.mode is NoiseMode.ED else spec.delta
+            if np.any(sigma > 0):
+                offset = offset + rng.normal(0.0, 1.0, 3) * sigma
+            rows.append(np.where(fp.rss != RSS_SENTINEL, fp.rss + offset, fp.rss))
+        assert inject_noise(ds, spec).rss_matrix().tobytes() == np.stack(rows).tobytes()
+
+    def test_overflowing_noise_is_rejected(self):
+        ds = Dataset.from_fingerprints([Fingerprint(0, "d", 0, [-1e308])])
+        with np.errstate(over="ignore"), pytest.raises(ValidationError, match="finite"):
+            inject_noise(ds, NoiseSpec(NoiseMode.ED, -1e308, 0.0))
