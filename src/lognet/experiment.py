@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import os
 import shutil
+import sys
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -97,16 +101,6 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         """Full echo of every knob and seed needed to reproduce the run."""
-        noise_delta = (
-            self.noise.delta.tolist()
-            if isinstance(self.noise.delta, np.ndarray)
-            else self.noise.delta
-        )
-        noise_sigma = (
-            self.noise.stochastic_sigma.tolist()
-            if isinstance(self.noise.stochastic_sigma, np.ndarray)
-            else self.noise.stochastic_sigma
-        )
         return {
             "out_dir": self.out_dir,
             "data": (
@@ -126,8 +120,8 @@ class ExperimentConfig:
             "train": dataclasses.asdict(self.train),
             "noise": {
                 "mode": self.noise.mode.value,
-                "delta": noise_delta,
-                "sigma": noise_sigma,
+                "delta": np.asarray(self.noise.delta).tolist(),
+                "sigma": np.asarray(self.noise.stochastic_sigma).tolist(),
                 "seed": self.noise.seed,
             },
             "schedule": [list(e) for e in self.schedule.entries],
@@ -144,27 +138,18 @@ class ExperimentConfig:
         synth_doc = doc.get("synth")
         model = doc.get("model") or {}
         family = model.get("family", "lognet")
-        train_doc = doc.get("train") or {}
-        train = TrainConfig(
-            learning_rate=train_doc.get("learning_rate", 0.01),
-            epochs=train_doc.get("epochs", DEFAULT_EPOCHS.get(family, 150)),
-            seed=train_doc.get("seed", 0),
-            batch_size=train_doc.get("batch_size"),
-        )
+        train_doc = {"epochs": DEFAULT_EPOCHS.get(family, 150), **(doc.get("train") or {})}
+        train = TrainConfig(**train_doc)
         noise_doc = doc.get("noise") or {}
         mode = NoiseMode.from_name(noise_doc.get("mode", "ed"))
         if "delta_csv" in noise_doc:
             delta = read_delta_csv(respath(noise_doc["delta_csv"]))
         else:
             delta = noise_doc.get("delta", -4.0)
-            if mode is NoiseMode.NON_ED:
-                delta = np.asarray(delta, dtype=np.float64)
         noise = NoiseSpec(mode, delta, noise_doc.get("sigma", 0.0), noise_doc.get("seed", 0))
         sched_doc = doc.get("schedule")
         schedule = (
-            TemporalSchedule(tuple((int(ci), float(m)) for ci, m in sched_doc))
-            if sched_doc is not None
-            else TemporalSchedule.default()
+            TemporalSchedule(sched_doc) if sched_doc is not None else TemporalSchedule.default()
         )
         rss_range = doc.get("rss_range", [DEFAULT_RSS_LO, DEFAULT_RSS_HI])
         gate_name = model.get("gate") or "nor"
@@ -187,31 +172,63 @@ class ExperimentConfig:
         )
 
 
-# Every key from_dict reads: section name -> its keys (None: any value).
+# Every key from_dict reads: section name -> its keys, each leaf holding the
+# type its value must have. A JSON array is a list or tuple, a float is a
+# finite number (an int counts), and a bool is not a number. A null section
+# means its defaults.
 _CONFIG_KEYS = {
-    "out_dir": None,
-    "data": {"fingerprints": None, "rp_map": None},
-    "synth": {f.name: None for f in dataclasses.fields(SynthSpec)},
-    "model": {"family": None, "gate": None, "hidden_layers": None, "threshold": None},
-    "rss_range": None,
-    "per_rp_holdout": None,
-    "train": {f.name: None for f in dataclasses.fields(TrainConfig)},
-    "noise": {"mode": None, "delta": None, "delta_csv": None, "sigma": None, "seed": None},
-    "schedule": None,
-    "latency_repetitions": None,
+    "out_dir": str,
+    "data": {"fingerprints": str | None, "rp_map": str | None},
+    "synth": typing.get_type_hints(SynthSpec),
+    "model": {"family": str, "gate": str | None, "hidden_layers": int, "threshold": float},
+    "rss_range": tuple[float, float],
+    "per_rp_holdout": int,
+    "train": typing.get_type_hints(TrainConfig),
+    "noise": {
+        "mode": str,
+        "delta": float | list[float],
+        "delta_csv": str,
+        "sigma": float | list[float],
+        "seed": int,
+    },
+    "schedule": list[tuple[int, float]],
+    "latency_repetitions": int,
 }
 
 
 def _check_keys(doc, allowed: dict, prefix: str = "") -> None:
-    """Reject a key that from_dict would ignore, naming its path."""
+    """Reject a key that from_dict would ignore, or a value of the wrong type, naming its path."""
     if not isinstance(doc, dict):
         where = f"config key '{prefix[:-1]}'" if prefix else "config"
         raise ConfigError(f"{where} must hold a JSON object")
     for key, value in doc.items():
         if key not in allowed:
             raise ConfigError(f"unknown config key '{prefix}{key}'")
-        if allowed[key] is not None and value is not None:
-            _check_keys(value, allowed[key], f"{prefix}{key}.")
+        kind = allowed[key]
+        if isinstance(kind, dict):
+            if value is not None:
+                _check_keys(value, kind, f"{prefix}{key}.")
+        elif not _has_type(value, kind):
+            name = kind.__name__ if isinstance(kind, type) else str(kind)
+            raise ConfigError(f"config key '{prefix}{key}' must be {name}, got {value!r}")
+
+
+def _has_type(value, kind) -> bool:
+    """Whether a config value has a leaf type of _CONFIG_KEYS."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is types.UnionType:
+        return any(_has_type(value, k) for k in args)
+    if origin is list:
+        return isinstance(value, (list, tuple)) and all(_has_type(v, args[0]) for v in value)
+    if origin is tuple:
+        return (isinstance(value, (list, tuple)) and len(value) == len(args)
+                and all(map(_has_type, value, args)))
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        # NaN, an infinity or an int beyond float64's range is no usable float.
+        return isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+    return isinstance(value, numbers.Integral if kind is int else kind)
 
 
 def _synth_spec(doc: dict) -> SynthSpec:

@@ -24,6 +24,8 @@ _FP_FIXED_COLS = ("rp_id", "device_id", "ci")
 @contextmanager
 def reading(path):
     """Open `path` as UTF-8 text; a file that cannot be opened or decoded raises ParseError."""
+    if "\0" in os.fspath(path):  # open() raises ValueError for it
+        raise ParseError("cannot read file: the path contains a NUL byte", path=path)
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             yield fh

@@ -1,5 +1,7 @@
 """Trainable classifier heads: a softmax layer over latent codes and a
-down-sampling MLP baseline, sharing one Adam optimizer and loss."""
+down-sampling MLP baseline. Both are dense-layer stacks (the softmax head is
+the stack with no hidden layer), so they share one forward pass, one
+backward pass, one Adam training loop and one parameter count."""
 
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _readonly
 from .errors import ConfigError, ShapeError, TrainingError, ValidationError
 from .gates import LatentCode
 
@@ -39,16 +41,46 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
 def _check_class_labels(class_labels: Sequence[int]) -> tuple[int, ...]:
     labels = tuple(int(c) for c in class_labels)
     if len(set(labels)) != len(labels) or list(labels) != sorted(labels):
         raise ValidationError("class_labels must be distinct and sorted")
     return labels
+
+
+def _check_stack(layers, class_labels) -> tuple[tuple, tuple[int, ...]]:
+    """Read-only float64 (weights, biases) pairs and labels of a dense stack.
+
+    Shapes must chain layer to layer, hidden widths must halve (ceil
+    division) and there must be one class label per output.
+    """
+    labels = _check_class_labels(class_labels)
+    clean = []
+    prev_out = None
+    for i, (W, b) in enumerate(layers):
+        W = np.asarray(W, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        if W.ndim != 2 or b.shape != (W.shape[1],):
+            raise ShapeError(f"layer {i} has inconsistent weight/bias shapes")
+        if prev_out is not None and W.shape[0] != prev_out:
+            raise ShapeError(
+                f"layer {i} expects {W.shape[0]} inputs but layer {i - 1} emits {prev_out}"
+            )
+        prev_out = W.shape[1]
+        clean.append((_readonly(W), _readonly(b)))
+    if clean:
+        # The final (classifier) width is free.
+        widths = [clean[0][0].shape[0]] + [W.shape[1] for W, _ in clean]
+        for k in range(1, len(widths) - 1):
+            expected = (widths[k - 1] + 1) // 2
+            if widths[k] != expected:
+                raise ValidationError(
+                    f"hidden width {widths[k]} at layer {k} violates the halving "
+                    f"rule (expected ceil({widths[k - 1]}/2) = {expected})"
+                )
+        if len(labels) != widths[-1]:
+            raise ShapeError(f"{len(labels)} class labels for {widths[-1]} outputs")
+    return tuple(clean), labels
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,17 +92,9 @@ class SoftmaxModel:
     class_labels: tuple[int, ...]
 
     def __post_init__(self):
-        W = np.asarray(self.weights, dtype=np.float64)
-        b = np.asarray(self.biases, dtype=np.float64)
-        labels = _check_class_labels(self.class_labels)
-        if W.ndim != 2:
-            raise ShapeError("weights must be a 2-D matrix")
-        if b.shape != (W.shape[1],):
-            raise ShapeError(f"biases shape {b.shape} does not match {W.shape[1]} classes")
-        if len(labels) != W.shape[1]:
-            raise ShapeError(f"{len(labels)} class labels for {W.shape[1]} output columns")
-        object.__setattr__(self, "weights", _readonly(W))
-        object.__setattr__(self, "biases", _readonly(b))
+        ((W, b),), labels = _check_stack(((self.weights, self.biases),), self.class_labels)
+        object.__setattr__(self, "weights", W)
+        object.__setattr__(self, "biases", b)
         object.__setattr__(self, "class_labels", labels)
 
     @property
@@ -81,6 +105,11 @@ class SoftmaxModel:
     def num_classes(self) -> int:
         return int(self.weights.shape[1])
 
+    @property
+    def layers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The head as a one-layer stack, in DnnModel.layers form."""
+        return ((self.weights, self.biases),)
+
 
 @dataclass(frozen=True, eq=False)
 class DnnModel:
@@ -90,34 +119,8 @@ class DnnModel:
     class_labels: tuple[int, ...]
 
     def __post_init__(self):
-        labels = _check_class_labels(self.class_labels)
-        clean = []
-        prev_out = None
-        for i, (W, b) in enumerate(self.layers):
-            W = np.asarray(W, dtype=np.float64)
-            b = np.asarray(b, dtype=np.float64)
-            if W.ndim != 2 or b.shape != (W.shape[1],):
-                raise ShapeError(f"layer {i} has inconsistent weight/bias shapes")
-            if prev_out is not None and W.shape[0] != prev_out:
-                raise ShapeError(
-                    f"layer {i} expects {W.shape[0]} inputs but layer {i - 1} emits {prev_out}"
-                )
-            prev_out = W.shape[1]
-            clean.append((_readonly(W), _readonly(b)))
-        if clean:
-            # Hidden widths must follow the ceil-halving pattern; the final
-            # (classifier) width is free.
-            widths = [clean[0][0].shape[0]] + [W.shape[1] for W, _ in clean]
-            for k in range(1, len(widths) - 1):
-                expected = (widths[k - 1] + 1) // 2
-                if widths[k] != expected:
-                    raise ValidationError(
-                        f"hidden width {widths[k]} at layer {k} violates the halving "
-                        f"rule (expected ceil({widths[k - 1]}/2) = {expected})"
-                    )
-            if len(labels) != widths[-1]:
-                raise ShapeError(f"{len(labels)} class labels for {widths[-1]} outputs")
-        object.__setattr__(self, "layers", tuple(clean))
+        layers, labels = _check_stack(self.layers, self.class_labels)
+        object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "class_labels", labels)
 
     @property
@@ -170,13 +173,7 @@ def softmax_forward(model: SoftmaxModel, latent) -> np.ndarray:
     single = isinstance(latent, LatentCode) or (
         isinstance(latent, np.ndarray) and latent.ndim == 1
     )
-    X = as_latent_matrix(latent)
-    if X.shape[1] != model.latent_dim:
-        raise ShapeError(
-            f"latent length {X.shape[1]} does not match model latent_dim {model.latent_dim}"
-        )
-    probs = softmax(X @ model.weights + model.biases)
-    return probs[0] if single else probs
+    return _stack_probs(model, as_latent_matrix(latent), single, "latent", model.latent_dim)
 
 
 def relu(z: np.ndarray) -> np.ndarray:
@@ -186,12 +183,14 @@ def relu(z: np.ndarray) -> np.ndarray:
 def dnn_forward(model: DnnModel, fp) -> np.ndarray:
     """Class probabilities for one normalized fingerprint (or a batch matrix)."""
     x = fp.rss if hasattr(fp, "rss") else np.asarray(fp, dtype=np.float64)
-    single = x.ndim == 1
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if X.shape[1] != model.input_dim:
-        raise ShapeError(
-            f"input length {X.shape[1]} does not match model input_dim {model.input_dim}"
-        )
+    return _stack_probs(model, X, x.ndim == 1, "input", model.input_dim)
+
+
+def _stack_probs(model, X: np.ndarray, single: bool, kind: str, dim: int) -> np.ndarray:
+    """Class probabilities of a (m, dim) batch through model.layers; row 0 if single."""
+    if X.shape[1] != dim:
+        raise ShapeError(f"{kind} length {X.shape[1]} does not match model {kind}_dim {dim}")
     probs = softmax(_dnn_logits(model.layers, X))
     return probs[0] if single else probs
 
@@ -200,18 +199,20 @@ def dnn_hidden_activations(model: DnnModel, X: np.ndarray) -> np.ndarray:
     """Activations of the last hidden layer for a (samples, input_dim) batch."""
     if len(model.layers) < 2:
         raise ShapeError("model has no hidden layer")
-    a = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    for W, b in model.layers[:-1]:
-        a = relu(a @ W + b)
-    return a
+    return _activations(model.layers, np.atleast_2d(np.asarray(X, dtype=np.float64)))[-1]
+
+
+def _activations(layers, X: np.ndarray) -> list[np.ndarray]:
+    """The input, then each hidden layer's ReLU output."""
+    acts = [X]
+    for W, b in layers[:-1]:
+        acts.append(relu(acts[-1] @ W + b))
+    return acts
 
 
 def _dnn_logits(layers, X: np.ndarray) -> np.ndarray:
-    a = X
-    for W, b in layers[:-1]:
-        a = relu(a @ W + b)
     W_out, b_out = layers[-1]
-    return a @ W_out + b_out
+    return _activations(layers, X)[-1] @ W_out + b_out
 
 
 def dnn_hidden_widths(input_dim: int, hidden_layers: int) -> list[int]:
@@ -279,6 +280,29 @@ def _batches(n: int, cfg: TrainConfig, rng: np.random.Generator):
         yield order[start : start + cfg.batch_size]
 
 
+def _fit(params: list[np.ndarray], X: np.ndarray, y_idx: np.ndarray,
+         cfg: TrainConfig, rng: np.random.Generator) -> list[float]:
+    """Adam on mean cross-entropy over a flat [W1, b1, ..., Wk, bk] stack.
+
+    Updates `params` in place; `rng` orders the minibatches. Returns the
+    per-epoch full-set loss history; raises TrainingError, naming the epoch,
+    once that loss is not finite.
+    """
+    layers = _params_to_layers(params)
+    opt = Adam([p.shape for p in params], cfg.learning_rate)
+    history = []
+    for _ in range(cfg.epochs):
+        for idx in _batches(X.shape[0], cfg, rng):
+            opt.step(params, _dnn_grads(params, X[idx], y_idx[idx]))
+        history.append(sparse_cross_entropy(_dnn_logits(layers, X), y_idx))
+        if not math.isfinite(history[-1]):
+            raise TrainingError(
+                f"loss became {history[-1]} at epoch {len(history)} of {cfg.epochs}; "
+                f"try a smaller learning_rate than {cfg.learning_rate}"
+            )
+    return history
+
+
 def train_softmax(latents, labels, cfg: TrainConfig,
                   class_labels=None) -> tuple[SoftmaxModel, list[float]]:
     """Fit the softmax head with Adam on mean cross-entropy.
@@ -296,36 +320,11 @@ def train_softmax(latents, labels, cfg: TrainConfig,
     classes = _resolve_classes(y, class_labels)
     y_idx = _class_index(y, classes)
 
+    # Batch order continues the stream that drew the initial weights.
     rng = np.random.default_rng(cfg.seed)
-    W, b = _init_linear(rng, X.shape[1], len(classes))
-    params = [W, b]
-    opt = Adam([p.shape for p in params], cfg.learning_rate)
-
-    history = []
-    for _ in range(cfg.epochs):
-        for idx in _batches(X.shape[0], cfg, rng):
-            grads = _softmax_grads(params, X[idx], y_idx[idx])
-            opt.step(params, grads)
-        history.append(sparse_cross_entropy(X @ params[0] + params[1], y_idx))
-        _check_loss(history, cfg)
+    params = list(_init_linear(rng, X.shape[1], len(classes)))
+    history = _fit(params, X, y_idx, cfg, rng)
     return SoftmaxModel(params[0], params[1], classes), history
-
-
-def _check_loss(history: list[float], cfg: TrainConfig) -> None:
-    """Stop training once the latest recorded loss is not finite."""
-    if not math.isfinite(history[-1]):
-        raise TrainingError(
-            f"loss became {history[-1]} at epoch {len(history)} of {cfg.epochs}; "
-            f"try a smaller learning_rate than {cfg.learning_rate}"
-        )
-
-
-def _softmax_grads(params, X: np.ndarray, y_idx: np.ndarray) -> list[np.ndarray]:
-    W, b = params
-    probs = softmax(X @ W + b)
-    probs[np.arange(len(y_idx)), y_idx] -= 1.0
-    probs /= len(y_idx)
-    return [X.T @ probs, probs.sum(axis=0)]
 
 
 def init_dnn(input_dim: int, hidden_layers: int, class_labels: Sequence[int],
@@ -354,20 +353,15 @@ def train_dnn(ds: Dataset, hidden_layers: int, cfg: TrainConfig,
     classes = _resolve_classes(y, class_labels)
     y_idx = _class_index(y, classes)
 
-    model = init_dnn(ds.ap_count, hidden_layers, classes, cfg.seed)
-    params = [np.array(a) for W, b in model.layers for a in (W, b)]
-    rng = np.random.default_rng(cfg.seed)
-    opt = Adam([p.shape for p in params], cfg.learning_rate)
-
-    history = []
-    for _ in range(cfg.epochs):
-        for idx in _batches(X.shape[0], cfg, rng):
-            grads = _dnn_grads(params, X[idx], y_idx[idx])
-            opt.step(params, grads)
-        layers = _params_to_layers(params)
-        history.append(sparse_cross_entropy(_dnn_logits(layers, X), y_idx))
-        _check_loss(history, cfg)
+    # Batch order uses a fresh stream from the same seed as init_dnn.
+    params = _flat_params(init_dnn(ds.ap_count, hidden_layers, classes, cfg.seed).layers)
+    history = _fit(params, X, y_idx, cfg, np.random.default_rng(cfg.seed))
     return DnnModel(_params_to_layers(params), classes), history
+
+
+def _flat_params(layers) -> list[np.ndarray]:
+    """Writable copies of a stack's arrays, as [W1, b1, ..., Wk, bk]."""
+    return [np.array(a) for W, b in layers for a in (W, b)]
 
 
 def _params_to_layers(params) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -375,11 +369,9 @@ def _params_to_layers(params) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 
 def _dnn_grads(params, X: np.ndarray, y_idx: np.ndarray) -> list[np.ndarray]:
+    """Mean cross-entropy gradients of a flat [W1, b1, ..., Wk, bk] stack."""
     layers = _params_to_layers(params)
-    # Forward with cached activations.
-    acts = [X]
-    for W, b in layers[:-1]:
-        acts.append(relu(acts[-1] @ W + b))
+    acts = _activations(layers, X)
     W_out, b_out = layers[-1]
     probs = softmax(acts[-1] @ W_out + b_out)
 
@@ -398,50 +390,22 @@ def _dnn_grads(params, X: np.ndarray, y_idx: np.ndarray) -> list[np.ndarray]:
     return grads
 
 
+# The softmax head is the one-layer stack.
+_softmax_grads = _dnn_grads
+
+
 def count_params(model) -> int:
-    """Trainable parameter count; gate layers contribute nothing."""
-    if isinstance(model, SoftmaxModel):
-        return int(model.weights.size + model.biases.size)
-    if isinstance(model, DnnModel):
-        return int(sum(W.size + b.size for W, b in model.layers))
-    head = getattr(model, "head", None)
-    if head is not None:
-        return count_params(head)
-    inner = getattr(model, "model", None)
-    if inner is not None:
-        return count_params(inner)
-    raise ConfigError(f"cannot count parameters of {type(model).__name__}")
+    """Trainable parameter count of a model or classifier; gate layers contribute nothing."""
+    try:
+        layers = model.layers
+    except AttributeError:
+        raise ConfigError(f"cannot count parameters of {type(model).__name__}") from None
+    return sum(W.size + b.size for W, b in layers)
 
 
 def model_size_bytes(model) -> int:
     """Serialized parameter payload at BYTES_PER_PARAM bytes per parameter."""
     return count_params(model) * BYTES_PER_PARAM
-
-
-def _model_params_and_loss(model, x: np.ndarray, y_idx: np.ndarray):
-    """Mutable parameter copies plus a loss closure over them."""
-    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if isinstance(model, SoftmaxModel):
-        params = [np.array(model.weights), np.array(model.biases)]
-
-        def loss() -> float:
-            return sparse_cross_entropy(X @ params[0] + params[1], y_idx)
-
-        def grads() -> list[np.ndarray]:
-            return _softmax_grads(params, X, y_idx)
-
-    elif isinstance(model, DnnModel):
-        params = [np.array(a) for W, b in model.layers for a in (W, b)]
-
-        def loss() -> float:
-            return sparse_cross_entropy(_dnn_logits(_params_to_layers(params), X), y_idx)
-
-        def grads() -> list[np.ndarray]:
-            return _dnn_grads(params, X, y_idx)
-
-    else:
-        raise ConfigError(f"gradient check does not support {type(model).__name__}")
-    return params, loss, grads
 
 
 def gradient_check(model, sample, epsilon: float = 1e-5) -> float:
@@ -456,13 +420,18 @@ def gradient_check(model, sample, epsilon: float = 1e-5) -> float:
     """
     if not 1e-7 <= epsilon <= 1e-3:
         raise ConfigError(f"epsilon must lie in [1e-7, 1e-3], got {epsilon}")
+    try:
+        layers, classes = model.layers, model.class_labels
+    except AttributeError:
+        raise ConfigError(f"gradient check does not support {type(model).__name__}") from None
     x, y = sample
-    y_idx_raw = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    labels = model.class_labels
-    y_idx = _class_index(y_idx_raw, labels)
+    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    y_idx = _class_index(np.atleast_1d(np.asarray(y, dtype=np.int64)), classes)
+    params = _flat_params(layers)
+    analytic = _dnn_grads(params, X, y_idx)
 
-    params, loss, grads = _model_params_and_loss(model, x, y_idx)
-    analytic = grads()
+    def loss() -> float:
+        return sparse_cross_entropy(_dnn_logits(_params_to_layers(params), X), y_idx)
 
     worst = 0.0
     for p, g in zip(params, analytic):

@@ -224,7 +224,7 @@ def beacon_tint_layout(spec: SynthSpec) -> dict:
 def _beacon_tint_patterns(spec: SynthSpec) -> np.ndarray:
     """Clean (rp, ap) dBm matrix for the beacon-tint pattern."""
     layout = beacon_tint_layout(spec)
-    base = np.full((spec.num_rps, spec.num_aps), spec.weak_dbm)
+    base = np.full((spec.num_rps, spec.num_aps), spec.weak_dbm, dtype=np.float64)
     ramp = np.linspace(0.0, spec.tint_span_db, spec.num_rps)
     for rp in range(spec.num_rps):
         base[rp, layout["volatile"]] = spec.weak_dbm + ramp[rp]

@@ -61,13 +61,18 @@ class LogNetClassifier:
     def latent_dim(self) -> int:
         return ceil_chain(self.ap_count, self.encoder.hidden_layers)
 
+    @property
+    def layers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The trained dense stack: the softmax head as one layer."""
+        return self.head.layers
+
     def latent_matrix(self, ds: Dataset) -> np.ndarray:
         """Binary latent codes for every fingerprint, as a uint8 matrix."""
         self._check(ds)
         return encode_rss(ds.rss_matrix(), self.encoder, self.rss_lo, self.rss_hi)
 
     def predict_proba(self, ds: Dataset) -> np.ndarray:
-        return softmax_forward(self.head, self.latent_matrix(ds).astype(np.float64))
+        return softmax_forward(self.head, self.latent_matrix(ds))
 
     def predict(self, ds: Dataset) -> np.ndarray:
         probs = self.predict_proba(ds)
@@ -93,6 +98,10 @@ class DnnClassifier:
     def input_dim(self) -> int:
         return self.model.input_dim
 
+    @property
+    def layers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        return self.model.layers
+
     def predict_proba(self, ds: Dataset) -> np.ndarray:
         if ds.ap_count != self.input_dim:
             raise ShapeError(
@@ -116,7 +125,7 @@ def fit_lognet(
 ) -> tuple[LogNetClassifier, list[float]]:
     """Encode a raw training dataset and fit the softmax head on the latents."""
     latents = encode_rss(train_ds.rss_matrix(), encoder, rss_lo, rss_hi)
-    head, history = train_softmax(latents.astype(np.float64), train_ds.labels(), cfg)
+    head, history = train_softmax(latents, train_ds.labels(), cfg)
     clf = LogNetClassifier(encoder, head, train_ds.ap_count, rss_lo, rss_hi)
     return clf, history
 

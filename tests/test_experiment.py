@@ -183,6 +183,30 @@ class TestConfigKeys:
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             ExperimentConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("doc,key", [
+        ({"train": {"epochs": "x"}}, "train.epochs"),
+        ({"rss_range": 5}, "rss_range"),
+        ({"rss_range": [-100, 0, 5]}, "rss_range"),
+        ({"schedule": 3}, "schedule"),
+        ({"schedule": [[0, "a"]]}, "schedule"),
+        ({"noise": {"sigma": "a"}}, "noise.sigma"),
+        ({"noise": {"delta": 10**400}}, "noise.delta"),
+        ({"per_rp_holdout": "1"}, "per_rp_holdout"),
+        ({"model": {"hidden_layers": "2"}}, "model.hidden_layers"),
+        ({"model": {"threshold": float("nan")}}, "model.threshold"),
+        ({"train": {"seed": True}}, "train.seed"),
+        ({"train": {"learning_rate": None}}, "train.learning_rate"),
+        ({"synth": {"num_rps": 4.0, "num_aps": 8}}, "synth.num_rps"),
+    ])
+    def test_wrong_value_type_names_its_path(self, doc, key):
+        with pytest.raises(ConfigError, match=f"config key '{key}' must be "):
+            ExperimentConfig.from_dict(doc)
+
+    def test_int_is_accepted_as_a_float(self):
+        doc = {"synth": {"num_rps": 4, "num_aps": 8, "strong_dbm": -40}, "rss_range": [-100, 0]}
+        cfg = ExperimentConfig.from_dict(doc)
+        assert (cfg.synth.strong_dbm, cfg.rss_lo, cfg.rss_hi) == (-40.0, -100.0, 0.0)
+
     def test_section_must_be_an_object(self):
         with pytest.raises(ConfigError, match="'train' must hold a JSON object"):
             ExperimentConfig.from_dict({"train": 5})

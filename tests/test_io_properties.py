@@ -1,22 +1,29 @@
-"""Property tests of the CSV loaders and the fingerprint writer."""
+"""Property tests of the CSV loaders, the fingerprint writer and config parsing."""
 
 import csv
 import io
+import json
+import types
+import typing
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from lognet import (
     RSS_SENTINEL,
     Dataset,
+    ExperimentConfig,
     LogNetError,
     ParseError,
+    read_delta_csv,
     read_fingerprints_csv,
+    read_latents_csv,
     read_rp_map_csv,
     write_fingerprints_csv,
 )
+from lognet.experiment import _CONFIG_KEYS
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -141,3 +148,80 @@ def test_faulty_row_reports_its_error_and_line(work, rows, blanks, bad, fault):
     # Line 1 is the header; every record, blank or not, is one line.
     assert err.value.line == bad_record + 2
     assert message in str(err.value) and str(path) in str(err.value)
+
+
+LATENT_HEADER = "rp_id,bit_000,bit_001\n"
+DELTA_HEADER = "ap_index,delta_db\n"
+
+
+@SETTINGS
+@given(data=st.one_of(
+    st.binary(max_size=200),
+    st.tuples(st.sampled_from([LATENT_HEADER, DELTA_HEADER]), NEAR_CSV).map(
+        lambda t: "".join(t).encode()),
+    st.tuples(st.sampled_from([LATENT_HEADER, DELTA_HEADER]), st.binary(max_size=60)).map(
+        lambda t: t[0].encode() + t[1]),
+))
+def test_any_bytes_load_or_raise_a_lognet_error_in_the_latent_and_delta_readers(work, data):
+    path = work / "any.csv"
+    path.write_bytes(data)
+    _loads_or_lognet_error(read_latents_csv, path)
+    _loads_or_lognet_error(read_delta_csv, path)
+
+
+# Any JSON value; Python's json module also reads NaN and the infinities.
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+              st.sampled_from([2**64, -(10**400), 0.5, "nor", "non-ed", "beacon-tint"])),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+def _typed(kind):
+    """Values of a config leaf's declared type, so parsing gets past the type check."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is types.UnionType:
+        return st.one_of(*map(_typed, args))
+    if origin is list:
+        return st.lists(_typed(args[0]), max_size=4)
+    if origin is tuple:
+        return st.tuples(*map(_typed, args)).map(list)
+    return {
+        int: st.integers(),
+        float: st.floats(allow_nan=False, allow_infinity=False) | st.integers(),
+        str: st.sampled_from(["nor", "xor", "dnn", "lognet", "ed", "non-ed", "random",
+                              "beacon-tint", "grid", ""]) | st.text(max_size=6),
+        type(None): st.none(),
+    }[kind]
+
+
+def _entries(keys: dict):
+    """Objects over some of a table's keys, each valued well-typed or at random."""
+    def value(kind):
+        return (_entries(kind) if isinstance(kind, dict) else _typed(kind)) | JSON_VALUES
+
+    return st.fixed_dictionaries({}, optional={k: value(kind) for k, kind in keys.items()})
+
+
+CONFIG_DOCS = _entries(_CONFIG_KEYS) | JSON_VALUES
+
+
+@SETTINGS
+@given(doc=CONFIG_DOCS)
+@example({"train": {"epochs": "x"}})
+@example({"rss_range": 5})
+@example({"schedule": 3})
+@example({"noise": {"sigma": "a"}})
+@example({"per_rp_holdout": "1"})
+@example({"model": {"hidden_layers": "2"}})
+@example({"noise": {"delta": 10**400}})
+@example({"noise": {"delta_csv": "a\x00b"}})
+def test_any_json_config_loads_or_raises_a_lognet_error(doc):
+    # Round-trip through the codec so the document is one json.load can return.
+    doc = json.loads(json.dumps(doc))
+    try:
+        cfg = ExperimentConfig.from_dict(doc)
+    except LogNetError:
+        return
+    ExperimentConfig.from_dict(cfg.to_dict())  # a loaded config's echo loads too

@@ -21,7 +21,9 @@ from lognet import (
     train_dnn,
     train_softmax,
 )
+from lognet.gates import GateType, LogicEncoderConfig
 from lognet.models import BYTES_PER_PARAM, dnn_hidden_activations, softmax
+from lognet.pipeline import DnnClassifier, LogNetClassifier
 
 
 def _accuracy(model, X, labels):
@@ -65,6 +67,14 @@ class TestSoftmaxForward:
         m = SoftmaxModel(np.array([[1000.0, -1000.0]]), np.zeros(2), (0, 1))
         probs = softmax_forward(m, np.array([1.0]))
         assert np.all(np.isfinite(probs)) and probs.sum() == pytest.approx(1.0)
+
+    def test_equals_the_one_layer_dnn_forward(self):
+        rng = np.random.default_rng(5)
+        m = SoftmaxModel(rng.normal(size=(9, 4)), rng.normal(size=4), (2, 3, 5, 8))
+        X = (rng.uniform(size=(25, 9)) < 0.5).astype(np.float64)
+        one_layer = DnnModel(m.layers, m.class_labels)
+        assert np.array_equal(softmax_forward(m, X), dnn_forward(one_layer, X))
+        assert np.array_equal(softmax_forward(m, X[3]), dnn_forward(one_layer, X[3]))
 
 
 class TestTrainSoftmax:
@@ -214,6 +224,17 @@ class TestParamAccounting:
     def test_empty_model_has_zero_params(self):
         assert count_params(DnnModel((), ())) == 0
 
+    def test_classifiers_count_their_model(self):
+        head = SoftmaxModel(np.zeros((82, 61)), np.zeros(61), tuple(range(61)))
+        lognet = LogNetClassifier(LogicEncoderConfig(GateType.NOR, 0.5, 1), head, 164)
+        dnn = DnnClassifier(init_dnn(164, 1, tuple(range(61)), seed=0))
+        assert count_params(lognet) == count_params(head) == 5063
+        assert count_params(dnn) == count_params(dnn.model) == 18593
+
+    def test_object_without_layers_is_rejected(self):
+        with pytest.raises(ConfigError, match="cannot count parameters of object"):
+            count_params(object())
+
 
 class TestGradientCheck:
     def test_softmax_head_matches_finite_differences(self):
@@ -255,6 +276,10 @@ class TestGradientCheck:
         m = SoftmaxModel(np.zeros((2, 2)), np.zeros(2), (0, 1))
         with pytest.raises(ConfigError):
             gradient_check(m, (np.ones(2), 0), epsilon=1e-2)
+
+    def test_object_without_layers_is_rejected(self):
+        with pytest.raises(ConfigError, match="does not support object"):
+            gradient_check(object(), (np.ones(2), 0))
 
 
 class TestDivergence:

@@ -113,6 +113,19 @@ class TestSynth:
         with pytest.raises(CapacityError):
             synth_dataset(SynthSpec(num_rps=30, num_aps=16, base_pattern="beacon-tint"))
 
+    def test_beacon_tint_int_levels_keep_the_fractional_ramp(self):
+        # A JSON config gives whole-dB levels as ints.
+        common = dict(num_rps=4, num_aps=16, base_pattern="beacon-tint")
+        ints, _ = synth_dataset(SynthSpec(**common, weak_dbm=-85, strong_dbm=-40, tint_span_db=10))
+        floats, _ = synth_dataset(
+            SynthSpec(**common, weak_dbm=-85.0, strong_dbm=-40.0, tint_span_db=10.0)
+        )
+        assert np.array_equal(ints.rss, floats.rss)
+        volatile = beacon_tint_layout(SynthSpec(**common))["volatile"][0]
+        np.testing.assert_allclose(
+            np.unique(ints.rss[:, volatile]), [-85.0, -85.0 + 10 / 3, -85.0 + 20 / 3, -75.0]
+        )
+
 
 class TestInjectNoise:
     def _ds(self):
