@@ -54,9 +54,11 @@ from .fileio import (
     read_delta_csv,
     read_fingerprints_csv,
     read_latents_csv,
+    read_pgm,
     read_rp_map_csv,
     write_fingerprints_csv,
     write_latents_csv,
+    write_pgm,
     write_rp_map_csv,
 )
 from .gates import (
@@ -98,7 +100,6 @@ from .noise import (
     simulate_cis,
     synth_dataset,
 )
-from .pgm import read_pgm, write_pgm
 from .pipeline import (
     DnnClassifier,
     LogNetClassifier,

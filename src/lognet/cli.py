@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -19,16 +18,18 @@ from .experiment import (
     run_experiment,
 )
 from .fileio import (
+    atomic_write,
     read_fingerprints_csv,
+    read_json,
     read_latents_csv,
     read_rp_map_csv,
     write_fingerprints_csv,
     write_latents_csv,
+    write_pgm,
     write_rp_map_csv,
 )
 from .gates import GateType, LatentCode, LogicEncoderConfig, ceil_chain
 from .noise import SynthSpec, synth_dataset
-from .pgm import write_pgm
 from .pipeline import encode_rss, fit_dnn, fit_lognet, load_model, save_model
 
 GATE_NAMES = [g.value for g in GateType]
@@ -256,17 +257,9 @@ def cmd_trace(args) -> int:
     print(table)
     if args.out:
         out = _out_dir(args)
-        (out / "trace.txt").write_text(table + "\n", encoding="utf-8")
+        atomic_write(out / "trace.txt", table + "\n")
         print(f"trace written to {out / 'trace.txt'}")
     return 0
-
-
-def _read_json(path: str, what: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read {what} file {path}: {exc}") from None
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -317,7 +310,11 @@ def _flag_overrides(args) -> dict:
         if dest in _PATH_FLAGS:
             value = os.path.abspath(value)
         elif dest == "schedule":
-            sched = _read_json(value, "schedule")
+            sched = read_json(value)
+            if isinstance(sched, dict) and "entries" not in sched:
+                raise ConfigError(
+                    f'schedule file {value} must hold a list or an object with "entries"'
+                )
             value = sched["entries"] if isinstance(sched, dict) else sched
         *parents, leaf = keys
         node = over
@@ -333,7 +330,7 @@ def _merged_config(args) -> tuple[dict, str]:
     """The --config document (if any) with flag overrides, and its base directory."""
     doc, base_dir = {}, "."
     if args.config:
-        doc = _read_json(args.config, "config")
+        doc = read_json(args.config)
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
         base_dir = os.path.dirname(os.path.abspath(args.config))
@@ -375,7 +372,10 @@ def _parse_variant(text: str) -> dict:
     else:
         raise ConfigError(f"variant '{text}' must start with 'lognet' or 'dnn'")
     if depth is not None:
-        model["hidden_layers"] = int(depth)
+        try:
+            model["hidden_layers"] = int(depth)
+        except ValueError:
+            raise ConfigError(f"variant '{text}' needs an integer depth, got '{depth}'") from None
     return model
 
 
@@ -399,7 +399,7 @@ def cmd_compare(args) -> int:
     table = compare_models(cfgs)
     table.to_csv(out_root / "comparison.csv")
     text = table.format_text()
-    (out_root / "comparison.txt").write_text(text + "\n", encoding="utf-8")
+    atomic_write(out_root / "comparison.txt", text + "\n")
     print(text)
     print(f"comparison written to {out_root}")
     return 0

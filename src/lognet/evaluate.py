@@ -11,10 +11,9 @@ import numpy as np
 
 from .data import Dataset, RpMap
 from .errors import ShapeError, ValidationError
-from .fileio import atomic_open
+from .fileio import atomic_open, read_pgm, write_pgm
 from .gates import LatentCode, trace_bit_to_aps
 from .models import count_params, model_size_bytes
-from .pgm import write_pgm
 
 
 def sample_errors(preds, truth, rp_map: RpMap) -> np.ndarray:
@@ -257,6 +256,4 @@ def export_gray_bitmap(matrix: np.ndarray, path: str) -> None:
 
 def read_latent_bitmap(path: str) -> np.ndarray:
     """Read a latent bitmap back into a {0,1} matrix."""
-    from .pgm import read_pgm
-
     return (read_pgm(path) >= 128).astype(np.uint8)

@@ -9,6 +9,7 @@ import shutil
 import sys
 import types
 import typing
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -27,6 +28,7 @@ from .evaluate import (
     measure_latency,
 )
 from .fileio import (
+    atomic_write,
     read_delta_csv,
     read_fingerprints_csv,
     read_rp_map_csv,
@@ -131,7 +133,9 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict, base_dir: str = ".") -> "ExperimentConfig":
         def respath(p):
-            return p if p is None or os.path.isabs(p) else os.path.join(base_dir, p)
+            if p is None or os.path.isabs(p) or base_dir == ".":
+                return p
+            return os.path.join(base_dir, p)
 
         _check_keys(doc, _CONFIG_KEYS)
         data = doc.get("data") or {}
@@ -249,7 +253,7 @@ def _write_lognet_artifacts(clf: LogNetClassifier, train_ds: Dataset, out: Path)
     for rp_a, rp_b in zip(rp_ids, rp_ids[1:]):
         diff = latent_diff([by_rp[rp_a]], [by_rp[rp_b]], rp_a, rp_b)
         blocks.append(diff.format_table())
-    (out / "trace.txt").write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
+    atomic_write(out / "trace.txt", "\n\n".join(blocks) + "\n")
 
 
 def _write_dnn_artifacts(clf: DnnClassifier, train_ds: Dataset, out: Path) -> None:
@@ -261,6 +265,19 @@ def _write_dnn_artifacts(clf: DnnClassifier, train_ds: Dataset, out: Path) -> No
     rp_ids = sorted(set(int(l) for l in labels))
     rows = np.stack([hidden[labels == rp].mean(axis=0) for rp in rp_ids])
     export_gray_bitmap(rows, out / "latent_gray.pgm")
+
+
+@contextmanager
+def _stage(name: str, out: Path):
+    """Run one pipeline stage; on failure move out/.staging to out/quarantine and raise StageError."""
+    try:
+        yield
+    except Exception as exc:
+        quarantine = out / "quarantine"
+        if quarantine.exists():
+            shutil.rmtree(quarantine)
+        (out / ".staging").rename(quarantine)
+        raise StageError(name, exc) from exc
 
 
 def run_experiment(cfg: ExperimentConfig) -> EvalReport:
@@ -277,15 +294,8 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
         shutil.rmtree(staging)
     staging.mkdir(parents=True)
 
-    def fail(stage: str, exc: Exception):
-        quarantine = out / "quarantine"
-        if quarantine.exists():
-            shutil.rmtree(quarantine)
-        staging.rename(quarantine)
-        raise StageError(stage, exc) from exc
-
     # Stage: load (synthesize or ingest a clean CI:0 dataset).
-    try:
+    with _stage("load", out):
         if cfg.synth is not None:
             ds, rp_map = synth_dataset(cfg.synth)
             write_fingerprints_csv(ds, staging / "fingerprints.csv")
@@ -299,35 +309,26 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
                 "use the 'eval' command to score existing multi-CI data"
             )
         rp_map.require_covers(ds)
-    except Exception as exc:
-        fail("load", exc)
 
-    # Stage: split.
-    try:
+    with _stage("split", out):
         train_ds, test_ds = split_train_test(ds, cfg.per_rp_holdout, cfg.train.seed)
-    except Exception as exc:
-        fail("split", exc)
     del ds  # the split copied its rows; release the full matrix for the later stages
 
     # Stage: train at CI:0.
-    try:
+    with _stage("train", out):
         if cfg.model_family == "lognet":
             clf, history = fit_lognet(
                 train_ds, cfg.encoder_config(), cfg.train, cfg.rss_lo, cfg.rss_hi
             )
         else:
             clf, history = fit_dnn(train_ds, cfg.hidden_layers, cfg.train, cfg.rss_lo, cfg.rss_hi)
-    except Exception as exc:
-        fail("train", exc)
 
     # Stage: simulate the temporal schedule over the held-out fingerprints.
-    try:
+    with _stage("simulate", out):
         test_cis = simulate_cis(test_ds, cfg.noise, cfg.schedule)
-    except Exception as exc:
-        fail("simulate", exc)
 
     # Stage: evaluate across all CIs.
-    try:
+    with _stage("evaluate", out):
         report = evaluate(clf, test_cis, rp_map, config=cfg.to_dict())
         report.model_meta.update(
             {
@@ -337,30 +338,23 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
                 "final_loss": history[-1] if history else None,
             }
         )
-    except Exception as exc:
-        fail("evaluate", exc)
 
     # Stage: latency (kept out of the deterministic report body by field name).
-    try:
+    with _stage("latency", out):
         latency = measure_latency(clf, test_cis, cfg.latency_repetitions)
         report.model_meta["latency_ms"] = latency.milliseconds
         report.model_meta["environment"] = latency.environment
-    except Exception as exc:
-        fail("latency", exc)
 
-    # Stage: artifacts.
-    try:
+    with _stage("artifacts", out):
         save_model(clf, staging / "model.json")
         if history:
             lines = ["epoch,loss"] + [f"{i},{repr(l)}" for i, l in enumerate(history)]
-            (staging / "loss_history.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+            atomic_write(staging / "loss_history.csv", "\n".join(lines) + "\n")
         if isinstance(clf, LogNetClassifier):
             _write_lognet_artifacts(clf, train_ds, staging)
         else:
             _write_dnn_artifacts(clf, train_ds, staging)
         report.write(staging / "report.json")
-    except Exception as exc:
-        fail("artifacts", exc)
 
     for item in sorted(staging.iterdir()):
         target = out / item.name
@@ -404,7 +398,7 @@ class ComparisonTable:
 
     def to_csv(self, path: str) -> None:
         lines = [",".join(self.header())] + [",".join(self._cells(r)) for r in self.rows]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        atomic_write(path, "\n".join(lines) + "\n")
 
     def format_text(self) -> str:
         table = [self.header()] + [self._cells(r) for r in self.rows]

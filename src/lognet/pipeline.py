@@ -16,7 +16,7 @@ from .data import (
     normalize_values,
 )
 from .errors import ParseError, ShapeError
-from .fileio import atomic_open, reading
+from .fileio import atomic_open, read_json
 from .gates import GateType, LogicEncoderConfig, ceil_chain, encode_matrix
 from .models import (
     DnnModel,
@@ -187,11 +187,9 @@ def save_model(clf, path: str) -> None:
 
 def load_model(path: str):
     """Load a classifier written by save_model."""
-    with reading(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", path=path) from None
+    doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise ParseError("model document must be a JSON object", path=path)
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema_version {version!r}", path=path)

@@ -224,3 +224,23 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "train.epoch" in err
+
+
+def test_variant_with_non_integer_depth_exits_one(tmp_path, capsys):
+    assert main(["compare", "--synth-rps", "4", "--synth-aps", "8",
+                 "--variants", "lognet-nor-x", "--out", str(tmp_path / "cmp")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "lognet-nor-x" in err
+
+
+def test_bad_schedule_or_non_utf8_config_file_exits_one(tmp_path, capsys):
+    no_entries = tmp_path / "sched.json"
+    no_entries.write_text(json.dumps({"x": 1}))
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"out_dir": "café"}'.encode("latin-1"))
+    for flag, path in (("--schedule", no_entries), ("--schedule", latin1), ("--config", latin1)):
+        code = main(["run", "--synth-rps", "4", "--synth-aps", "8", flag, str(path),
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err

@@ -52,6 +52,15 @@ class TestExperimentConfig:
         clone = ExperimentConfig.from_dict(cfg.to_dict())
         assert clone.to_dict() == cfg.to_dict()
 
+    def test_reloaded_echo_keeps_relative_paths_as_given(self):
+        doc = {"out_dir": "out", "data": {"fingerprints": "fp.csv", "rp_map": "map.csv"}}
+        first = ExperimentConfig.from_dict(doc)
+        second = ExperimentConfig.from_dict(first.to_dict())
+        assert first.out_dir == second.out_dir == "out"
+        assert (second.data_path, second.rp_map_path) == ("fp.csv", "map.csv")
+        nested = ExperimentConfig.from_dict(doc, base_dir="/cfg")
+        assert (nested.out_dir, nested.data_path) == ("/cfg/out", "/cfg/fp.csv")
+
     def test_family_epoch_defaults(self):
         doc = {"synth": {"num_rps": 4, "num_aps": 8}, "model": {"family": "dnn"}}
         assert ExperimentConfig.from_dict(doc).train.epochs == 500

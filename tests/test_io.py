@@ -1,8 +1,11 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lognet
 from lognet import (
     CiStats,
     EvalReport,
@@ -23,6 +26,8 @@ from lognet import (
     write_pgm,
     write_rp_map_csv,
 )
+from lognet.experiment import ComparisonTable
+from lognet.fileio import atomic_write, read_json
 from lognet.pipeline import fit_dnn, fit_lognet, load_model, save_model
 
 
@@ -162,6 +167,20 @@ class TestPgm:
         with pytest.raises(ParseError):
             read_pgm(path)
 
+    @pytest.mark.parametrize("data", [b"P5\n-1 -1\n255\nA", b"P5\n0 5\n255\n", b"P5\n3 0\n255\n"])
+    def test_non_positive_size_rejected(self, tmp_path, data):
+        path = tmp_path / "size.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match="size must be positive") as err:
+            read_pgm(path)
+        assert str(path) in str(err.value)
+
+    def test_missing_file_or_directory_is_a_parse_error(self, tmp_path):
+        for path in (tmp_path / "missing.pgm", tmp_path):
+            with pytest.raises(ParseError, match="cannot read file") as err:
+                read_pgm(path)
+            assert str(path) in str(err.value)
+
 
 class TestModelSerialization:
     def test_lognet_round_trip_is_bit_exact(self, tmp_path):
@@ -199,6 +218,13 @@ class TestModelSerialization:
         with pytest.raises(ParseError):
             load_model(path)
 
+    def test_non_object_document_rejected(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ParseError, match="must be a JSON object") as err:
+            load_model(path)
+        assert str(path) in str(err.value)
+
 
 class TestUnreadableFiles:
     @pytest.mark.parametrize("reader,header", [
@@ -231,6 +257,22 @@ class TestUnreadableFiles:
         with pytest.raises(ParseError, match="int64") as err:
             read_latents_csv(path)
         assert err.value.line == 3
+
+    def test_read_json_names_the_file(self, tmp_path):
+        good = tmp_path / "good.json"
+        good.write_text('{"a": [1, 2.5]}')
+        assert read_json(good) == {"a": [1, 2.5]}
+        for name, data, message in (("broken.json", b'{"a": ', "invalid JSON"),
+                                    ("digits.json", b"1" * 5000, "invalid JSON"),
+                                    ("deep.json", b"[" * 100_000, "invalid JSON"),
+                                    ("latin1.json", b'{"a": "\xe9"}', "not valid UTF-8")):
+            path = tmp_path / name
+            path.write_bytes(data)
+            with pytest.raises(ParseError, match=message) as err:
+                read_json(path)
+            assert str(path) in str(err.value)
+        with pytest.raises(ParseError, match="cannot read file"):
+            read_json(tmp_path / "missing.json")
 
     def test_model_file_missing_or_not_utf8(self, tmp_path):
         with pytest.raises(ParseError, match="cannot read file"):
@@ -265,3 +307,58 @@ class TestAtomicWrites:
             report.write(path)
         assert path.read_text() == before
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    @pytest.mark.parametrize("write", [
+        lambda p: write_fingerprints_csv(
+            synth_dataset(SynthSpec(num_rps=2, num_aps=3, fingerprints_per_rp=2))[0], p),
+        lambda p: write_rp_map_csv(RpMap({0: (0.0, 1.0)}), p),
+        lambda p: write_latents_csv([0], np.ones((1, 3), np.uint8), p),
+        lambda p: write_pgm(np.ones((2, 3), np.uint8), p),
+        lambda p: atomic_write(p, "text\n"),
+        lambda p: ComparisonTable((0,), [{"model": "dnn", "gate": None, "hidden_layers": 1,
+                                          "params": 1, "size_bytes": 8, "latency_ms": 0.5,
+                                          "per_ci": {0: 0.0}}]).to_csv(p),
+    ], ids=["fingerprints", "rp_map", "latents", "pgm", "text", "comparison"])
+    def test_every_writer_replaces_its_target_atomically(self, tmp_path, monkeypatch, write):
+        path = tmp_path / "target"
+        path.write_bytes(b"previous")
+
+        def fail(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr("lognet.fileio.os.replace", fail)
+        with pytest.raises(OSError, match="rename refused"):
+            write(path)
+        assert path.read_bytes() == b"previous"
+        assert [p.name for p in tmp_path.iterdir()] == ["target"]
+        monkeypatch.undo()
+        write(path)
+        assert path.read_bytes() != b"previous"
+        assert [p.name for p in tmp_path.iterdir()] == ["target"]
+
+
+# Attribute and function names through which Python code opens, reads or writes a file.
+_FILE_ACCESS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+
+
+def _file_access_calls(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name in _FILE_ACCESS:
+                yield node
+
+
+def test_only_fileio_touches_files():
+    """Every file lognet opens goes through fileio.reading or fileio.atomic_open."""
+    offenders = []
+    for path in sorted(Path(lognet.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name == "fileio.py":
+            for func in tree.body:
+                if isinstance(func, ast.FunctionDef) and func.name not in ("reading", "atomic_open"):
+                    offenders += [f"{path.name}:{c.lineno}" for c in _file_access_calls(func)]
+        else:
+            offenders += [f"{path.name}:{c.lineno}" for c in _file_access_calls(tree)]
+    assert offenders == []

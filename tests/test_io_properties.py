@@ -1,4 +1,4 @@
-"""Property tests of the CSV loaders, the fingerprint writer and config parsing."""
+"""Property tests of the CSV and PGM loaders, the fingerprint writer and config parsing."""
 
 import csv
 import io
@@ -20,6 +20,7 @@ from lognet import (
     read_delta_csv,
     read_fingerprints_csv,
     read_latents_csv,
+    read_pgm,
     read_rp_map_csv,
     write_fingerprints_csv,
 )
@@ -167,6 +168,23 @@ def test_any_bytes_load_or_raise_a_lognet_error_in_the_latent_and_delta_readers(
     path.write_bytes(data)
     _loads_or_lognet_error(read_latents_csv, path)
     _loads_or_lognet_error(read_delta_csv, path)
+
+
+NEAR_PGM_HEADER = st.text(st.sampled_from("P5 \n#0123456789-+_x"), max_size=24).map(str.encode)
+
+
+@SETTINGS
+@given(data=st.one_of(
+    st.binary(max_size=80),
+    st.tuples(NEAR_PGM_HEADER, st.binary(max_size=40)).map(lambda t: t[0] + t[1]),
+))
+@example(b"P5\n-1 -1\n255\nA")
+@example(b"P5\n0 5\n255\n")
+@example(b"P5\n1 1\n" + b"9" * 5000 + b"\n\x00")
+def test_any_bytes_load_or_raise_a_lognet_error_in_the_pgm_reader(work, data):
+    path = work / "any.pgm"
+    path.write_bytes(data)
+    _loads_or_lognet_error(read_pgm, path)
 
 
 # Any JSON value; Python's json module also reads NaN and the infinities.
