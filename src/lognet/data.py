@@ -39,7 +39,7 @@ def check_fingerprint(rp_id: int, ci: int, rss) -> np.ndarray:
     rss = np.asarray(rss, dtype=np.float64)
     if rss.ndim != 1 or rss.size == 0:
         raise ValidationError("rss must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(rss)):
+    if not np.isfinite(rss).all():
         raise ValidationError("rss values must be finite")
     for name, value in (("rp_id", rp_id), ("ci", ci)):
         if value < 0:
@@ -99,7 +99,7 @@ class Dataset:
         if ap_count <= 0:
             raise ValidationError(f"ap_count must be positive, got {ap_count}")
         for fp in fps:
-            if fp.ap_count != ap_count:
+            if fp.rss.size != ap_count:
                 raise ValidationError(
                     f"fingerprint for rp {fp.rp_id} has {fp.ap_count} APs, expected {ap_count}"
                 )
@@ -296,11 +296,21 @@ class BinaryFingerprint:
 def normalize_values(
     values: np.ndarray, lo: float = DEFAULT_RSS_LO, hi: float = DEFAULT_RSS_HI
 ) -> np.ndarray:
-    """Clamp dBm values into [lo, hi] and scale linearly onto [0, 1]."""
+    """Clamp dBm values into [lo, hi] and scale linearly onto [0, 1].
+
+    Returns a fresh float64 array equal bit for bit to
+    `(np.clip(values, lo, hi) - lo) / (hi - lo)`, computed in that one array.
+    """
     if lo >= hi:
         raise ConfigError(f"normalization range requires lo < hi, got [{lo}, {hi}]")
-    clipped = np.clip(np.asarray(values, dtype=np.float64), lo, hi)
-    return (clipped - lo) / (hi - lo)
+    values = np.asarray(values, dtype=np.float64)
+    out = np.empty(values.shape)
+    # maximum(lo, x), not maximum(x, lo): on a tie of signed zeros it keeps x, as np.clip does.
+    np.maximum(lo, values, out=out)
+    np.minimum(out, hi, out=out)
+    out -= lo
+    out /= hi - lo
+    return out
 
 
 def normalize(ds: Dataset, lo: float = DEFAULT_RSS_LO, hi: float = DEFAULT_RSS_HI) -> Dataset:
@@ -331,7 +341,7 @@ def binarize_matrix(values: np.ndarray, threshold: float = DEFAULT_THRESHOLD) ->
         raise ValidationError(
             "binarize expects normalized values in [0, 1]; run normalize() first"
         )
-    return (values >= threshold).astype(np.uint8)
+    return (values >= threshold).view(np.uint8)
 
 
 def _check_threshold(threshold: float) -> None:

@@ -122,6 +122,8 @@ def ceil_chain(length: int, depth: int) -> int:
     if depth < 0:
         raise ValidationError(f"depth must be non-negative, got {depth}")
     for _ in range(depth):
+        if length == 1:  # a width of 1 stays 1
+            break
         length = (length + 1) // 2
     return length
 

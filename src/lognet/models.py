@@ -58,10 +58,15 @@ def _check_stack(layers, class_labels) -> tuple[tuple, tuple[int, ...]]:
     clean = []
     prev_out = None
     for i, (W, b) in enumerate(layers):
-        W = np.asarray(W, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
+        try:
+            W = np.asarray(W, dtype=np.float64)
+            b = np.asarray(b, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"layer {i} weights and biases must be numeric arrays") from None
         if W.ndim != 2 or b.shape != (W.shape[1],):
             raise ShapeError(f"layer {i} has inconsistent weight/bias shapes")
+        if not (np.isfinite(W).all() and np.isfinite(b).all()):
+            raise ValidationError(f"layer {i} weights and biases must be finite")
         if prev_out is not None and W.shape[0] != prev_out:
             raise ShapeError(
                 f"layer {i} expects {W.shape[0]} inputs but layer {i - 1} emits {prev_out}"
@@ -78,6 +83,8 @@ def _check_stack(layers, class_labels) -> tuple[tuple, tuple[int, ...]]:
                     f"hidden width {widths[k]} at layer {k} violates the halving "
                     f"rule (expected ceil({widths[k - 1]}/2) = {expected})"
                 )
+        if widths[-1] == 0:
+            raise ShapeError("the last layer has no outputs")
         if len(labels) != widths[-1]:
             raise ShapeError(f"{len(labels)} class labels for {widths[-1]} outputs")
     return tuple(clean), labels
@@ -137,11 +144,12 @@ class DnnModel:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax via max-shifted exponentiation."""
+    """Row-wise softmax via max-shifted exponentiation, computed in one fresh array."""
     logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    out = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -182,8 +190,10 @@ def relu(z: np.ndarray) -> np.ndarray:
 
 def dnn_forward(model: DnnModel, fp) -> np.ndarray:
     """Class probabilities for one normalized fingerprint (or a batch matrix)."""
-    x = fp.rss if hasattr(fp, "rss") else np.asarray(fp, dtype=np.float64)
-    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if not isinstance(fp, np.ndarray):
+        fp = getattr(fp, "rss", fp)
+    x = np.asarray(fp, dtype=np.float64)
+    X = x if x.ndim >= 2 else x.reshape(1, -1)
     return _stack_probs(model, X, x.ndim == 1, "input", model.input_dim)
 
 
@@ -211,8 +221,11 @@ def _activations(layers, X: np.ndarray) -> list[np.ndarray]:
 
 
 def _dnn_logits(layers, X: np.ndarray) -> np.ndarray:
+    """Output-layer logits of the stack, in a fresh array."""
     W_out, b_out = layers[-1]
-    return _activations(layers, X)[-1] @ W_out + b_out
+    z = _activations(layers, X)[-1] @ W_out
+    z += b_out
+    return z
 
 
 def dnn_hidden_widths(input_dim: int, hidden_layers: int) -> list[int]:

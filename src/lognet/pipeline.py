@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,11 +13,12 @@ from .data import (
     DEFAULT_RSS_HI,
     DEFAULT_RSS_LO,
     Dataset,
+    _readonly,
     binarize_matrix,
     normalize,
     normalize_values,
 )
-from .errors import ParseError, ShapeError
+from .errors import ConfigError, LogNetError, ParseError, ShapeError, ValidationError
 from .fileio import atomic_open, read_json
 from .gates import GateType, LogicEncoderConfig, ceil_chain, encode_matrix
 from .models import (
@@ -53,6 +56,16 @@ class LogNetClassifier:
     rss_lo: float = DEFAULT_RSS_LO
     rss_hi: float = DEFAULT_RSS_HI
 
+    def __post_init__(self):
+        _check_rss_range(self.rss_lo, self.rss_hi)
+        if self.head.latent_dim != self.latent_dim:
+            raise ShapeError(
+                f"head takes {self.head.latent_dim} latent bits but {self.ap_count} APs "
+                f"encode to {self.latent_dim} at depth {self.encoder.hidden_layers}"
+            )
+        # The labels predict indexes with each row's argmax, built once.
+        object.__setattr__(self, "_classes", _readonly(np.asarray(self.head.class_labels)))
+
     @property
     def input_dim(self) -> int:
         return self.ap_count
@@ -75,9 +88,7 @@ class LogNetClassifier:
         return softmax_forward(self.head, self.latent_matrix(ds))
 
     def predict(self, ds: Dataset) -> np.ndarray:
-        probs = self.predict_proba(ds)
-        classes = np.asarray(self.head.class_labels)
-        return classes[np.argmax(probs, axis=1)]
+        return self._classes[self.predict_proba(ds).argmax(axis=1)]
 
     def _check(self, ds: Dataset) -> None:
         if ds.ap_count != self.ap_count:
@@ -93,6 +104,12 @@ class DnnClassifier:
     model: DnnModel
     rss_lo: float = DEFAULT_RSS_LO
     rss_hi: float = DEFAULT_RSS_HI
+
+    def __post_init__(self):
+        _check_rss_range(self.rss_lo, self.rss_hi)
+        if not self.model.layers:
+            raise ShapeError("a dnn classifier needs at least one layer")
+        object.__setattr__(self, "_classes", _readonly(np.asarray(self.model.class_labels)))
 
     @property
     def input_dim(self) -> int:
@@ -111,9 +128,16 @@ class DnnClassifier:
         return dnn_forward(self.model, norm)
 
     def predict(self, ds: Dataset) -> np.ndarray:
-        probs = self.predict_proba(ds)
-        classes = np.asarray(self.model.class_labels)
-        return classes[np.argmax(probs, axis=1)]
+        return self._classes[self.predict_proba(ds).argmax(axis=1)]
+
+
+def _check_rss_range(lo, hi) -> None:
+    try:
+        finite = math.isfinite(lo) and math.isfinite(hi)
+    except OverflowError:  # an int beyond float64's range
+        finite = False
+    if not (finite and lo < hi):
+        raise ConfigError(f"rss range must be finite with lo < hi, got [{lo}, {hi}]")
 
 
 def fit_lognet(
@@ -186,7 +210,13 @@ def save_model(clf, path: str) -> None:
 
 
 def load_model(path: str):
-    """Load a classifier written by save_model."""
+    """Load a classifier written by save_model.
+
+    Any document that does not describe a valid classifier raises ParseError
+    naming `path`: a missing key, a value of the wrong type, parameter arrays
+    that the model constructors reject, or a softmax head whose input width
+    is not the encoder's latent width.
+    """
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise ParseError("model document must be a JSON object", path=path)
@@ -194,30 +224,45 @@ def load_model(path: str):
     if version != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema_version {version!r}", path=path)
     family = doc.get("family")
+    if family not in ("lognet", "dnn"):
+        raise ParseError(f"unknown model family {family!r}", path=path)
     try:
+        rss_range = _field(doc, "rss_lo", numbers.Real), _field(doc, "rss_hi", numbers.Real)
+        labels = _field(doc, "class_labels", list)
+        if any(isinstance(c, bool) or not isinstance(c, int) for c in labels):
+            raise ValidationError("class_labels must be a sequence of integers")
         if family == "lognet":
-            enc = doc["encoder"]
+            enc = _field(doc, "encoder", dict)
             encoder = LogicEncoderConfig(
-                gate=GateType.from_name(enc["gate"]),
-                threshold=enc["threshold"],
-                hidden_layers=enc["hidden_layers"],
+                gate=GateType.from_name(_field(enc, "gate", str, "encoder")),
+                threshold=_field(enc, "threshold", numbers.Real, "encoder"),
+                hidden_layers=_field(enc, "hidden_layers", int, "encoder"),
             )
-            head = SoftmaxModel(
-                np.asarray(doc["weights"], dtype=np.float64),
-                np.asarray(doc["biases"], dtype=np.float64),
-                tuple(doc["class_labels"]),
-            )
-            return LogNetClassifier(encoder, head, enc["ap_count"], doc["rss_lo"], doc["rss_hi"])
-        if family == "dnn":
-            layers = tuple(
-                (
-                    np.asarray(layer["weights"], dtype=np.float64),
-                    np.asarray(layer["biases"], dtype=np.float64),
-                )
-                for layer in doc["layers"]
-            )
-            model = DnnModel(layers, tuple(doc["class_labels"]))
-            return DnnClassifier(model, doc["rss_lo"], doc["rss_hi"])
+            head = SoftmaxModel(_field(doc, "weights"), _field(doc, "biases"), labels)
+            ap_count = _field(enc, "ap_count", int, "encoder")
+            return LogNetClassifier(encoder, head, ap_count, *rss_range)
+        layers = tuple(
+            (_field(layer, "weights", where=f"layers[{i}]"),
+             _field(layer, "biases", where=f"layers[{i}]"))
+            for i, layer in enumerate(_field(doc, "layers", list))
+        )
+        return DnnClassifier(DnnModel(layers, labels), *rss_range)
     except KeyError as exc:
         raise ParseError(f"model document lacks key {exc.args[0]!r}", path=path) from None
-    raise ParseError(f"unknown model family {family!r}", path=path)
+    except LogNetError as exc:
+        raise ParseError(str(exc), path=path) from None
+
+
+_KIND_NAMES = {numbers.Real: "a number", int: "an integer", str: "a string", list: "a JSON array",
+               dict: "a JSON object"}
+
+
+def _field(obj, key: str, kind=object, where: str = ""):
+    """`obj[key]` of a model document, checked to be a `kind`; a bool is no number."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where or 'model document'} must be a JSON object")
+    value = obj[key]
+    if kind is not object and (isinstance(value, bool) or not isinstance(value, kind)):
+        name = f"{where}.{key}" if where else key
+        raise ValidationError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r:.60}")
+    return value

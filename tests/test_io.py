@@ -1,5 +1,10 @@
 import ast
+import copy
 import dataclasses
+import functools
+import json
+import operator
+import re
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +229,63 @@ class TestModelSerialization:
         with pytest.raises(ParseError, match="must be a JSON object") as err:
             load_model(path)
         assert str(path) in str(err.value)
+
+
+class TestModelDocumentValidation:
+    @pytest.fixture(scope="class")
+    def docs(self, tmp_path_factory):
+        """The documents save_model writes for a small lognet and dnn."""
+        tmp = tmp_path_factory.mktemp("models")
+        ds, _ = synth_dataset(SynthSpec(num_rps=4, num_aps=6, fingerprints_per_rp=2, seed=1))
+        docs = {}
+        for name, (clf, _) in (("lognet", fit_lognet(ds, LogicEncoderConfig(GateType.NOR), TrainConfig(epochs=2))),
+                               ("dnn", fit_dnn(ds, 1, TrainConfig(epochs=2)))):
+            save_model(clf, tmp / name)
+            docs[name] = json.loads((tmp / name).read_text())
+        return docs
+
+    @pytest.mark.parametrize("family,path,value,message", [
+        ("lognet", ("weights",), "x", "numeric arrays"),
+        ("lognet", ("weights",), [[0.1, 0.2], [0.3]], "numeric arrays"),
+        ("lognet", ("biases",), [0.0, float("nan"), 0.0, 0.0], "finite"),
+        ("lognet", ("encoder", "gate"), 3, "encoder.gate must be a string"),
+        ("lognet", ("encoder", "threshold"), "a", "encoder.threshold must be a number"),
+        ("lognet", ("encoder", "hidden_layers"), 1.5, "encoder.hidden_layers must be an integer"),
+        ("lognet", ("encoder", "ap_count"), 12, "head takes 3 latent bits but 12 APs encode to 6"),
+        ("lognet", ("encoder",), [1], "encoder must be a JSON object"),
+        ("lognet", ("class_labels",), [0, 1, 2, 3.5], "class_labels must be a sequence of integers"),
+        ("lognet", ("class_labels",), [False, 1, 2, 3], "class_labels must be a sequence of integers"),
+        ("lognet", ("rss_lo",), 0.0, "rss range must be finite with lo < hi"),
+        ("lognet", ("rss_hi",), True, "rss_hi must be a number"),
+        ("dnn", ("layers", 0, "weights"), "x", "layer 0 weights and biases must be numeric arrays"),
+        ("dnn", ("layers", 1, "biases"), [[0.0]], "layer 1 has inconsistent weight/bias shapes"),
+        ("dnn", ("layers", 1), 7, "layers[1] must be a JSON object"),
+        ("dnn", ("layers",), [], "at least one layer"),
+        ("dnn", ("class_labels",), "abcd", "class_labels must be a JSON array"),
+    ])
+    def test_invalid_document_is_a_parse_error_naming_the_file(self, tmp_path, docs, family, path,
+                                                               value, message):
+        doc = copy.deepcopy(docs[family])
+        *parents, key = path
+        functools.reduce(operator.getitem, parents, doc)[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            load_model(bad)
+        assert str(err.value).startswith(f"{bad}: ")
+
+    def test_head_without_outputs_is_a_parse_error(self, tmp_path, docs):
+        doc = {**docs["lognet"], "weights": [[], [], []], "biases": [], "class_labels": []}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="the last layer has no outputs"):
+            load_model(bad)
+
+    def test_saved_documents_load(self, tmp_path, docs):
+        for doc in docs.values():
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps(doc))
+            load_model(path)
 
 
 class TestUnreadableFiles:

@@ -1,4 +1,5 @@
-"""Property tests of the CSV and PGM loaders, the fingerprint writer and config parsing."""
+"""Property tests of the CSV and PGM loaders, the fingerprint writer, config parsing
+and the model loader."""
 
 import csv
 import io
@@ -25,6 +26,7 @@ from lognet import (
     write_fingerprints_csv,
 )
 from lognet.experiment import _CONFIG_KEYS
+from lognet.pipeline import load_model
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -243,3 +245,60 @@ def test_any_json_config_loads_or_raises_a_lognet_error(doc):
     except LogNetError:
         return
     ExperimentConfig.from_dict(cfg.to_dict())  # a loaded config's echo loads too
+
+
+# The documents save_model writes for a lognet over 3 APs (NOR, depth 1, so
+# 2 latent bits) and for a dnn with widths 3 -> 2 -> 2; each loads.
+MODEL_DOCS = (
+    {"schema_version": 1, "family": "lognet", "rss_lo": -100.0, "rss_hi": 0.0,
+     "encoder": {"gate": "nor", "threshold": 0.5, "hidden_layers": 1, "ap_count": 3},
+     "class_labels": [0, 1], "weights": [[0.5, -0.5], [1.0, 0.0]], "biases": [0.0, 0.1]},
+    {"schema_version": 1, "family": "dnn", "rss_lo": -100.0, "rss_hi": 0.0, "widths": [3, 2, 2],
+     "class_labels": [4, 7],
+     "layers": [{"weights": [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]], "biases": [0.0, 0.0]},
+                {"weights": [[1.0, -1.0], [0.5, 0.25]], "biases": [0.1, -0.1]}]},
+)
+
+
+def _paths(value, prefix=()):
+    """The path of every value inside a JSON document, the root included."""
+    yield prefix
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def model_docs(draw):
+    """A saved model document with a few values replaced by any JSON value or removed."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(MODEL_DOCS))))
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            return draw(JSON_VALUES)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(JSON_VALUES | st.sampled_from([3, 1.5, -1, 2**63]))
+    return doc
+
+
+@SETTINGS
+@given(doc=model_docs())
+@example({**MODEL_DOCS[0], "weights": "x"})
+@example({**MODEL_DOCS[0], "weights": [[0.5, -0.5], [1.0]]})
+@example({**MODEL_DOCS[0], "encoder": {**MODEL_DOCS[0]["encoder"], "gate": 3}})
+@example({**MODEL_DOCS[0], "encoder": {**MODEL_DOCS[0]["encoder"], "threshold": "a"}})
+@example({**MODEL_DOCS[0], "encoder": {**MODEL_DOCS[0]["encoder"], "ap_count": 6}})
+@example({**MODEL_DOCS[0], "encoder": {**MODEL_DOCS[0]["encoder"], "hidden_layers": 2**64}})
+@example({**MODEL_DOCS[1], "rss_lo": -(10**400)})
+def test_any_json_model_document_loads_or_raises_a_lognet_error(work, doc):
+    path = work / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        load_model(path)
+    except LogNetError as exc:
+        assert isinstance(exc, ParseError) and str(exc).startswith(f"{path}: ")
