@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,11 @@ import numpy as np
 from .errors import ConfigError, LogNetError
 from .evaluate import evaluate, latent_diff, majority_by_rp
 from .experiment import (
+    CONFIG_KEYS,
     OUT_ROOT_ENV,
     ExperimentConfig,
     compare_models,
+    key_tree,
     run_experiment,
 )
 from .fileio import (
@@ -32,8 +35,6 @@ from .gates import GateType, LatentCode, LogicEncoderConfig, ceil_chain
 from .noise import SynthSpec, synth_dataset
 from .pipeline import encode_rss, fit_dnn, fit_lognet, load_model, save_model
 
-GATE_NAMES = [g.value for g in GateType]
-
 
 def _default_out(command: str) -> str:
     root = os.environ.get(OUT_ROOT_ENV, "runs")
@@ -46,39 +47,26 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", choices=["lognet", "dnn"], help="model family")
-    p.add_argument("--gate", choices=GATE_NAMES, help="logic gate for lognet")
-    p.add_argument("--hidden", type=int, metavar="N", help="number of hidden/logic layers")
-    p.add_argument("--threshold", type=float, metavar="F", help="binarization threshold in (0,1)")
+def _dest(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lr", type=float, metavar="F", help="learning rate")
-    p.add_argument("--epochs", type=int, metavar="N", help="training epochs")
-    p.add_argument("--seed", type=int, metavar="N", help="seed for split/init/batching")
-    p.add_argument("--batch-size", type=int, metavar="N", help="minibatch size (default full batch)")
+def _flag_type(kind):
+    """The argparse type of a flag for a key of JSON type `kind`: int, float or text."""
+    first = (typing.get_args(kind) or (kind,))[0]
+    return first if first in (int, float) else None
 
 
-def _add_data_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data", metavar="CSV", help="fingerprint CSV path")
-    p.add_argument("--rp-map", metavar="CSV", help="RP coordinate CSV path")
+def _add_config_flags(p: argparse.ArgumentParser, *sections: str, no_help=()) -> None:
+    """Add the flag of each config key in the named top-level sections, or in all, in table order.
 
-
-def _add_synth_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--synth-rps", type=int, metavar="K")
-    p.add_argument("--synth-aps", type=int, metavar="N")
-    p.add_argument("--synth-per-rp", type=int, metavar="M")
-    p.add_argument("--synth-seed", type=int, metavar="N")
-
-
-def _add_noise_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--noise-mode", choices=["ed", "non-ed"], help="noise structure")
-    p.add_argument("--delta", type=float, metavar="DB", help="ED delta in dB")
-    p.add_argument("--delta-csv", metavar="CSV", help="per-AP deltas (ap_index,delta_db)")
-    p.add_argument("--sigma", type=float, metavar="DB", help="stochastic jitter stddev in dB")
-    p.add_argument("--noise-seed", type=int, metavar="N", help="noise seed")
-    p.add_argument("--schedule", metavar="FILE", help="JSON temporal schedule [[ci, mult], ...]")
+    The keys in `no_help` get their flags without help text.
+    """
+    for key in CONFIG_KEYS.values():
+        if key.flag and (not sections or key.path.split(".")[0] in sections):
+            text = None if key.path in no_help else key.help
+            p.add_argument(key.flag, dest=_dest(key.flag), type=_flag_type(key.kind),
+                           metavar=key.metavar, choices=key.choices, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,33 +84,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pattern", choices=["window", "random", "beacon-tint"], default="window")
     p.add_argument("--geometry", choices=["path", "grid"], default="path")
-    p.add_argument("--out", metavar="DIR")
+    _add_config_flags(p, "out_dir")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train one model on a full fingerprint CSV")
-    _add_data_flags(p)
-    _add_model_flags(p)
-    _add_train_flags(p)
-    p.add_argument("--out", metavar="DIR")
+    _add_config_flags(p, "data", "model", "train", "out_dir")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a saved model on a (multi-CI) dataset")
     p.add_argument("--model-file", required=True, metavar="JSON", help="saved model path")
-    _add_data_flags(p)
-    p.add_argument("--out", metavar="DIR")
+    _add_config_flags(p, "data", "out_dir")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("encode", help="emit per-fingerprint latent codes as CSV")
-    _add_data_flags(p)
-    p.add_argument("--gate", choices=GATE_NAMES, default="nor")
-    p.add_argument("--hidden", type=int, default=1)
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--out", metavar="DIR")
+    _add_config_flags(p, "data")
+    gate = CONFIG_KEYS["model.gate"]
+    p.add_argument("--gate", choices=gate.choices, default=gate.default)
+    p.add_argument("--hidden", type=int, default=CONFIG_KEYS["model.hidden_layers"].default)
+    p.add_argument("--threshold", type=float, default=CONFIG_KEYS["model.threshold"].default)
+    _add_config_flags(p, "out_dir")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("bitmap", help="render latent codes as a binary-pixel PGM")
     p.add_argument("--latents", required=True, metavar="CSV")
-    p.add_argument("--out", metavar="DIR")
+    _add_config_flags(p, "out_dir")
     p.set_defaults(func=cmd_bitmap)
 
     p = sub.add_parser("trace", help="diff two RPs' latents and trace bits to APs")
@@ -136,35 +121,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="full pipeline: load/synth, split, train, simulate, evaluate")
     p.add_argument("--config", metavar="JSON", help="experiment config file; flags override")
-    _add_data_flags(p)
-    _add_synth_flags(p)
-    _add_model_flags(p)
-    _add_train_flags(p)
-    _add_noise_flags(p)
-    p.add_argument("--holdout", type=int, metavar="N", help="test fingerprints per (RP, CI)")
-    p.add_argument("--out", metavar="DIR")
+    _add_config_flags(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("compare", help="run several model variants on one dataset")
     p.add_argument("--config", metavar="JSON", help="base experiment config; flags override")
-    _add_data_flags(p)
-    _add_synth_flags(p)
+    _add_config_flags(p, "data", "synth")
     p.add_argument(
         "--variants",
         required=True,
         help="comma list like lognet-nor-1,lognet-xor-1,dnn-1,dnn-2",
     )
-    _add_train_flags(p)
-    _add_noise_flags(p)
-    p.add_argument("--holdout", type=int, metavar="N")
-    p.add_argument("--out", metavar="DIR")
+    sections = ("train", "noise", "schedule", "per_rp_holdout", "out_dir")
+    _add_config_flags(p, *sections, no_help=("per_rp_holdout",))
     p.set_defaults(func=cmd_compare)
 
     return parser
 
 
 def cmd_synth(args) -> int:
-    out = _out_dir(args)
     spec = SynthSpec(
         num_rps=args.rps,
         num_aps=args.aps,
@@ -174,6 +149,7 @@ def cmd_synth(args) -> int:
         geometry=args.geometry,
     )
     ds, rp_map = synth_dataset(spec)
+    out = _out_dir(args)
     write_fingerprints_csv(ds, out / "fingerprints.csv")
     write_rp_map_csv(rp_map, out / "rp_map.csv")
     print(f"wrote {len(ds)} fingerprints ({args.rps} RPs x {args.aps} APs) to {out}")
@@ -183,13 +159,13 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     if not args.data:
         raise ConfigError("train requires --data")
-    out = _out_dir(args)
     ds = read_fingerprints_csv(args.data)
     cfg = ExperimentConfig.from_dict(_flag_overrides(args))
     if cfg.model_family == "lognet":
         clf, history = fit_lognet(ds, cfg.encoder_config(), cfg.train)
     else:
         clf, history = fit_dnn(ds, cfg.hidden_layers, cfg.train)
+    out = _out_dir(args)
     save_model(clf, out / "model.json")
     loss = f"; final loss {history[-1]:.6f}" if history else ""
     print(f"trained {cfg.model_family} on {len(ds)} fingerprints{loss}")
@@ -200,11 +176,11 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     if not args.data or not args.rp_map:
         raise ConfigError("eval requires --data and --rp-map")
-    out = _out_dir(args)
     clf = load_model(args.model_file)
     ds = read_fingerprints_csv(args.data)
     rp_map = read_rp_map_csv(args.rp_map)
     report = evaluate(clf, ds, rp_map)
+    out = _out_dir(args)
     report.write(out / "report.json")
     for ci, stats in sorted(report.per_ci.items()):
         print(
@@ -219,19 +195,19 @@ def cmd_eval(args) -> int:
 def cmd_encode(args) -> int:
     if not args.data:
         raise ConfigError("encode requires --data")
-    out = _out_dir(args)
     ds = read_fingerprints_csv(args.data)
     encoder = LogicEncoderConfig(GateType.from_name(args.gate), args.threshold, args.hidden)
     latents = encode_rss(ds.rss_matrix(), encoder)
+    out = _out_dir(args)
     write_latents_csv(ds.labels(), latents, out / "latents.csv")
     print(f"encoded {len(ds)} fingerprints into {latents.shape[1]}-bit latents at {out / 'latents.csv'}")
     return 0
 
 
 def cmd_bitmap(args) -> int:
-    out = _out_dir(args)
     rp_ids, bits = read_latents_csv(args.latents)
     _, rows = majority_by_rp(rp_ids, bits)
+    out = _out_dir(args)
     write_pgm(rows * np.uint8(255), out / "latent_bitmap.pgm")
     print(f"wrote {rows.shape[0]}x{rows.shape[1]} bitmap to {out / 'latent_bitmap.pgm'}")
     return 0
@@ -272,55 +248,24 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
-# (argparse dest, config key path) for every flag that overrides the config file.
-_FLAG_KEYS = (
-    ("data", ("data", "fingerprints")),
-    ("rp_map", ("data", "rp_map")),
-    ("synth_rps", ("synth", "num_rps")),
-    ("synth_aps", ("synth", "num_aps")),
-    ("synth_per_rp", ("synth", "fingerprints_per_rp")),
-    ("synth_seed", ("synth", "seed")),
-    ("model", ("model", "family")),
-    ("gate", ("model", "gate")),
-    ("hidden", ("model", "hidden_layers")),
-    ("threshold", ("model", "threshold")),
-    ("lr", ("train", "learning_rate")),
-    ("epochs", ("train", "epochs")),
-    ("seed", ("train", "seed")),
-    ("batch_size", ("train", "batch_size")),
-    ("noise_mode", ("noise", "mode")),
-    ("delta", ("noise", "delta")),
-    ("delta_csv", ("noise", "delta_csv")),
-    ("sigma", ("noise", "sigma")),
-    ("noise_seed", ("noise", "seed")),
-    ("schedule", ("schedule",)),
-    ("holdout", ("per_rp_holdout",)),
-    ("out", ("out_dir",)),
-)
-_PATH_FLAGS = {"data", "rp_map", "delta_csv", "out"}
-
-
 def _flag_overrides(args) -> dict:
     """Map provided CLI flags onto the config-file schema (flags win)."""
-    over: dict = {}
-    for dest, keys in _FLAG_KEYS:
-        value = getattr(args, dest, None)  # a subcommand may lack the flag
+    pairs = []
+    for key in CONFIG_KEYS.values():
+        value = getattr(args, _dest(key.flag), None) if key.flag else None  # subcommands lack some
         if value is None or value == "":
             continue
-        if dest in _PATH_FLAGS:
+        if key.is_path:
             value = os.path.abspath(value)
-        elif dest == "schedule":
+        elif key.path == "schedule":  # the flag names a JSON file holding the schedule
             sched = read_json(value)
             if isinstance(sched, dict) and "entries" not in sched:
                 raise ConfigError(
                     f'schedule file {value} must hold a list or an object with "entries"'
                 )
             value = sched["entries"] if isinstance(sched, dict) else sched
-        *parents, leaf = keys
-        node = over
-        for key in parents:
-            node = node.setdefault(key, {})
-        node[leaf] = value
+        pairs.append((key.path, value))
+    over = key_tree(pairs)
     if "fingerprints" in over.get("data", {}):
         over["data"].setdefault("rp_map", None)
     return over
@@ -385,7 +330,6 @@ def cmd_compare(args) -> int:
     if not os.path.isabs(root):
         root = os.path.join(base_dir if merged.get("out_dir") else ".", root)
     out_root = Path(root)
-    out_root.mkdir(parents=True, exist_ok=True)
 
     variants = [v for v in args.variants.split(",") if v.strip()]
     if not variants:
@@ -397,6 +341,7 @@ def cmd_compare(args) -> int:
         _prefer_synth(variant_doc)
         cfgs.append(ExperimentConfig.from_dict(variant_doc, base_dir))
     table = compare_models(cfgs)
+    out_root.mkdir(parents=True, exist_ok=True)
     table.to_csv(out_root / "comparison.csv")
     text = table.format_text()
     atomic_write(out_root / "comparison.txt", text + "\n")

@@ -10,13 +10,14 @@ import sys
 import types
 import typing
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
+from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .data import DEFAULT_RSS_HI, DEFAULT_RSS_LO, Dataset, split_train_test
+from .data import DEFAULT_RSS_HI, DEFAULT_RSS_LO, DEFAULT_THRESHOLD, Dataset, split_train_test
 from .errors import ConfigError, StageError, ValidationError
 from .evaluate import (
     EvalReport,
@@ -46,7 +47,9 @@ from .noise import (
     simulate_cis,
     synth_dataset,
 )
-from .pipeline import DnnClassifier, LogNetClassifier, fit_dnn, fit_lognet, save_model
+from .pipeline import (
+    DnnClassifier, LogNetClassifier, check_rss_range, fit_dnn, fit_lognet, save_model,
+)
 
 # Training epoch defaults per family: the gate encoder needs no training, so
 # only its head is fitted and far fewer epochs suffice.
@@ -55,9 +58,104 @@ DEFAULT_EPOCHS = {"lognet": 150, "dnn": 500}
 OUT_ROOT_ENV = "LOGNET_OUT_ROOT"
 
 
+@dataclass(frozen=True)
+class ConfigKey:
+    """One key path of the run-config document, and the CLI flag that overrides it.
+
+    `attr` is the ExperimentConfig attribute it sets: "noise.seed" is the `seed`
+    of `noise`, and a tuple of names takes the value's items in turn. `kind` is
+    the JSON type of the value, `default` its file and CLI default (MISSING: its
+    section must give it), and `parse` makes the attribute's value from it.
+    """
+
+    path: str
+    attr: str | tuple[str, ...]
+    kind: object
+    default: object
+    flag: str | None = None
+    metavar: str | None = None
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+    parse: typing.Callable | None = None
+    is_path: bool = False  # a file or directory
+
+
+def _spec_keys(section: str, spec: type, **flags: tuple) -> list[ConfigKey]:
+    """One key per field of the dataclass behind a section, typed and defaulted as the field."""
+    hints = typing.get_type_hints(spec)
+    return [ConfigKey(f"{section}.{f.name}", f"{section}.{f.name}", hints[f.name], f.default,
+                      *flags.get(f.name, ())) for f in dataclasses.fields(spec)]
+
+
+# The run-config schema, in CLI flag order. Parsing, type checks, the echo and
+# the CLI flags all derive from it.
+CONFIG_KEYS = {key.path: key for key in (
+    ConfigKey("data.fingerprints", "data_path", str | None, None, "--data", "CSV",
+              "fingerprint CSV path", is_path=True),
+    ConfigKey("data.rp_map", "rp_map_path", str | None, None, "--rp-map", "CSV",
+              "RP coordinate CSV path", is_path=True),
+    *_spec_keys("synth", SynthSpec, num_rps=("--synth-rps", "K"), num_aps=("--synth-aps", "N"),
+                fingerprints_per_rp=("--synth-per-rp", "M"), seed=("--synth-seed", "N")),
+    ConfigKey("model.family", "model_family", str, "lognet", "--model", help="model family",
+              choices=tuple(DEFAULT_EPOCHS)),
+    ConfigKey("model.gate", "gate", str | None, GateType.NOR.value, "--gate",
+              help="logic gate for lognet", choices=tuple(g.value for g in GateType),
+              parse=GateType.from_name),
+    ConfigKey("model.hidden_layers", "hidden_layers", int, 1, "--hidden", "N",
+              "number of hidden/logic layers"),
+    ConfigKey("model.threshold", "threshold", float, DEFAULT_THRESHOLD, "--threshold", "F",
+              "binarization threshold in (0,1)"),
+    *_spec_keys("train", TrainConfig, learning_rate=("--lr", "F", "learning rate"),
+                epochs=("--epochs", "N", "training epochs"),
+                seed=("--seed", "N", "seed for split/init/batching"),
+                batch_size=("--batch-size", "N", "minibatch size (default full batch)")),
+    ConfigKey("noise.mode", "noise.mode", str, NoiseMode.ED.value, "--noise-mode",
+              help="noise structure", choices=tuple(m.value for m in NoiseMode),
+              parse=NoiseMode.from_name),
+    ConfigKey("noise.delta", "noise.delta", float | list[float], -4.0, "--delta", "DB",
+              "ED delta in dB"),
+    # Reads noise.delta from a file; the echo holds the deltas under noise.delta.
+    ConfigKey("noise.delta_csv", "noise.delta", str, None, "--delta-csv", "CSV",
+              "per-AP deltas (ap_index,delta_db)", parse=read_delta_csv, is_path=True),
+    ConfigKey("noise.sigma", "noise.stochastic_sigma", float | list[float], 0.0, "--sigma", "DB",
+              "stochastic jitter stddev in dB"),
+    ConfigKey("noise.seed", "noise.seed", int, 0, "--noise-seed", "N", "noise seed"),
+    ConfigKey("schedule", "schedule.entries", list[tuple[int, float]],
+              TemporalSchedule.default().entries, "--schedule", "FILE",
+              "JSON temporal schedule [[ci, mult], ...]"),
+    ConfigKey("per_rp_holdout", "per_rp_holdout", int, 1, "--holdout", "N",
+              "test fingerprints per (RP, CI)"),
+    ConfigKey("out_dir", "out_dir", str, "out", "--out", "DIR", is_path=True),
+    ConfigKey("rss_range", ("rss_lo", "rss_hi"), tuple[float, float],
+              (DEFAULT_RSS_LO, DEFAULT_RSS_HI)),
+    ConfigKey("latency_repetitions", "latency_repetitions", int, 3),
+)}
+
+
+def key_tree(pairs) -> dict:
+    """The nested document holding each (dotted key path, value) pair; a later pair wins."""
+    tree: dict = {}
+    for path, value in pairs:
+        *sections, leaf = path.split(".")
+        node = tree
+        for name in sections:
+            node = node.setdefault(name, {})
+        node[leaf] = value
+    return tree
+
+
+# The key types by section, as _check_keys walks them. A JSON array is a list or
+# tuple, a float a finite number (an int counts), and a bool no number.
+_CONFIG_KEYS = key_tree((key.path, key.kind) for key in CONFIG_KEYS.values())
+
+
 @dataclass
 class ExperimentConfig:
-    """Everything one pipeline run needs; exactly one data source is allowed."""
+    """Everything one pipeline run needs; exactly one data source is allowed.
+
+    The defaults match CONFIG_KEYS but for `noise`, whose jitter sigma is 1.0
+    here and 0.0 in a config file or on the command line.
+    """
 
     out_dir: str
     data_path: str | None = None
@@ -97,107 +195,80 @@ class ExperimentConfig:
             raise ConfigError(f"hidden_layers must be >= 1, got {self.hidden_layers}")
         if self.latency_repetitions < 3:
             raise ConfigError("latency_repetitions must be >= 3")
+        if self.model_family == "lognet":  # the encoder's own threshold check; a dnn has none
+            _naming_key("model.threshold", LogicEncoderConfig, GateType.NOR, self.threshold)
+        _naming_key("rss_range", check_rss_range, self.rss_lo, self.rss_hi)
 
     def encoder_config(self) -> LogicEncoderConfig:
         return LogicEncoderConfig(self.gate, self.threshold, self.hidden_layers)
 
     def to_dict(self) -> dict:
         """Full echo of every knob and seed needed to reproduce the run."""
-        return {
-            "out_dir": self.out_dir,
-            "data": (
-                {"fingerprints": self.data_path, "rp_map": self.rp_map_path}
-                if self.data_path is not None
-                else None
-            ),
-            "synth": dataclasses.asdict(self.synth) if self.synth is not None else None,
-            "model": {
-                "family": self.model_family,
-                "gate": self.gate.value if self.model_family == "lognet" else None,
-                "hidden_layers": self.hidden_layers,
-                "threshold": self.threshold,
-            },
-            "rss_range": [self.rss_lo, self.rss_hi],
-            "per_rp_holdout": self.per_rp_holdout,
-            "train": dataclasses.asdict(self.train),
-            "noise": {
-                "mode": self.noise.mode.value,
-                "delta": np.asarray(self.noise.delta).tolist(),
-                "sigma": np.asarray(self.noise.stochastic_sigma).tolist(),
-                "seed": self.noise.seed,
-            },
-            "schedule": [list(e) for e in self.schedule.entries],
-            "latency_repetitions": self.latency_repetitions,
-        }
+        # attribute -> key path; of two keys that set one attribute, the first echoes it
+        paths = {key.attr: key.path for key in reversed(CONFIG_KEYS.values())}
+        echo = key_tree((path, _echo(self, attr)) for attr, path in paths.items())
+        if self.data_path is None:
+            echo["data"] = None
+        if self.synth is None:
+            echo["synth"] = None
+        if self.model_family != "lognet":
+            echo["model"]["gate"] = None
+        return echo
 
     @classmethod
     def from_dict(cls, doc: dict, base_dir: str = ".") -> "ExperimentConfig":
-        def respath(p):
-            if p is None or os.path.isabs(p) or base_dir == ".":
-                return p
-            return os.path.join(base_dir, p)
+        """Build a config from a document; a relative path is taken from `base_dir`.
 
+        An omitted or null key takes its CONFIG_KEYS default, but SynthSpec and
+        TrainConfig (with the family's epochs) fill in what their sections omit,
+        and there is a synth spec only if the document gives a synth section.
+        """
         _check_keys(doc, _CONFIG_KEYS)
-        data = doc.get("data") or {}
-        synth_doc = doc.get("synth")
-        model = doc.get("model") or {}
-        family = model.get("family", "lognet")
-        train_doc = {"epochs": DEFAULT_EPOCHS.get(family, 150), **(doc.get("train") or {})}
-        train = TrainConfig(**train_doc)
-        noise_doc = doc.get("noise") or {}
-        mode = NoiseMode.from_name(noise_doc.get("mode", "ed"))
-        if "delta_csv" in noise_doc:
-            delta = read_delta_csv(respath(noise_doc["delta_csv"]))
-        else:
-            delta = noise_doc.get("delta", -4.0)
-        noise = NoiseSpec(mode, delta, noise_doc.get("sigma", 0.0), noise_doc.get("seed", 0))
-        sched_doc = doc.get("schedule")
-        schedule = (
-            TemporalSchedule(sched_doc) if sched_doc is not None else TemporalSchedule.default()
-        )
-        rss_range = doc.get("rss_range", [DEFAULT_RSS_LO, DEFAULT_RSS_HI])
-        gate_name = model.get("gate") or "nor"
-        return cls(
-            out_dir=respath(doc.get("out_dir", "out")),
-            data_path=respath(data.get("fingerprints")),
-            rp_map_path=respath(data.get("rp_map")),
-            synth=_synth_spec(synth_doc) if synth_doc is not None else None,
-            model_family=family,
-            gate=GateType.from_name(gate_name),
-            hidden_layers=model.get("hidden_layers", 1),
-            threshold=model.get("threshold", 0.5),
-            rss_lo=rss_range[0],
-            rss_hi=rss_range[1],
-            per_rp_holdout=doc.get("per_rp_holdout", 1),
-            train=train,
-            noise=noise,
-            schedule=schedule,
-            latency_repetitions=doc.get("latency_repetitions", 3),
-        )
+        attrs = []
+        for key in CONFIG_KEYS.values():
+            section, _, leaf = key.path.rpartition(".")
+            value = ((doc.get(section) or {}) if section else doc).get(leaf)
+            if value is None and section not in ("synth", "train"):
+                value = key.default
+            elif value is None and key.default is MISSING and doc.get(section) is not None:
+                raise ConfigError(f"missing config key '{key.path}'")
+            if value is None:  # the attribute keeps its default
+                continue
+            if key.is_path and not (os.path.isabs(value) or base_dir == "."):
+                value = os.path.join(base_dir, value)
+            value = key.parse(value) if key.parse else value
+            attrs += zip(key.attr, value) if isinstance(key.attr, tuple) else [(key.attr, value)]
+        kwargs = key_tree(attrs)
+        if "synth" in kwargs:
+            kwargs["synth"] = SynthSpec(**kwargs["synth"])
+        kwargs["noise"] = NoiseSpec(**kwargs["noise"])
+        kwargs["schedule"] = TemporalSchedule(**kwargs["schedule"])
+        train = kwargs.pop("train", {})
+        cfg = cls(**kwargs)
+        cfg.train = dataclasses.replace(cfg.train, **train)
+        return cfg
 
 
-# Every key from_dict reads: section name -> its keys, each leaf holding the
-# type its value must have. A JSON array is a list or tuple, a float is a
-# finite number (an int counts), and a bool is not a number. A null section
-# means its defaults.
-_CONFIG_KEYS = {
-    "out_dir": str,
-    "data": {"fingerprints": str | None, "rp_map": str | None},
-    "synth": typing.get_type_hints(SynthSpec),
-    "model": {"family": str, "gate": str | None, "hidden_layers": int, "threshold": float},
-    "rss_range": tuple[float, float],
-    "per_rp_holdout": int,
-    "train": typing.get_type_hints(TrainConfig),
-    "noise": {
-        "mode": str,
-        "delta": float | list[float],
-        "delta_csv": str,
-        "sigma": float | list[float],
-        "seed": int,
-    },
-    "schedule": list[tuple[int, float]],
-    "latency_repetitions": int,
-}
+def _echo(cfg: ExperimentConfig, attr):
+    """A ConfigKey's attribute as the echo holds it: enums by value, arrays as lists."""
+    if isinstance(attr, tuple):
+        return [_echo(cfg, name) for name in attr]
+    value = cfg
+    for name in attr.split("."):
+        value = None if value is None else getattr(value, name)  # a synth of None
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return [list(e) for e in value] if isinstance(value, tuple) else value  # schedule entries
+
+
+def _naming_key(path: str, check, *args) -> None:
+    """Run check(*args), naming config key `path` in the ConfigError it raises."""
+    try:
+        check(*args)
+    except ConfigError as exc:
+        raise ConfigError(f"config key '{path}': {exc}") from None
 
 
 def _check_keys(doc, allowed: dict, prefix: str = "") -> None:
@@ -233,14 +304,6 @@ def _has_type(value, kind) -> bool:
         # NaN, an infinity or an int beyond float64's range is no usable float.
         return isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
     return isinstance(value, numbers.Integral if kind is int else kind)
-
-
-def _synth_spec(doc: dict) -> SynthSpec:
-    fields = dataclasses.fields(SynthSpec)
-    missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in doc]
-    if missing:
-        raise ConfigError(f"missing config key 'synth.{missing[0]}'")
-    return SynthSpec(**doc)
 
 
 def _write_lognet_artifacts(clf: LogNetClassifier, train_ds: Dataset, out: Path) -> None:
@@ -330,14 +393,9 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     # Stage: evaluate across all CIs.
     with _stage("evaluate", out):
         report = evaluate(clf, test_cis, rp_map, config=cfg.to_dict())
-        report.model_meta.update(
-            {
-                "family": cfg.model_family,
-                "gate": cfg.gate.value if cfg.model_family == "lognet" else None,
-                "hidden_layers": cfg.hidden_layers,
-                "final_loss": history[-1] if history else None,
-            }
-        )
+        model = report.config["model"]
+        report.model_meta.update({k: model[k] for k in ("family", "gate", "hidden_layers")})
+        report.model_meta["final_loss"] = history[-1] if history else None
 
     # Stage: latency (kept out of the deterministic report body by field name).
     with _stage("latency", out):
@@ -429,15 +487,8 @@ def compare_models(cfgs: Sequence[ExperimentConfig]) -> ComparisonTable:
     for cfg in cfgs:
         report = run_experiment(cfg)
         cis = tuple(sorted(report.per_ci))
-        rows.append(
-            {
-                "model": cfg.model_family,
-                "gate": cfg.gate.value if cfg.model_family == "lognet" else None,
-                "hidden_layers": cfg.hidden_layers,
-                "params": report.model_meta["params"],
-                "size_bytes": report.model_meta["size_bytes"],
-                "latency_ms": report.model_meta["latency_ms"],
-                "per_ci": {ci: report.per_ci[ci].mean_error_m for ci in report.per_ci},
-            }
-        )
+        meta = report.model_meta
+        per_ci = {ci: stats.mean_error_m for ci, stats in report.per_ci.items()}
+        keys = ("gate", "hidden_layers", "params", "size_bytes", "latency_ms")
+        rows.append({"model": meta["family"], "per_ci": per_ci} | {k: meta[k] for k in keys})
     return ComparisonTable(cis, rows)

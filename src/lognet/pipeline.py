@@ -57,7 +57,7 @@ class LogNetClassifier:
     rss_hi: float = DEFAULT_RSS_HI
 
     def __post_init__(self):
-        _check_rss_range(self.rss_lo, self.rss_hi)
+        check_rss_range(self.rss_lo, self.rss_hi)
         if self.head.latent_dim != self.latent_dim:
             raise ShapeError(
                 f"head takes {self.head.latent_dim} latent bits but {self.ap_count} APs "
@@ -106,7 +106,7 @@ class DnnClassifier:
     rss_hi: float = DEFAULT_RSS_HI
 
     def __post_init__(self):
-        _check_rss_range(self.rss_lo, self.rss_hi)
+        check_rss_range(self.rss_lo, self.rss_hi)
         if not self.model.layers:
             raise ShapeError("a dnn classifier needs at least one layer")
         object.__setattr__(self, "_classes", _readonly(np.asarray(self.model.class_labels)))
@@ -131,7 +131,7 @@ class DnnClassifier:
         return self._classes[self.predict_proba(ds).argmax(axis=1)]
 
 
-def _check_rss_range(lo, hi) -> None:
+def check_rss_range(lo, hi) -> None:
     try:
         finite = math.isfinite(lo) and math.isfinite(hi)
     except OverflowError:  # an int beyond float64's range

@@ -1,4 +1,8 @@
+import copy
 import json
+from pathlib import Path
+
+import pytest
 
 from lognet import read_latents_csv, read_pgm
 from lognet.cli import _flag_overrides, build_parser, main
@@ -178,30 +182,81 @@ def test_model_file_missing_key_is_a_parse_error(tmp_path, fixture_dir, capsys):
     assert err.startswith("error: ") and str(bad) in err and "'encoder'" in err
 
 
-def test_every_run_flag_maps_onto_its_config_key(tmp_path, monkeypatch):
+# Each section's flags, and the config-file overrides they make.
+SECTION_FLAGS = {
+    "data": (["--data", "f.csv"], {"fingerprints": "f.csv", "rp_map": None}),
+    "synth": (["--synth-rps", "4", "--synth-aps", "8", "--synth-per-rp", "3", "--synth-seed", "5"],
+              {"num_rps": 4, "num_aps": 8, "fingerprints_per_rp": 3, "seed": 5}),
+    "model": (["--model", "dnn", "--gate", "xor", "--hidden", "2", "--threshold", "0.25"],
+              {"family": "dnn", "gate": "xor", "hidden_layers": 2, "threshold": 0.25}),
+    "train": (["--lr", "0.5", "--epochs", "0", "--seed", "7", "--batch-size", "16"],
+              {"learning_rate": 0.5, "epochs": 0, "seed": 7, "batch_size": 16}),
+    "noise": (["--noise-mode", "non-ed", "--delta", "-3", "--delta-csv", "d.csv", "--sigma", "0",
+               "--noise-seed", "9"],
+              {"mode": "non-ed", "delta": -3.0, "delta_csv": "d.csv", "sigma": 0.0, "seed": 9}),
+    "schedule": (["--schedule", "sched.json"], [[0, 0.0], [1, 1.0]]),
+    "per_rp_holdout": (["--holdout", "2"], 2),
+    "out_dir": (["--out", "o"], "o"),
+}
+
+
+@pytest.mark.parametrize("command,sections", [
+    (["run"], tuple(SECTION_FLAGS)),
+    (["train"], ("data", "model", "train", "out_dir")),
+    (["compare", "--variants", "dnn-1"],
+     ("data", "synth", "train", "noise", "schedule", "per_rp_holdout", "out_dir")),
+], ids=["run", "train", "compare"])
+def test_every_run_flag_maps_onto_its_config_key(tmp_path, monkeypatch, command, sections):
     monkeypatch.chdir(tmp_path)
     sched = tmp_path / "sched.json"
     sched.write_text(json.dumps({"entries": [[0, 0.0], [1, 1.0]]}))
-    args = build_parser().parse_args([
-        "run", "--data", "f.csv", "--synth-rps", "4", "--synth-aps", "8",
-        "--synth-per-rp", "3", "--synth-seed", "5", "--model", "dnn", "--gate", "xor",
-        "--hidden", "2", "--threshold", "0.25", "--lr", "0.5", "--epochs", "0",
-        "--seed", "7", "--batch-size", "16", "--noise-mode", "non-ed", "--delta", "-3",
-        "--delta-csv", "d.csv", "--sigma", "0", "--noise-seed", "9",
-        "--schedule", str(sched), "--holdout", "2", "--out", "o",
-    ])
-    assert _flag_overrides(args) == {
-        "data": {"fingerprints": str(tmp_path / "f.csv"), "rp_map": None},
-        "synth": {"num_rps": 4, "num_aps": 8, "fingerprints_per_rp": 3, "seed": 5},
-        "model": {"family": "dnn", "gate": "xor", "hidden_layers": 2, "threshold": 0.25},
-        "train": {"learning_rate": 0.5, "epochs": 0, "seed": 7, "batch_size": 16},
-        "noise": {"mode": "non-ed", "delta": -3.0, "delta_csv": str(tmp_path / "d.csv"),
-                  "sigma": 0.0, "seed": 9},
-        "schedule": [[0, 0.0], [1, 1.0]],
-        "per_rp_holdout": 2,
-        "out_dir": str(tmp_path / "o"),
-    }
-    assert _flag_overrides(build_parser().parse_args(["run"])) == {}
+    argv = command + [arg for section in sections for arg in SECTION_FLAGS[section][0]]
+    expected = copy.deepcopy({section: SECTION_FLAGS[section][1] for section in sections})
+    expected["data"]["fingerprints"] = str(tmp_path / "f.csv")
+    expected["out_dir"] = str(tmp_path / "o")
+    if "noise" in expected:
+        expected["noise"]["delta_csv"] = str(tmp_path / "d.csv")
+    assert _flag_overrides(build_parser().parse_args(argv)) == expected
+    assert _flag_overrides(build_parser().parse_args(command)) == {}
+
+
+@pytest.mark.parametrize("command", ["", "synth", "train", "eval", "encode", "bitmap", "trace",
+                                     "run", "compare"])
+def test_help_text_matches_its_snapshot(command, fixture_dir, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        main([command, "--help"] if command else ["--help"])
+    expected = Path(fixture_dir, "help", f"{command or 'lognet'}.txt").read_bytes()
+    assert capsys.readouterr().out.encode() == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--rps", "1", "--aps", "4"],
+    ["train", "--data", "missing.csv"],
+    ["eval", "--model-file", "missing.json", "--data", "missing.csv", "--rp-map", "missing.csv"],
+    ["encode", "--data", "missing.csv"],
+    ["bitmap", "--latents", "missing.csv"],
+    ["compare", "--data", "missing.csv", "--rp-map", "missing.csv", "--variants", "dnn-1"],
+    ["run", "--data", "missing.csv", "--rp-map", "missing.csv"],
+], ids=lambda argv: argv[0])
+def test_failed_command_creates_no_output_dir(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("LOGNET_OUT_ROOT", str(tmp_path / "root"))
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "root").exists()
+
+
+def test_threshold_and_rss_range_fail_before_any_stage(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["run", "--synth-rps", "4", "--synth-aps", "8", "--threshold", "1.5",
+                 "--out", str(out)]) == 1
+    assert "config key 'model.threshold'" in capsys.readouterr().err
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"synth": {"num_rps": 4, "num_aps": 8}, "rss_range": [0, -100]}))
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "config key 'rss_range'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unreadable_model_or_data_file_exits_one(tmp_path, fixture_dir, capsys):

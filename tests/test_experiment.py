@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -60,6 +61,31 @@ class TestExperimentConfig:
         assert (second.data_path, second.rp_map_path) == ("fp.csv", "map.csv")
         nested = ExperimentConfig.from_dict(doc, base_dir="/cfg")
         assert (nested.out_dir, nested.data_path) == ("/cfg/out", "/cfg/fp.csv")
+
+    @pytest.mark.parametrize("family", ["lognet", "dnn"])
+    def test_file_defaults_match_the_constructor_but_for_noise_sigma(self, family):
+        doc = {"out_dir": "out", "synth": {"num_rps": 4, "num_aps": 8}, "model": {"family": family}}
+        from_file = ExperimentConfig.from_dict(doc).to_dict()
+        built = ExperimentConfig(out_dir="out", synth=SynthSpec(4, 8), model_family=family).to_dict()
+        assert (from_file["noise"].pop("sigma"), built["noise"].pop("sigma")) == (0.0, 1.0)
+        assert from_file == built
+
+    @pytest.mark.parametrize("change,key", [
+        ({"threshold": 1.5}, "model.threshold"),
+        ({"threshold": 0.0}, "model.threshold"),
+        ({"rss_lo": float("nan")}, "rss_range"),
+        ({"rss_hi": float("inf")}, "rss_range"),
+        ({"rss_lo": 0.0, "rss_hi": -100.0}, "rss_range"),
+    ])
+    def test_values_a_stage_would_reject_fail_validation(self, tmp_path, change, key):
+        cfg = dataclasses.replace(_synth_cfg(tmp_path), **change)
+        with pytest.raises(ConfigError, match=f"config key '{key}': "):
+            cfg.validate()
+
+    def test_dnn_takes_any_threshold(self, tmp_path):
+        cfg = _synth_cfg(tmp_path, family="dnn")
+        cfg.threshold = 1.5
+        cfg.validate()
 
     def test_family_epoch_defaults(self):
         doc = {"synth": {"num_rps": 4, "num_aps": 8}, "model": {"family": "dnn"}}
