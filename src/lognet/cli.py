@@ -58,12 +58,13 @@ def _flag_type(kind):
 
 
 def _add_config_flags(p: argparse.ArgumentParser, *sections: str, no_help=()) -> None:
-    """Add the flag of each config key in the named top-level sections, or in all, in table order.
+    """Add the flag of each config key in the named sections or key paths (or all), in table order.
 
     The keys in `no_help` get their flags without help text.
     """
     for key in CONFIG_KEYS.values():
-        if key.flag and (not sections or key.path.split(".")[0] in sections):
+        named = key.path in sections or key.path.split(".")[0] in sections
+        if key.flag and (named or not sections):
             text = None if key.path in no_help else key.help
             p.add_argument(key.flag, dest=_dest(key.flag), type=_flag_type(key.kind),
                            metavar=key.metavar, choices=key.choices, help=text)
@@ -88,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train one model on a full fingerprint CSV")
-    _add_config_flags(p, "data", "model", "train", "out_dir")
+    _add_config_flags(p, "data.fingerprints", "model", "train", "out_dir")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a saved model on a (multi-CI) dataset")

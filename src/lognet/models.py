@@ -239,7 +239,12 @@ def dnn_hidden_widths(input_dim: int, hidden_layers: int) -> list[int]:
 
 
 class Adam:
-    """Adam over a flat list of parameter arrays."""
+    """Adam over a flat list of parameter arrays, updated in place.
+
+    Each parameter has two scratch arrays, so a step allocates nothing; it
+    evaluates m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+    p -= (lr_t*m) / (sqrt(v) + eps) in that order.
+    """
 
     def __init__(self, shapes, learning_rate: float,
                  beta1: float = ADAM_BETA1, beta2: float = ADAM_BETA2, eps: float = ADAM_EPS):
@@ -250,16 +255,23 @@ class Adam:
         self.t = 0
         self.m = [np.zeros(s) for s in shapes]
         self.v = [np.zeros(s) for s in shapes]
+        self._scratch = [(np.empty(s), np.empty(s)) for s in shapes]
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         self.t += 1
         lr_t = self.lr * np.sqrt(1.0 - self.beta2**self.t) / (1.0 - self.beta1**self.t)
-        for p, g, m, v in zip(params, grads, self.m, self.v):
+        for p, g, m, v, (a, d) in zip(params, grads, self.m, self.v, self._scratch):
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=a)
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= lr_t * m / (np.sqrt(v) + self.eps)
+            np.multiply(g, 1.0 - self.beta2, out=a)
+            a *= g
+            v += a
+            np.sqrt(v, out=d)
+            d += self.eps
+            np.multiply(m, lr_t, out=a)
+            a /= d
+            p -= a
 
 
 def _init_linear(rng: np.random.Generator, fan_in: int, fan_out: int):
@@ -284,15 +296,6 @@ def _resolve_classes(labels: np.ndarray, class_labels) -> tuple[int, ...]:
     return _check_class_labels(class_labels)
 
 
-def _batches(n: int, cfg: TrainConfig, rng: np.random.Generator):
-    if cfg.batch_size is None or cfg.batch_size >= n:
-        yield np.arange(n)
-        return
-    order = rng.permutation(n)
-    for start in range(0, n, cfg.batch_size):
-        yield order[start : start + cfg.batch_size]
-
-
 def _fit(params: list[np.ndarray], X: np.ndarray, y_idx: np.ndarray,
          cfg: TrainConfig, rng: np.random.Generator) -> list[float]:
     """Adam on mean cross-entropy over a flat [W1, b1, ..., Wk, bk] stack.
@@ -300,19 +303,36 @@ def _fit(params: list[np.ndarray], X: np.ndarray, y_idx: np.ndarray,
     Updates `params` in place; `rng` orders the minibatches. Returns the
     per-epoch full-set loss history; raises TrainingError, naming the epoch,
     once that loss is not finite.
+
+    A full-batch epoch's loss is taken at the parameters that the next
+    epoch's gradients use, so one forward pass serves both: `epochs + 1`
+    passes in all, the last one for the final loss only.
     """
-    layers = _params_to_layers(params)
     opt = Adam([p.shape for p in params], cfg.learning_rate)
-    history = []
-    for _ in range(cfg.epochs):
-        for idx in _batches(X.shape[0], cfg, rng):
-            opt.step(params, _dnn_grads(params, X[idx], y_idx[idx]))
-        history.append(sparse_cross_entropy(_dnn_logits(layers, X), y_idx))
-        if not math.isfinite(history[-1]):
+    history: list[float] = []
+
+    def record(loss: float) -> None:
+        history.append(loss)
+        if not math.isfinite(loss):
             raise TrainingError(
-                f"loss became {history[-1]} at epoch {len(history)} of {cfg.epochs}; "
+                f"loss became {loss} at epoch {len(history)} of {cfg.epochs}; "
                 f"try a smaller learning_rate than {cfg.learning_rate}"
             )
+
+    n = X.shape[0]
+    if cfg.batch_size is None or cfg.batch_size >= n:
+        grads = _loss_and_grads(params, X, y_idx, with_loss=False)[1] if cfg.epochs else None
+        for epoch in range(1, cfg.epochs + 1):
+            opt.step(params, grads)
+            loss, grads = _loss_and_grads(params, X, y_idx, with_grads=epoch < cfg.epochs)
+            record(loss)
+        return history
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            opt.step(params, _loss_and_grads(params, X[idx], y_idx[idx], with_loss=False)[1])
+        record(_loss_and_grads(params, X, y_idx, with_grads=False)[0])
     return history
 
 
@@ -381,16 +401,33 @@ def _params_to_layers(params) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple((params[i], params[i + 1]) for i in range(0, len(params), 2))
 
 
-def _dnn_grads(params, X: np.ndarray, y_idx: np.ndarray) -> list[np.ndarray]:
-    """Mean cross-entropy gradients of a flat [W1, b1, ..., Wk, bk] stack."""
+def _loss_and_grads(params, X: np.ndarray, y_idx: np.ndarray, with_loss: bool = True,
+                    with_grads: bool = True) -> tuple[float | None, list[np.ndarray] | None]:
+    """Mean cross-entropy of a flat [W1, b1, ..., Wk, bk] stack and its gradients.
+
+    One forward pass and one exp serve both: the loss equals
+    `sparse_cross_entropy(_dnn_logits(...))` and the output delta starts
+    from `softmax` of the same logits, bit for bit. Each is None when not
+    asked for.
+    """
     layers = _params_to_layers(params)
     acts = _activations(layers, X)
     W_out, b_out = layers[-1]
-    probs = softmax(acts[-1] @ W_out + b_out)
-
+    # One array holds the max-shifted logits, then their exp, then the output delta.
+    delta = acts[-1] @ W_out
+    delta += b_out
+    delta -= delta.max(axis=-1, keepdims=True)
     m = len(y_idx)
-    delta = probs
-    delta[np.arange(m), y_idx] -= 1.0
+    rows = np.arange(m)
+    true_shifted = delta[rows, y_idx] if with_loss else None
+    np.exp(delta, out=delta)
+    exp_sums = delta.sum(axis=-1, keepdims=True)
+    loss = float(-(true_shifted - np.log(exp_sums[:, 0])).mean()) if with_loss else None
+    if not with_grads:
+        return loss, None
+
+    delta /= exp_sums
+    delta[rows, y_idx] -= 1.0
     delta /= m
 
     grads: list[np.ndarray] = []
@@ -399,12 +436,9 @@ def _dnn_grads(params, X: np.ndarray, y_idx: np.ndarray) -> list[np.ndarray]:
         grads.insert(0, delta.sum(axis=0))
         grads.insert(0, acts[k].T @ delta)
         if k > 0:
-            delta = (delta @ W.T) * (acts[k] > 0)
-    return grads
-
-
-# The softmax head is the one-layer stack.
-_softmax_grads = _dnn_grads
+            delta = delta @ W.T
+            delta *= acts[k] > 0
+    return loss, grads
 
 
 def count_params(model) -> int:
@@ -441,7 +475,7 @@ def gradient_check(model, sample, epsilon: float = 1e-5) -> float:
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y_idx = _class_index(np.atleast_1d(np.asarray(y, dtype=np.int64)), classes)
     params = _flat_params(layers)
-    analytic = _dnn_grads(params, X, y_idx)
+    _, analytic = _loss_and_grads(params, X, y_idx)
 
     def loss() -> float:
         return sparse_cross_entropy(_dnn_logits(_params_to_layers(params), X), y_idx)

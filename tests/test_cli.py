@@ -230,6 +230,16 @@ def test_help_text_matches_its_snapshot(command, fixture_dir, monkeypatch, capsy
     assert capsys.readouterr().out.encode() == expected
 
 
+def test_train_rejects_rp_map(fixture_dir, tmp_path, capsys):
+    # train never reads an RP map, so it does not take the flag.
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--data", f"{fixture_dir}/fingerprints_2rp3ap.csv",
+              "--rp-map", "x.csv", "--epochs", "2", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --rp-map x.csv" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["synth", "--rps", "1", "--aps", "4"],
     ["train", "--data", "missing.csv"],

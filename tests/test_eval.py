@@ -138,10 +138,12 @@ class TestLatency:
 
     def test_doubling_data_scales_roughly_linearly(self):
         # Both sizes sit well beyond cache so the workload is memory-bound
-        # and scales linearly; smaller pairs straddle cache boundaries.
-        spec = SynthSpec(num_rps=16, num_aps=164, fingerprints_per_rp=2048, seed=0)
-        double, _ = synth_dataset(spec)  # 32768 rows
-        base = Dataset(double.fingerprints[:16384], double.ap_count)
+        # and scales linearly; smaller pairs straddle cache boundaries. Each
+        # size's 164-column float64 matrices (43 MB and 86 MB) also exceed
+        # glibc's 32 MB mmap threshold, so both page-fault alike on every call.
+        spec = SynthSpec(num_rps=16, num_aps=164, fingerprints_per_rp=4096, seed=0)
+        double, _ = synth_dataset(spec)  # 65536 rows
+        base = Dataset(double.fingerprints[:32768], double.ap_count)
         small = Dataset(double.fingerprints[:512], double.ap_count)
         clf, _ = fit_dnn(small, 1, TrainConfig(epochs=2))
         for ds in (base, double):

@@ -252,14 +252,14 @@ class TestGradientCheck:
     def test_zero_input_bias_gradient_closed_form(self):
         # With x = 0 the logits equal the biases, so the bias gradient is
         # softmax(biases) - one_hot(label) and the weight gradient vanishes.
-        from lognet.models import _softmax_grads
+        from lognet.models import _loss_and_grads
 
         rng = np.random.default_rng(2)
         W = rng.normal(size=(5, 3))
         b = rng.normal(size=3)
         m = SoftmaxModel(W, b, (0, 1, 2))
         x = np.zeros((1, 5))
-        grads = _softmax_grads([np.array(W), np.array(b)], x, np.array([1]))
+        _, grads = _loss_and_grads([np.array(W), np.array(b)], x, np.array([1]))
         expected = softmax(b[None, :])[0]
         expected[1] -= 1.0
         np.testing.assert_allclose(grads[1], expected, atol=1e-12)
