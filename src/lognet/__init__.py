@@ -77,12 +77,14 @@ from .gates import (
 )
 from .models import (
     BYTES_PER_PARAM,
+    DenseStack,
     DnnModel,
     SoftmaxModel,
     TrainConfig,
     count_params,
     dnn_forward,
     dnn_hidden_widths,
+    forward,
     gradient_check,
     init_dnn,
     model_size_bytes,

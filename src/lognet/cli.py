@@ -17,6 +17,7 @@ from .experiment import (
     OUT_ROOT_ENV,
     ExperimentConfig,
     compare_models,
+    fit_model,
     key_tree,
     run_experiment,
 )
@@ -33,7 +34,7 @@ from .fileio import (
 )
 from .gates import GateType, LatentCode, LogicEncoderConfig, ceil_chain
 from .noise import SynthSpec, synth_dataset
-from .pipeline import encode_rss, fit_dnn, fit_lognet, load_model, save_model
+from .pipeline import encode_rss, load_model, save_model
 
 
 def _default_out(command: str) -> str:
@@ -162,10 +163,7 @@ def cmd_train(args) -> int:
         raise ConfigError("train requires --data")
     ds = read_fingerprints_csv(args.data)
     cfg = ExperimentConfig.from_dict(_flag_overrides(args))
-    if cfg.model_family == "lognet":
-        clf, history = fit_lognet(ds, cfg.encoder_config(), cfg.train)
-    else:
-        clf, history = fit_dnn(ds, cfg.hidden_layers, cfg.train)
+    clf, history = fit_model(ds, cfg)
     out = _out_dir(args)
     save_model(clf, out / "model.json")
     loss = f"; final loss {history[-1]:.6f}" if history else ""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -293,6 +294,16 @@ class BinaryFingerprint:
         )
 
 
+def check_rss_range(lo, hi) -> None:
+    """Raise ConfigError unless [lo, hi] is a finite dBm range with lo < hi."""
+    try:
+        finite = math.isfinite(lo) and math.isfinite(hi)
+    except OverflowError:  # an int beyond float64's range
+        finite = False
+    if not (finite and lo < hi):
+        raise ConfigError(f"rss range must be finite with lo < hi, got [{lo}, {hi}]")
+
+
 def normalize_values(
     values: np.ndarray, lo: float = DEFAULT_RSS_LO, hi: float = DEFAULT_RSS_HI
 ) -> np.ndarray:
@@ -301,8 +312,7 @@ def normalize_values(
     Returns a fresh float64 array equal bit for bit to
     `(np.clip(values, lo, hi) - lo) / (hi - lo)`, computed in that one array.
     """
-    if lo >= hi:
-        raise ConfigError(f"normalization range requires lo < hi, got [{lo}, {hi}]")
+    check_rss_range(lo, hi)
     values = np.asarray(values, dtype=np.float64)
     out = np.empty(values.shape)
     # maximum(lo, x), not maximum(x, lo): on a tie of signed zeros it keeps x, as np.clip does.
@@ -326,7 +336,7 @@ def binarize(fp: Fingerprint, threshold: float = DEFAULT_THRESHOLD) -> BinaryFin
     """
     _check_threshold(threshold)
     rss = fp.rss
-    if rss.min() < 0.0 or rss.max() > 1.0:
+    if not (rss.min() >= 0.0 and rss.max() <= 1.0):
         raise ValidationError(
             "binarize expects normalized values in [0, 1]; run normalize() first"
         )
@@ -337,7 +347,8 @@ def binarize_matrix(values: np.ndarray, threshold: float = DEFAULT_THRESHOLD) ->
     """Vectorized binarize over a (samples, aps) matrix of normalized values."""
     _check_threshold(threshold)
     values = np.asarray(values, dtype=np.float64)
-    if values.size and (values.min() < 0.0 or values.max() > 1.0):
+    # Written so that a NaN, which fails every comparison, is rejected too.
+    if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
         raise ValidationError(
             "binarize expects normalized values in [0, 1]; run normalize() first"
         )

@@ -17,7 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import DEFAULT_RSS_HI, DEFAULT_RSS_LO, DEFAULT_THRESHOLD, Dataset, split_train_test
+from .data import (
+    DEFAULT_RSS_HI, DEFAULT_RSS_LO, DEFAULT_THRESHOLD, Dataset, check_rss_range, split_train_test,
+)
 from .errors import ConfigError, StageError, ValidationError
 from .evaluate import (
     EvalReport,
@@ -47,9 +49,7 @@ from .noise import (
     simulate_cis,
     synth_dataset,
 )
-from .pipeline import (
-    DnnClassifier, LogNetClassifier, check_rss_range, fit_dnn, fit_lognet, save_model,
-)
+from .pipeline import DnnClassifier, LogNetClassifier, fit_dnn, fit_lognet, save_model
 
 # Training epoch defaults per family: the gate encoder needs no training, so
 # only its head is fitted and far fewer epochs suffice.
@@ -343,6 +343,13 @@ def _stage(name: str, out: Path):
         raise StageError(name, exc) from exc
 
 
+def fit_model(train_ds: Dataset, cfg: ExperimentConfig):
+    """Fit cfg's model family on a raw dataset; return (classifier, loss history)."""
+    if cfg.model_family == "lognet":
+        return fit_lognet(train_ds, cfg.encoder_config(), cfg.train, cfg.rss_lo, cfg.rss_hi)
+    return fit_dnn(train_ds, cfg.hidden_layers, cfg.train, cfg.rss_lo, cfg.rss_hi)
+
+
 def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     """Run synth-or-ingest -> normalize -> split -> train -> evaluate -> artifacts.
 
@@ -379,12 +386,7 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
 
     # Stage: train at CI:0.
     with _stage("train", out):
-        if cfg.model_family == "lognet":
-            clf, history = fit_lognet(
-                train_ds, cfg.encoder_config(), cfg.train, cfg.rss_lo, cfg.rss_hi
-            )
-        else:
-            clf, history = fit_dnn(train_ds, cfg.hidden_layers, cfg.train, cfg.rss_lo, cfg.rss_hi)
+        clf, history = fit_model(train_ds, cfg)
 
     # Stage: simulate the temporal schedule over the held-out fingerprints.
     with _stage("simulate", out):

@@ -1,7 +1,7 @@
 """Trainable classifier heads: a softmax layer over latent codes and a
-down-sampling MLP baseline. Both are dense-layer stacks (the softmax head is
-the stack with no hidden layer), so they share one forward pass, one
-backward pass, one Adam training loop and one parameter count."""
+down-sampling MLP baseline. Both are one model type, `DenseStack` (the
+softmax head is the stack with no hidden layer), so they share one forward
+pass, one backward pass, one Adam training loop and one parameter count."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ import numpy as np
 
 from .data import Dataset, _readonly
 from .errors import ConfigError, ShapeError, TrainingError, ValidationError
-from .gates import LatentCode
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -91,36 +90,12 @@ def _check_stack(layers, class_labels) -> tuple[tuple, tuple[int, ...]]:
 
 
 @dataclass(frozen=True, eq=False)
-class SoftmaxModel:
-    """Single fully connected softmax layer over latent bits."""
+class DenseStack:
+    """Dense layers whose hidden widths halve layer by layer (ceil division).
 
-    weights: np.ndarray  # (latent_dim, num_classes)
-    biases: np.ndarray  # (num_classes,)
-    class_labels: tuple[int, ...]
-
-    def __post_init__(self):
-        ((W, b),), labels = _check_stack(((self.weights, self.biases),), self.class_labels)
-        object.__setattr__(self, "weights", W)
-        object.__setattr__(self, "biases", b)
-        object.__setattr__(self, "class_labels", labels)
-
-    @property
-    def latent_dim(self) -> int:
-        return int(self.weights.shape[0])
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.weights.shape[1])
-
-    @property
-    def layers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """The head as a one-layer stack, in DnnModel.layers form."""
-        return ((self.weights, self.biases),)
-
-
-@dataclass(frozen=True, eq=False)
-class DnnModel:
-    """Dense network whose hidden widths halve layer by layer (ceil division)."""
+    The softmax head is the one-layer stack over latent bits; the MLP
+    baseline adds hidden layers over normalized fingerprints.
+    """
 
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]  # (weights (in, out), biases (out,))
     class_labels: tuple[int, ...]
@@ -141,6 +116,24 @@ class DnnModel:
         if not self.layers:
             raise ShapeError("empty model has no input dimension")
         return int(self.layers[0][0].shape[0])
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The output layer's (in, classes) weight matrix."""
+        return self.layers[-1][0]
+
+    @property
+    def biases(self) -> np.ndarray:
+        """The output layer's (classes,) bias vector."""
+        return self.layers[-1][1]
+
+
+DnnModel = DenseStack
+
+
+def SoftmaxModel(weights, biases, class_labels) -> DenseStack:
+    """The softmax head: a one-layer stack from (latent_dim, classes) weights."""
+    return DenseStack(((weights, biases),), class_labels)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -163,49 +156,26 @@ def sparse_cross_entropy(logits: np.ndarray, class_idx: np.ndarray) -> float:
     return float(-logp[np.arange(len(class_idx)), class_idx].mean())
 
 
-def as_latent_matrix(latents) -> np.ndarray:
-    """Coerce a LatentCode, array, or sequence of either into a float (m, D) matrix."""
-    if isinstance(latents, LatentCode):
-        return latents.bits.astype(np.float64)[None, :]
-    if isinstance(latents, np.ndarray):
-        arr = latents.astype(np.float64)
-        return arr[None, :] if arr.ndim == 1 else arr
-    rows = [lat.bits if isinstance(lat, LatentCode) else np.asarray(lat) for lat in latents]
-    if not rows:
-        return np.empty((0, 0), dtype=np.float64)
-    return np.stack(rows).astype(np.float64)
+def forward(model: DenseStack, x) -> np.ndarray:
+    """Class probabilities for one input vector, or per row of an (m, input_dim) batch."""
+    x = np.asarray(x, dtype=np.float64)
+    X = x.reshape(1, -1) if x.ndim == 1 else x
+    dim = model.input_dim
+    if X.ndim != 2 or X.shape[1] != dim:
+        raise ShapeError(f"input of shape {x.shape} does not match model input_dim {dim}")
+    probs = softmax(_dnn_logits(model.layers, X))
+    return probs[0] if x.ndim == 1 else probs
 
 
-def softmax_forward(model: SoftmaxModel, latent) -> np.ndarray:
-    """Class probabilities for one latent code (or a batch of them)."""
-    single = isinstance(latent, LatentCode) or (
-        isinstance(latent, np.ndarray) and latent.ndim == 1
-    )
-    return _stack_probs(model, as_latent_matrix(latent), single, "latent", model.latent_dim)
+# The names each classifier calls the forward pass by.
+softmax_forward = dnn_forward = forward
 
 
 def relu(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0)
 
 
-def dnn_forward(model: DnnModel, fp) -> np.ndarray:
-    """Class probabilities for one normalized fingerprint (or a batch matrix)."""
-    if not isinstance(fp, np.ndarray):
-        fp = getattr(fp, "rss", fp)
-    x = np.asarray(fp, dtype=np.float64)
-    X = x if x.ndim >= 2 else x.reshape(1, -1)
-    return _stack_probs(model, X, x.ndim == 1, "input", model.input_dim)
-
-
-def _stack_probs(model, X: np.ndarray, single: bool, kind: str, dim: int) -> np.ndarray:
-    """Class probabilities of a (m, dim) batch through model.layers; row 0 if single."""
-    if X.shape[1] != dim:
-        raise ShapeError(f"{kind} length {X.shape[1]} does not match model {kind}_dim {dim}")
-    probs = softmax(_dnn_logits(model.layers, X))
-    return probs[0] if single else probs
-
-
-def dnn_hidden_activations(model: DnnModel, X: np.ndarray) -> np.ndarray:
+def dnn_hidden_activations(model: DenseStack, X: np.ndarray) -> np.ndarray:
     """Activations of the last hidden layer for a (samples, input_dim) batch."""
     if len(model.layers) < 2:
         raise ShapeError("model has no hidden layer")
@@ -290,10 +260,21 @@ def _class_index(labels: np.ndarray, class_labels: tuple[int, ...]) -> np.ndarra
         raise ValidationError(f"label {exc.args[0]} is not in the class set") from None
 
 
-def _resolve_classes(labels: np.ndarray, class_labels) -> tuple[int, ...]:
+def _training_targets(X: np.ndarray, labels, class_labels) -> tuple[tuple[int, ...], np.ndarray]:
+    """The classes of a non-empty (rows, dim) training set and each row's class index.
+
+    The classes are `class_labels` when given, else the sorted distinct labels.
+    """
+    y = np.asarray(labels, dtype=np.int64)
+    if X.shape[0] == 0:
+        raise TrainingError("training set is empty")
+    if X.ndim != 2 or X.shape[0] != y.shape[0]:
+        raise ShapeError(f"training inputs of shape {X.shape} do not match {y.shape[0]} labels")
     if class_labels is None:
-        return tuple(sorted({int(l) for l in labels}))
-    return _check_class_labels(class_labels)
+        classes = tuple(sorted({int(l) for l in y}))
+    else:
+        classes = _check_class_labels(class_labels)
+    return classes, _class_index(y, classes)
 
 
 def _fit(params: list[np.ndarray], X: np.ndarray, y_idx: np.ndarray,
@@ -337,21 +318,15 @@ def _fit(params: list[np.ndarray], X: np.ndarray, y_idx: np.ndarray,
 
 
 def train_softmax(latents, labels, cfg: TrainConfig,
-                  class_labels=None) -> tuple[SoftmaxModel, list[float]]:
+                  class_labels=None) -> tuple[DenseStack, list[float]]:
     """Fit the softmax head with Adam on mean cross-entropy.
 
     Returns the trained model and the per-epoch loss history (full-set loss
     after each epoch's updates). Deterministic for a fixed config. Raises
     TrainingError, naming the epoch, once that loss is not finite.
     """
-    X = as_latent_matrix(latents)
-    y = np.asarray(labels, dtype=np.int64)
-    if X.shape[0] == 0:
-        raise TrainingError("training set is empty")
-    if X.shape[0] != y.shape[0]:
-        raise ShapeError(f"{X.shape[0]} latents but {y.shape[0]} labels")
-    classes = _resolve_classes(y, class_labels)
-    y_idx = _class_index(y, classes)
+    X = np.asarray(latents, dtype=np.float64)
+    classes, y_idx = _training_targets(X, labels, class_labels)
 
     # Batch order continues the stream that drew the initial weights.
     rng = np.random.default_rng(cfg.seed)
@@ -361,35 +336,31 @@ def train_softmax(latents, labels, cfg: TrainConfig,
 
 
 def init_dnn(input_dim: int, hidden_layers: int, class_labels: Sequence[int],
-             seed: int) -> DnnModel:
+             seed: int) -> DenseStack:
     """Seeded random initialization following the halving-width rule."""
     classes = _check_class_labels(class_labels)
     widths = dnn_hidden_widths(input_dim, hidden_layers) + [len(classes)]
     rng = np.random.default_rng(seed)
     layers = [_init_linear(rng, widths[i], widths[i + 1]) for i in range(len(widths) - 1)]
-    return DnnModel(tuple(layers), classes)
+    return DenseStack(tuple(layers), classes)
 
 
 def train_dnn(ds: Dataset, hidden_layers: int, cfg: TrainConfig,
-              class_labels=None) -> tuple[DnnModel, list[float]]:
+              class_labels=None) -> tuple[DenseStack, list[float]]:
     """Train the down-sampling MLP on a normalized dataset.
 
     Returns the model and the per-epoch full-set loss history; raises
     TrainingError, naming the epoch, once that loss is not finite.
     """
     X = ds.rss_matrix()
-    y = ds.labels()
-    if X.shape[0] == 0:
-        raise TrainingError("training set is empty")
+    classes, y_idx = _training_targets(X, ds.labels(), class_labels)
     if X.size and (X.min() < 0.0 or X.max() > 1.0):
         raise ValidationError("train_dnn expects a normalized dataset (values in [0, 1])")
-    classes = _resolve_classes(y, class_labels)
-    y_idx = _class_index(y, classes)
 
     # Batch order uses a fresh stream from the same seed as init_dnn.
     params = _flat_params(init_dnn(ds.ap_count, hidden_layers, classes, cfg.seed).layers)
     history = _fit(params, X, y_idx, cfg, np.random.default_rng(cfg.seed))
-    return DnnModel(_params_to_layers(params), classes), history
+    return DenseStack(_params_to_layers(params), classes), history
 
 
 def _flat_params(layers) -> list[np.ndarray]:
@@ -459,8 +430,8 @@ def gradient_check(model, sample, epsilon: float = 1e-5) -> float:
     """Compare analytic loss gradients against central finite differences.
 
     `sample` is an (input, label) pair; the input is a latent vector for a
-    SoftmaxModel or a normalized fingerprint vector for a DnnModel (batches
-    work too). The deviation of each parameter array is the largest absolute
+    softmax head or a normalized fingerprint vector for an MLP (batches work
+    too). The deviation of each parameter array is the largest absolute
     analytic/numeric difference relative to the largest gradient magnitude in
     that array; the maximum over arrays is returned. Arrays whose gradients
     vanish on both sides contribute zero.

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -15,14 +14,15 @@ from .data import (
     Dataset,
     _readonly,
     binarize_matrix,
+    check_rss_range,
     normalize,
     normalize_values,
 )
-from .errors import ConfigError, LogNetError, ParseError, ShapeError, ValidationError
+from .errors import LogNetError, ParseError, ShapeError, ValidationError
 from .fileio import atomic_open, read_json
 from .gates import GateType, LogicEncoderConfig, ceil_chain, encode_matrix
 from .models import (
-    DnnModel,
+    DenseStack,
     SoftmaxModel,
     TrainConfig,
     dnn_forward,
@@ -46,25 +46,45 @@ def encode_rss(
     return encode_matrix(bits, encoder.gate, encoder.hidden_layers)
 
 
+def _setup(clf, stack: DenseStack) -> None:
+    """Check a classifier's RSS range and build, once, the label array predict indexes."""
+    check_rss_range(clf.rss_lo, clf.rss_hi)
+    object.__setattr__(clf, "_classes", _readonly(np.asarray(stack.class_labels)))
+
+
+def _check_aps(clf, ds: Dataset) -> None:
+    if ds.ap_count != clf.input_dim:
+        raise ShapeError(f"dataset has {ds.ap_count} APs but the model expects {clf.input_dim}")
+
+
+def _predict(clf, ds: Dataset) -> np.ndarray:
+    """The RP label of each fingerprint's most probable class.
+
+    Each classifier binds this as `predict` in its own class body, so that
+    patching one class's method leaves the other's alone.
+    """
+    return clf._classes[clf.predict_proba(ds).argmax(axis=1)]
+
+
 @dataclass(frozen=True)
 class LogNetClassifier:
     """Logic-gate encoder plus trained softmax head over raw dBm fingerprints."""
 
     encoder: LogicEncoderConfig
-    head: SoftmaxModel
+    head: DenseStack  # one layer, (latent_dim, classes)
     ap_count: int
     rss_lo: float = DEFAULT_RSS_LO
     rss_hi: float = DEFAULT_RSS_HI
 
     def __post_init__(self):
-        check_rss_range(self.rss_lo, self.rss_hi)
-        if self.head.latent_dim != self.latent_dim:
+        _setup(self, self.head)
+        if len(self.head.layers) != 1:
+            raise ShapeError(f"a lognet head is one softmax layer, got {len(self.head.layers)}")
+        if self.head.input_dim != self.latent_dim:
             raise ShapeError(
-                f"head takes {self.head.latent_dim} latent bits but {self.ap_count} APs "
+                f"head takes {self.head.input_dim} latent bits but {self.ap_count} APs "
                 f"encode to {self.latent_dim} at depth {self.encoder.hidden_layers}"
             )
-        # The labels predict indexes with each row's argmax, built once.
-        object.__setattr__(self, "_classes", _readonly(np.asarray(self.head.class_labels)))
 
     @property
     def input_dim(self) -> int:
@@ -81,35 +101,27 @@ class LogNetClassifier:
 
     def latent_matrix(self, ds: Dataset) -> np.ndarray:
         """Binary latent codes for every fingerprint, as a uint8 matrix."""
-        self._check(ds)
+        _check_aps(self, ds)
         return encode_rss(ds.rss_matrix(), self.encoder, self.rss_lo, self.rss_hi)
 
     def predict_proba(self, ds: Dataset) -> np.ndarray:
         return softmax_forward(self.head, self.latent_matrix(ds))
 
-    def predict(self, ds: Dataset) -> np.ndarray:
-        return self._classes[self.predict_proba(ds).argmax(axis=1)]
-
-    def _check(self, ds: Dataset) -> None:
-        if ds.ap_count != self.ap_count:
-            raise ShapeError(
-                f"dataset has {ds.ap_count} APs but the model expects {self.ap_count}"
-            )
+    predict = _predict
 
 
 @dataclass(frozen=True)
 class DnnClassifier:
     """Down-sampling MLP over normalized fingerprints."""
 
-    model: DnnModel
+    model: DenseStack
     rss_lo: float = DEFAULT_RSS_LO
     rss_hi: float = DEFAULT_RSS_HI
 
     def __post_init__(self):
-        check_rss_range(self.rss_lo, self.rss_hi)
+        _setup(self, self.model)
         if not self.model.layers:
             raise ShapeError("a dnn classifier needs at least one layer")
-        object.__setattr__(self, "_classes", _readonly(np.asarray(self.model.class_labels)))
 
     @property
     def input_dim(self) -> int:
@@ -120,24 +132,11 @@ class DnnClassifier:
         return self.model.layers
 
     def predict_proba(self, ds: Dataset) -> np.ndarray:
-        if ds.ap_count != self.input_dim:
-            raise ShapeError(
-                f"dataset has {ds.ap_count} APs but the model expects {self.input_dim}"
-            )
+        _check_aps(self, ds)
         norm = normalize_values(ds.rss_matrix(), self.rss_lo, self.rss_hi)
         return dnn_forward(self.model, norm)
 
-    def predict(self, ds: Dataset) -> np.ndarray:
-        return self._classes[self.predict_proba(ds).argmax(axis=1)]
-
-
-def check_rss_range(lo, hi) -> None:
-    try:
-        finite = math.isfinite(lo) and math.isfinite(hi)
-    except OverflowError:  # an int beyond float64's range
-        finite = False
-    if not (finite and lo < hi):
-        raise ConfigError(f"rss range must be finite with lo < hi, got [{lo}, {hi}]")
+    predict = _predict
 
 
 def fit_lognet(
@@ -175,35 +174,29 @@ def save_model(clf, path: str) -> None:
     previous file at `path` intact.
     """
     if isinstance(clf, LogNetClassifier):
+        stack = clf.head
         doc = {
-            "schema_version": SCHEMA_VERSION,
             "family": "lognet",
-            "rss_lo": clf.rss_lo,
-            "rss_hi": clf.rss_hi,
             "encoder": {
                 "gate": clf.encoder.gate.value,
                 "threshold": clf.encoder.threshold,
                 "hidden_layers": clf.encoder.hidden_layers,
                 "ap_count": clf.ap_count,
             },
-            "class_labels": list(clf.head.class_labels),
-            "weights": clf.head.weights.tolist(),
-            "biases": clf.head.biases.tolist(),
+            "weights": stack.weights.tolist(),
+            "biases": stack.biases.tolist(),
         }
     elif isinstance(clf, DnnClassifier):
+        stack = clf.model
         doc = {
-            "schema_version": SCHEMA_VERSION,
             "family": "dnn",
-            "rss_lo": clf.rss_lo,
-            "rss_hi": clf.rss_hi,
-            "widths": list(clf.model.widths),
-            "class_labels": list(clf.model.class_labels),
-            "layers": [
-                {"weights": W.tolist(), "biases": b.tolist()} for W, b in clf.model.layers
-            ],
+            "widths": list(stack.widths),
+            "layers": [{"weights": W.tolist(), "biases": b.tolist()} for W, b in stack.layers],
         }
     else:
         raise ShapeError(f"cannot serialize {type(clf).__name__}")
+    doc |= {"schema_version": SCHEMA_VERSION, "rss_lo": clf.rss_lo, "rss_hi": clf.rss_hi,
+            "class_labels": list(stack.class_labels)}
     with atomic_open(path) as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -246,7 +239,7 @@ def load_model(path: str):
              _field(layer, "biases", where=f"layers[{i}]"))
             for i, layer in enumerate(_field(doc, "layers", list))
         )
-        return DnnClassifier(DnnModel(layers, labels), *rss_range)
+        return DnnClassifier(DenseStack(layers, labels), *rss_range)
     except KeyError as exc:
         raise ParseError(f"model document lacks key {exc.args[0]!r}", path=path) from None
     except LogNetError as exc:

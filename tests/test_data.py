@@ -8,8 +8,11 @@ from lognet import (
     ConfigError,
     Dataset,
     Fingerprint,
+    GateType,
+    LogicEncoderConfig,
     RpMap,
     SplitError,
+    TrainConfig,
     UnknownRpError,
     ValidationError,
     binarize,
@@ -18,6 +21,7 @@ from lognet import (
     normalize_values,
     split_train_test,
 )
+from lognet import pipeline
 
 
 class TestFingerprint:
@@ -255,3 +259,40 @@ class TestColumnarDataset:
                 for _ in range(4)]
         ds = Dataset.from_fingerprints(fps)
         assert split_train_test(ds, holdout, seed) == _split_by_row(ds, holdout, seed)
+
+
+BAD_RANGES = [
+    (float("nan"), 0.0), (-100.0, float("nan")), (-float("inf"), 0.0), (-100.0, float("inf")),
+    (0.0, -100.0), (-50.0, -50.0),
+]
+
+
+class TestRssRangeCheck:
+    """Every entry point that scales dBm rejects a non-finite or empty range up front."""
+
+    @pytest.mark.parametrize("lo,hi", BAD_RANGES)
+    def test_normalize_values(self, lo, hi):
+        with pytest.raises(ConfigError, match="rss range must be finite with lo < hi"):
+            normalize_values(np.array([-50.0, -20.0]), lo, hi)
+
+    @pytest.mark.parametrize("lo,hi", BAD_RANGES)
+    def test_encode_rss(self, lo, hi):
+        encoder = LogicEncoderConfig(GateType.NOR, 0.5, 1)
+        with pytest.raises(ConfigError, match="rss range"):
+            pipeline.encode_rss(np.array([[-30.0, -30.0, -90.0, -90.0]]), encoder, lo, hi)
+
+    @pytest.mark.parametrize("family", ["lognet", "dnn"])
+    @pytest.mark.parametrize("lo,hi", BAD_RANGES[:4])
+    def test_fit_rejects_the_range_before_training(self, tiny_dataset, monkeypatch, family, lo, hi):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained with a bad rss range")
+
+        monkeypatch.setattr(pipeline, "train_softmax", no_training)
+        monkeypatch.setattr(pipeline, "train_dnn", no_training)
+        cfg = TrainConfig(epochs=3)
+        with pytest.raises(ConfigError, match="rss range"):
+            if family == "lognet":
+                pipeline.fit_lognet(tiny_dataset, LogicEncoderConfig(GateType.NOR, 0.5, 1), cfg,
+                                    lo, hi)
+            else:
+                pipeline.fit_dnn(tiny_dataset, 1, cfg, lo, hi)

@@ -13,11 +13,13 @@ import pytest
 import lognet
 from lognet import (
     CiStats,
+    DnnModel,
     EvalReport,
     GateType,
     LogicEncoderConfig,
     ParseError,
     RpMap,
+    SoftmaxModel,
     SynthSpec,
     TrainConfig,
     read_delta_csv,
@@ -33,7 +35,9 @@ from lognet import (
 )
 from lognet.experiment import ComparisonTable
 from lognet.fileio import atomic_write, read_json
-from lognet.pipeline import fit_dnn, fit_lognet, load_model, save_model
+from lognet.pipeline import (
+    DnnClassifier, LogNetClassifier, fit_dnn, fit_lognet, load_model, save_model,
+)
 
 
 class TestFingerprintCsv:
@@ -229,6 +233,33 @@ class TestModelSerialization:
         with pytest.raises(ParseError, match="must be a JSON object") as err:
             load_model(path)
         assert str(path) in str(err.value)
+
+
+def _pinned_classifiers():
+    """A lognet (XNOR, depth 2) and a depth-2 dnn with exactly representable parameters."""
+    lognet = LogNetClassifier(
+        LogicEncoderConfig(GateType.XNOR, 0.25, 2),
+        SoftmaxModel([[0.5, -0.25, 1.0], [0.0, 2.0, -1.5]], [0.125, 0.0, -0.75], (3, 7, 9)),
+        6,
+    )
+    dnn = DnnClassifier(DnnModel((
+        ([[1.0, -1.0], [0.5, 0.25], [-2.0, 0.0], [0.75, -0.5]], [0.0, 0.5]),
+        ([[1.5], [-0.125]], [-1.0]),
+        ([[2.0, -2.0]], [0.25, -0.25]),
+    ), (0, 5)), -90.0, -10.0)
+    return {"lognet_xnor_depth2.json": lognet, "dnn_depth2.json": dnn}
+
+
+@pytest.mark.parametrize("name", sorted(_pinned_classifiers()))
+def test_model_document_bytes_are_pinned(tmp_path, fixture_dir, name):
+    """save_model writes exactly the recorded document, and load -> save repeats it."""
+    expected = (Path(fixture_dir) / "model" / name).read_bytes()
+    path = tmp_path / name
+    save_model(_pinned_classifiers()[name], path)
+    assert path.read_bytes() == expected
+    again = tmp_path / f"again-{name}"
+    save_model(load_model(path), again)
+    assert again.read_bytes() == expected
 
 
 class TestModelDocumentValidation:

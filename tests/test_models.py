@@ -299,3 +299,46 @@ class TestDivergence:
         )
         with np.errstate(all="ignore"), pytest.raises(TrainingError, match="epoch 1 of 5"):
             train_dnn(ds, 1, TrainConfig(learning_rate=1e308, epochs=5))
+
+
+class TestOneModelType:
+    def test_softmax_head_and_mlp_are_one_type(self):
+        head = SoftmaxModel(np.zeros((3, 2)), np.zeros(2), (0, 1))
+        assert type(head) is type(init_dnn(4, 1, (0, 1), seed=0)) is DnnModel
+        assert softmax_forward is dnn_forward
+
+    def test_softmax_head_is_the_one_layer_stack(self):
+        W, b = np.arange(6.0).reshape(3, 2), np.array([0.5, -0.5])
+        head = SoftmaxModel(W, b, (4, 9))
+        assert len(head.layers) == 1
+        assert head.widths == (3, 2) and head.input_dim == 3 and head.class_labels == (4, 9)
+        assert head.weights is head.layers[0][0] and head.biases is head.layers[0][1]
+        assert np.array_equal(head.weights, W) and np.array_equal(head.biases, b)
+
+    def test_weights_and_biases_are_the_output_layers(self):
+        m = init_dnn(6, 2, (0, 1, 2), seed=3)
+        assert m.widths == (6, 3, 2, 3)
+        assert m.weights is m.layers[-1][0] and m.biases is m.layers[-1][1]
+
+    @pytest.mark.parametrize("x", [[[0.0, 1.0, 1.0]], [0.0, 1.0, 1.0], [[0, 1, 1], [1, 0, 0]]])
+    def test_forward_takes_sequences_as_float64(self, x):
+        rng = np.random.default_rng(8)
+        head = SoftmaxModel(rng.normal(size=(3, 4)), rng.normal(size=4), (0, 1, 2, 3))
+        expected = dnn_forward(head, np.asarray(x, dtype=np.float64))
+        assert np.array_equal(softmax_forward(head, x), expected)
+        assert np.shape(expected) == np.shape(x)[:-1] + (4,)
+
+    @pytest.mark.parametrize("x", [1.0, np.zeros((1, 1, 3)), np.zeros(4), np.zeros((2, 2))])
+    def test_forward_rejects_other_shapes(self, x):
+        head = SoftmaxModel(np.zeros((3, 2)), np.zeros(2), (0, 1))
+        with pytest.raises(ShapeError, match="does not match model input_dim 3"):
+            softmax_forward(head, x)
+
+    def test_training_inputs_must_match_the_labels(self):
+        with pytest.raises(ShapeError, match="do not match 3 labels"):
+            train_softmax(np.zeros((2, 4)), [0, 1, 1], TrainConfig(epochs=1))
+
+    def test_a_lognet_head_is_one_layer(self):
+        encoder = LogicEncoderConfig(GateType.NOR, 0.5, 1)
+        with pytest.raises(ShapeError, match="one softmax layer, got 2"):
+            LogNetClassifier(encoder, init_dnn(4, 1, (0, 1), seed=0), 8)

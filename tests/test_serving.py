@@ -14,6 +14,7 @@ from lognet import (
     LogicEncoderConfig,
     NoiseMode,
     NoiseSpec,
+    ShapeError,
     SynthSpec,
     TemporalSchedule,
     TrainConfig,
@@ -104,6 +105,7 @@ class TestBitIdentity:
            data=st.data())
     @example(values=np.array([0.5]), outside=-5e-324, data=None)
     @example(values=np.array([0.5]), outside=1.0000000000000002, data=None)
+    @example(values=np.array([0.5]), outside=np.nan, data=None)
     def test_binarize_rejects_values_outside_the_unit_interval(self, values, outside, data):
         values = values.copy()
         where = 0 if data is None else data.draw(st.integers(0, values.size - 1))
@@ -170,3 +172,17 @@ class TestServingInvariants:
             out = stage(x)
             assert np.array_equal(x, before)
             assert out.flags.writeable and not np.shares_memory(out, x)
+
+
+class TestWrongApCount:
+    """Every serving entry point checks the dataset's AP count itself."""
+
+    @pytest.mark.parametrize("which,method", [
+        (0, "predict"), (0, "predict_proba"), (0, "latent_matrix"),
+        (1, "predict"), (1, "predict_proba"),
+    ])
+    def test_raises_shape_error_naming_both_counts(self, served, which, method):
+        clf = served[which]
+        ds = Dataset.from_columns([0], ["d"], [0], np.full((1, 23), -50.0))
+        with pytest.raises(ShapeError, match="dataset has 23 APs but the model expects 24"):
+            getattr(clf, method)(ds)
