@@ -12,7 +12,7 @@ import numpy as np
 from .data import Dataset, RpMap
 from .errors import ShapeError, ValidationError
 from .fileio import atomic_open, read_pgm, write_pgm
-from .gates import LatentCode, trace_bit_to_aps
+from .gates import LatentCode, ap_window
 from .models import count_params, model_size_bytes
 
 
@@ -206,11 +206,10 @@ class LatentDiff:
             f"({len(self.differing_bits)} differing bits)",
             f"{'bit':>5}  {'ap window':>14}  rp{self.rp_a:<6} rp{self.rp_b:<6}",
         ]
+        bits_a, bits_b = self.majority_a.bits.tolist(), self.majority_b.bits.tolist()
         for bit, window in zip(self.differing_bits, self.ap_windows):
             span = f"[{window.start}, {window.stop})"
-            lines.append(
-                f"{bit:>5}  {span:>14}  {self.majority_a.bits[bit]:<8} {self.majority_b.bits[bit]:<8}"
-            )
+            lines.append(f"{bit:>5}  {span:>14}  {bits_a[bit]:<8} {bits_b[bit]:<8}")
         if not self.differing_bits:
             lines.append("  (identical latents)")
         return "\n".join(lines)
@@ -223,8 +222,10 @@ def latent_diff(latents_a: list[LatentCode], latents_b: list[LatentCode],
     maj_b = majority_code(latents_b)
     if len(maj_a) != len(maj_b) or maj_a.input_len != maj_b.input_len:
         raise ShapeError("latent lists have mismatched shapes")
-    differing = tuple(int(i) for i in np.flatnonzero(maj_a.bits != maj_b.bits))
-    windows = tuple(trace_bit_to_aps(i, maj_a.depth, maj_a.input_len) for i in differing)
+    differing = tuple(np.flatnonzero(maj_a.bits != maj_b.bits).tolist())
+    # Each index is in range, so the windows skip trace_bit_to_aps's bounds check.
+    span = 1 << maj_a.depth
+    windows = tuple(ap_window(i, span, maj_a.input_len) for i in differing)
     return LatentDiff(rp_a, rp_b, differing, windows, maj_a, maj_b)
 
 

@@ -209,7 +209,10 @@ def trace_bit_to_aps(bit_index: int, depth: int, input_len: int) -> range:
         raise BoundsError(
             f"bit_index {bit_index} out of range for latent length {latent_len}"
         )
-    span = 1 << depth
+    return ap_window(bit_index, 1 << depth, input_len)
+
+
+def ap_window(bit_index: int, span: int, input_len: int) -> range:
+    """`trace_bit_to_aps` without the bounds check, for `span` = 2**depth."""
     start = bit_index * span
-    stop = min((bit_index + 1) * span, input_len)
-    return range(start, stop)
+    return range(start, min(start + span, input_len))

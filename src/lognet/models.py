@@ -36,6 +36,8 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"train seed must be non-negative, got {self.seed}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
 
@@ -139,7 +141,12 @@ def SoftmaxModel(weights, biases, class_labels) -> DenseStack:
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax via max-shifted exponentiation, computed in one fresh array."""
     logits = np.asarray(logits, dtype=np.float64)
-    out = logits - logits.max(axis=-1, keepdims=True)
+    return _softmax_into(logits, np.empty_like(logits))
+
+
+def _softmax_into(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Softmax of float64 `logits` written to `out`, which may be `logits` itself."""
+    np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
     return out
@@ -163,16 +170,13 @@ def forward(model: DenseStack, x) -> np.ndarray:
     dim = model.input_dim
     if X.ndim != 2 or X.shape[1] != dim:
         raise ShapeError(f"input of shape {x.shape} does not match model input_dim {dim}")
-    probs = softmax(_dnn_logits(model.layers, X))
+    logits = _dnn_logits(model.layers, X)
+    probs = _softmax_into(logits, logits)
     return probs[0] if x.ndim == 1 else probs
 
 
 # The names each classifier calls the forward pass by.
 softmax_forward = dnn_forward = forward
-
-
-def relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0)
 
 
 def dnn_hidden_activations(model: DenseStack, X: np.ndarray) -> np.ndarray:
@@ -183,10 +187,18 @@ def dnn_hidden_activations(model: DenseStack, X: np.ndarray) -> np.ndarray:
 
 
 def _activations(layers, X: np.ndarray) -> list[np.ndarray]:
-    """The input, then each hidden layer's ReLU output."""
+    """The input, then each hidden layer's ReLU output.
+
+    Each hidden layer's bias and ReLU work in place on its matmul output:
+    the same ufuncs in the same order as `np.maximum(a @ W + b, 0.0)`, without two
+    temporaries per layer.
+    """
     acts = [X]
     for W, b in layers[:-1]:
-        acts.append(relu(acts[-1] @ W + b))
+        h = acts[-1] @ W
+        h += b
+        np.maximum(h, 0.0, out=h)
+        acts.append(h)
     return acts
 
 

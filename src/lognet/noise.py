@@ -39,6 +39,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"noise seed must be non-negative, got {self.seed}")
         if self.mode is NoiseMode.ED:
             if np.ndim(self.delta) != 0:
                 raise ValidationError("ED mode carries exactly one delta")
@@ -140,6 +142,8 @@ class SynthSpec:
             raise ConfigError("need at least 2 RPs and 2 APs")
         if self.fingerprints_per_rp < 1:
             raise ConfigError("fingerprints_per_rp must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"synth seed must be non-negative, got {self.seed}")
         if self.base_pattern not in ("window", "random", "beacon-tint"):
             raise ConfigError(f"unknown base_pattern '{self.base_pattern}'")
         if self.geometry not in ("path", "grid"):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,9 @@ from .models import (
 )
 
 SCHEMA_VERSION = 1
+
+# How json.dumps writes save_model's stand-in for parameter array i: "\0i".
+_PLACEHOLDER = re.compile(r'"\\u0000(\d+)"')
 
 
 def encode_rss(
@@ -170,9 +174,19 @@ def save_model(clf, path: str) -> None:
 
     Parameter arrays are stored row-major as nested lists; floats use Python's
     shortest round-trip representation, so save -> load -> forward is
-    bit-exact. The file is replaced atomically: a failed save leaves any
-    previous file at `path` intact.
+    bit-exact. The file holds exactly `json.dumps(doc, indent=1,
+    sort_keys=True) + "\n"` of the document with the arrays as lists, but the
+    arrays are written one row at a time, so the model is never held as Python
+    floats all at once. The file is replaced atomically: a failed save leaves
+    any previous file at `path` intact.
     """
+    arrays: list[np.ndarray] = []
+
+    def streamed(a: np.ndarray) -> str:
+        """A placeholder for `a` in the document; no other string holds a NUL."""
+        arrays.append(a)
+        return f"\0{len(arrays) - 1}"
+
     if isinstance(clf, LogNetClassifier):
         stack = clf.head
         doc = {
@@ -183,23 +197,48 @@ def save_model(clf, path: str) -> None:
                 "hidden_layers": clf.encoder.hidden_layers,
                 "ap_count": clf.ap_count,
             },
-            "weights": stack.weights.tolist(),
-            "biases": stack.biases.tolist(),
+            "weights": streamed(stack.weights),
+            "biases": streamed(stack.biases),
         }
     elif isinstance(clf, DnnClassifier):
         stack = clf.model
         doc = {
             "family": "dnn",
             "widths": list(stack.widths),
-            "layers": [{"weights": W.tolist(), "biases": b.tolist()} for W, b in stack.layers],
+            "layers": [{"weights": streamed(W), "biases": streamed(b)} for W, b in stack.layers],
         }
     else:
         raise ShapeError(f"cannot serialize {type(clf).__name__}")
     doc |= {"schema_version": SCHEMA_VERSION, "rss_lo": clf.rss_lo, "rss_hi": clf.rss_hi,
             "class_labels": list(stack.class_labels)}
+    # Text pieces alternate with the index of the array each placeholder stands for.
+    # With indent=1, a value nested `level` deep sits on a line indented `level` spaces.
+    pieces = _PLACEHOLDER.split(json.dumps(doc, indent=1, sort_keys=True))
     with atomic_open(path) as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        for text, index in zip(pieces[::2], pieces[1::2]):
+            fh.write(text)
+            line = text[text.rfind("\n") + 1:]
+            _write_json_array(fh, arrays[int(index)], len(line) - len(line.lstrip(" ")))
+        fh.write(pieces[-1] + "\n")
+
+
+def _write_json_array(fh, a: np.ndarray, level: int) -> None:
+    """Write `a` as `json.dumps(a.tolist(), indent=1)` lays it out `level` spaces deep.
+
+    Each 1-D row goes through `tolist`, and `repr` is the float formatter
+    `json` itself uses.
+    """
+    if len(a) == 0:
+        fh.write("[]")
+        return
+    inner = "\n" + " " * (level + 1)
+    if a.ndim == 1:
+        fh.write("[" + inner + ("," + inner).join(map(repr, a.tolist())))
+    else:
+        for i, row in enumerate(a):
+            fh.write(("," if i else "[") + inner)
+            _write_json_array(fh, row, level + 1)
+    fh.write("\n" + " " * level + "]")
 
 
 def load_model(path: str):

@@ -309,3 +309,25 @@ def test_bad_schedule_or_non_utf8_config_file_exits_one(tmp_path, capsys):
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["synth", "--rps", "3", "--aps", "5", "--seed", "-1"], "synth seed"),
+    (["train", "--data", "FIXTURE", "--seed", "-2"], "train seed"),
+    (["run", "--synth-rps", "4", "--synth-aps", "8", "--seed", "-1"], "train seed"),
+    (["run", "--synth-rps", "4", "--synth-aps", "8", "--synth-seed", "-1"], "synth seed"),
+    (["run", "--synth-rps", "4", "--synth-aps", "8", "--noise-seed", "-1"], "noise seed"),
+    (["run", "--config", "CONFIG"], "train seed"),
+], ids=["synth", "train", "run-seed", "run-synth-seed", "run-noise-seed", "run-config"])
+def test_negative_seed_is_a_config_error_naming_the_field(tmp_path, fixture_dir, monkeypatch,
+                                                          capsys, argv, field):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"synth": {"num_rps": 4, "num_aps": 8}, "train": {"seed": -3}}))
+    paths = {"FIXTURE": f"{fixture_dir}/fingerprints_2rp3ap.csv", "CONFIG": str(config)}
+    monkeypatch.setenv("LOGNET_OUT_ROOT", str(tmp_path / "root"))
+    out = tmp_path / "out"
+    assert main([paths.get(a, a) for a in argv] + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be non-negative, got -")
+    assert "Traceback" not in err
+    assert not out.exists() and not (tmp_path / "root").exists()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from lognet import (
     Dataset,
@@ -28,6 +30,7 @@ from lognet import (
     trace_bit_to_aps,
 )
 from lognet.evaluate import majority_by_rp
+from lognet.gates import ceil_chain
 from lognet.pipeline import LogNetClassifier, fit_dnn, fit_lognet
 
 PATH_MAP = RpMap({rp: (float(rp), 0.0) for rp in range(8)})
@@ -197,6 +200,68 @@ class TestLatentDiff:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             latent_diff(self._codes([[1, 0]], input_len=4), self._codes([[1, 0, 1]]))
+
+
+def reference_trace_table(latents_a, latents_b, rp_a, rp_b):
+    """The per-bit trace table as it was first written: numpy scalars per bit and
+    one bounds-checked `trace_bit_to_aps` call per differing bit."""
+    maj_a, maj_b = majority_code(latents_a), majority_code(latents_b)
+    differing = tuple(int(i) for i in np.flatnonzero(maj_a.bits != maj_b.bits))
+    windows = tuple(trace_bit_to_aps(i, maj_a.depth, maj_a.input_len) for i in differing)
+    lines = [
+        f"latent diff: rp {rp_a} vs rp {rp_b} ({len(differing)} differing bits)",
+        f"{'bit':>5}  {'ap window':>14}  rp{rp_a:<6} rp{rp_b:<6}",
+    ]
+    for bit, window in zip(differing, windows):
+        span = f"[{window.start}, {window.stop})"
+        lines.append(f"{bit:>5}  {span:>14}  {maj_a.bits[bit]:<8} {maj_b.bits[bit]:<8}")
+    if not differing:
+        lines.append("  (identical latents)")
+    return "\n".join(lines), windows
+
+
+@st.composite
+def latent_pairs(draw):
+    """Two lists of random latent codes over one depth and input length, with RP ids."""
+    depth = draw(st.integers(1, 5))
+    input_len = draw(st.integers(1, 70))
+    width = ceil_chain(input_len, depth)
+    codes = st.lists(st.lists(st.integers(0, 1), min_size=width, max_size=width),
+                     min_size=1, max_size=4)
+    rows_a = draw(codes)
+    rows_b = rows_a if draw(st.integers(0, 5)) == 0 else draw(codes)
+    rp_a, rp_b = draw(st.integers(0, 10**6)), draw(st.integers(0, 10**6))
+    return [[LatentCode(np.asarray(r, dtype=np.uint8), depth, input_len) for r in rows]
+            for rows in (rows_a, rows_b)] + [rp_a, rp_b]
+
+
+class TestTraceTableBytes:
+    """`latent_diff(...).format_table()` is the text of trace.txt; it must keep
+    the bytes of the per-bit reference formatter."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=latent_pairs())
+    @example(case=[[LatentCode(np.array([1, 0], dtype=np.uint8), 2, 7)],
+                   [LatentCode(np.array([0, 1], dtype=np.uint8), 2, 7)], 3, 12])
+    @example(case=[[LatentCode(np.array([1, 0, 1], dtype=np.uint8), 3, 19)]] * 2 + [0, 1])
+    def test_table_equals_the_per_bit_reference(self, case):
+        a, b, rp_a, rp_b = case
+        diff = latent_diff(a, b, rp_a, rp_b)
+        expected, windows = reference_trace_table(a, b, rp_a, rp_b)
+        assert diff.format_table() == expected
+        assert diff.ap_windows == windows
+
+    def test_clipped_last_window_and_identical_pair(self):
+        # Depth 2 over 7 APs: bit 1 covers APs 4..6 only.
+        a = [LatentCode(np.array([1, 0], dtype=np.uint8), 2, 7)]
+        b = [LatentCode(np.array([0, 1], dtype=np.uint8), 2, 7)]
+        assert latent_diff(a, b, 3, 12).format_table() == "\n".join([
+            "latent diff: rp 3 vs rp 12 (2 differing bits)",
+            "  bit       ap window  rp3      rp12    ",
+            "    0          [0, 4)  1        0       ",
+            "    1          [4, 7)  0        1       ",
+        ])
+        assert latent_diff(a, a, 3, 3).format_table().endswith("\n  (identical latents)")
 
 
 class TestBitmaps:

@@ -1,5 +1,5 @@
-"""Property tests of the CSV and PGM loaders, the fingerprint writer, config parsing
-and the model loader."""
+"""Property tests of the CSV and PGM loaders, the fingerprint writer, config parsing,
+the model writer and the model loader."""
 
 import csv
 import io
@@ -11,11 +11,15 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lognet import (
     RSS_SENTINEL,
     Dataset,
+    DnnModel,
     ExperimentConfig,
+    GateType,
+    LogicEncoderConfig,
     LogNetError,
     ParseError,
     read_delta_csv,
@@ -26,7 +30,9 @@ from lognet import (
     write_fingerprints_csv,
 )
 from lognet.experiment import _CONFIG_KEYS
-from lognet.pipeline import load_model
+from lognet.gates import ceil_chain
+from lognet.models import SoftmaxModel, dnn_hidden_widths
+from lognet.pipeline import DnnClassifier, LogNetClassifier, load_model, save_model
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -302,3 +308,67 @@ def test_any_json_model_document_loads_or_raises_a_lognet_error(work, doc):
         load_model(path)
     except LogNetError as exc:
         assert isinstance(exc, ParseError) and str(exc).startswith(f"{path}: ")
+
+
+def reference_model_text(clf) -> str:
+    """The model document as `json.dumps` writes it with every array as nested lists."""
+    if isinstance(clf, LogNetClassifier):
+        stack = clf.head
+        doc = {
+            "family": "lognet",
+            "encoder": {"gate": clf.encoder.gate.value, "threshold": clf.encoder.threshold,
+                        "hidden_layers": clf.encoder.hidden_layers, "ap_count": clf.ap_count},
+            "weights": stack.weights.tolist(),
+            "biases": stack.biases.tolist(),
+        }
+    else:
+        stack = clf.model
+        doc = {"family": "dnn", "widths": list(stack.widths),
+               "layers": [{"weights": W.tolist(), "biases": b.tolist()} for W, b in stack.layers]}
+    doc |= {"schema_version": 1, "rss_lo": clf.rss_lo, "rss_hi": clf.rss_hi,
+            "class_labels": list(stack.class_labels)}
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+# Floats that repr writes in exponent form, the signed zero and the extremes.
+PARAM_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e-05, 1e+16, -0.0, 5e-324, 1.7976931348623157e+308, -1.5e-7, 0.1]),
+)
+
+
+@st.composite
+def classifiers(draw):
+    """A lognet or dnn classifier of depth 1-3 with arbitrary finite parameters."""
+    def matrix(rows, cols):
+        return draw(arrays(np.float64, (rows, cols), elements=PARAM_VALUES))
+
+    depth = draw(st.integers(1, 3))
+    inputs = draw(st.integers(1, 9))
+    labels = sorted(draw(st.sets(st.integers(-5, 10**9), min_size=1, max_size=4)))
+    rss_lo = draw(st.sampled_from([-100.0, -100, -90.5]))
+    rss_hi = draw(st.sampled_from([0.0, 0, -10.25]))
+    if draw(st.booleans()):
+        encoder = LogicEncoderConfig(draw(st.sampled_from(list(GateType))),
+                                     draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+                                     depth)
+        latent = ceil_chain(inputs, depth)
+        head = SoftmaxModel(matrix(latent, len(labels)), matrix(1, len(labels))[0], labels)
+        return LogNetClassifier(encoder, head, inputs, rss_lo, rss_hi)
+    widths = dnn_hidden_widths(inputs, depth) + [len(labels)]
+    layers = tuple((matrix(a, b), matrix(1, b)[0]) for a, b in zip(widths, widths[1:]))
+    return DnnClassifier(DnnModel(layers, labels), rss_lo, rss_hi)
+
+
+@SETTINGS
+@given(clf=classifiers())
+@example(clf=DnnClassifier(DnnModel(
+    ((np.array([[1e-05, 1e+16], [-0.0, 5e-324], [0.1, -1.5e-7], [2.0, 1e22]]),
+      np.array([1.7976931348623157e+308, -0.0])),
+     (np.array([[0.5], [2.5e-300]]), np.array([-1e+16])),
+     (np.array([[3.0, -7e22]]), np.array([0.0, 1e-05]))),
+    (2, 9)), -100.0, 0.0))
+def test_model_writer_equals_json_dumps_of_the_listed_document(work, clf):
+    path = work / "written.json"
+    save_model(clf, path)
+    assert path.read_text(encoding="utf-8") == reference_model_text(clf)

@@ -26,7 +26,7 @@ from lognet import (
     softmax_forward,
     synth_dataset,
 )
-from lognet.models import softmax
+from lognet.models import dnn_hidden_activations, softmax
 from lognet.pipeline import fit_dnn, fit_lognet
 
 SETTINGS = settings(max_examples=200, deadline=None,
@@ -165,6 +165,8 @@ class TestServingInvariants:
             (lambda x: softmax_forward(lognet.head, x), latents[0].astype(np.float64)),
             (lambda x: dnn_forward(dnn.model, x), unit),
             (lambda x: dnn_forward(dnn.model, x), unit[0].copy()),
+            (lambda x: dnn_hidden_activations(dnn.model, x), unit),
+            (lambda x: dnn_hidden_activations(dnn.model, x), unit[0].copy()),
         ]
         for stage, x in calls:
             assert x.flags.writeable

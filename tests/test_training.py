@@ -1,8 +1,10 @@
 """The training loop against a reference copy of the two-pass loop it
 replaced: per epoch, one gradient pass, a second forward pass for the loss,
-`softmax` and `log_softmax` each exponentiating the logits, and an Adam step
-that allocates its temporaries. Weights and loss histories must match bit
-for bit, and a divergence must name the same epoch."""
+`softmax` and `log_softmax` each exponentiating the logits, hidden layers
+computed out of place as `relu(a @ W + b)`, and an Adam step that allocates
+its temporaries. Weights and loss histories must match bit for bit, and a
+divergence must name the same epoch. The serving forward pass, which shares
+the in-place hidden layers, must match the out-of-place reference too."""
 
 import math
 
@@ -29,10 +31,14 @@ from lognet.models import (
     _init_linear,
     _loss_and_grads,
     _params_to_layers,
+    dnn_hidden_activations,
+    dnn_hidden_widths,
+    forward,
     init_dnn,
     softmax,
     sparse_cross_entropy,
 )
+from lognet.models import DenseStack
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -220,6 +226,38 @@ def test_fused_loss_and_grads_equal_the_separate_passes(stack):
     assert _loss_and_grads(params, X, y_idx, with_grads=False) == (loss, None)
     no_loss, alone = _loss_and_grads(params, X, y_idx, with_loss=False)
     assert no_loss is None and [g.tobytes() for g in alone] == [g.tobytes() for g in expected]
+
+
+@st.composite
+def dense_stacks(draw):
+    """A softmax head (depth 0) or an MLP of depth 1-3 and a batch of inputs for it."""
+    depth = draw(st.integers(0, 3))
+    d = draw(st.integers(1, 9))
+    classes = draw(st.integers(1, 5))
+    widths = ([d] if depth == 0 else dnn_hidden_widths(d, depth)) + [classes]
+    values = st.floats(-50.0, 50.0)
+    layers = tuple(
+        (draw(arrays(np.float64, (fan_in, fan_out), elements=values)),
+         draw(arrays(np.float64, fan_out, elements=values)))
+        for fan_in, fan_out in zip(widths, widths[1:])
+    )
+    X = draw(arrays(np.float64, (draw(st.integers(1, 10)), d), elements=st.floats(-5.0, 5.0)))
+    return DenseStack(layers, tuple(range(classes))), X
+
+
+@SETTINGS
+@given(dense_stacks())
+def test_forward_equals_the_out_of_place_reference(case):
+    model, X = case
+    for x, batch in ((X, X), (X[0], X[:1])):
+        logits = reference_logits(model.layers, batch)
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        expected = (e / e.sum(axis=-1, keepdims=True)).reshape(x.shape[:-1] + (-1,))
+        assert forward(model, x).tobytes() == expected.tobytes()
+    if len(model.layers) > 1:
+        hidden = reference_activations(model.layers, X)[-1]
+        assert dnn_hidden_activations(model, X).tobytes() == hidden.tobytes()
 
 
 # One row pushes class 0 up while Adam's momentum keeps the weight growing
