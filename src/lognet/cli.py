@@ -8,10 +8,8 @@ import sys
 import typing
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigError, LogNetError
-from .evaluate import evaluate, latent_diff, majority_by_rp
+from .evaluate import LatentDiff, evaluate, majority_by_rp, write_latent_bitmap
 from .experiment import (
     CONFIG_KEYS,
     OUT_ROOT_ENV,
@@ -29,7 +27,6 @@ from .fileio import (
     read_rp_map_csv,
     write_fingerprints_csv,
     write_latents_csv,
-    write_pgm,
     write_rp_map_csv,
 )
 from .gates import GateType, LatentCode, LogicEncoderConfig, ceil_chain
@@ -99,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("encode", help="emit per-fingerprint latent codes as CSV")
-    _add_config_flags(p, "data")
+    _add_config_flags(p, "data.fingerprints")
     gate = CONFIG_KEYS["model.gate"]
     p.add_argument("--gate", choices=gate.choices, default=gate.default)
     p.add_argument("--hidden", type=int, default=CONFIG_KEYS["model.hidden_layers"].default)
@@ -207,7 +204,7 @@ def cmd_bitmap(args) -> int:
     rp_ids, bits = read_latents_csv(args.latents)
     _, rows = majority_by_rp(rp_ids, bits)
     out = _out_dir(args)
-    write_pgm(rows * np.uint8(255), out / "latent_bitmap.pgm")
+    write_latent_bitmap(rows, out / "latent_bitmap.pgm")
     print(f"wrote {rows.shape[0]}x{rows.shape[1]} bitmap to {out / 'latent_bitmap.pgm'}")
     return 0
 
@@ -220,14 +217,14 @@ def cmd_trace(args) -> int:
             f"latents have {bits.shape[1]} bits but depth {args.hidden} over "
             f"{args.ap_count} APs implies {expected}"
         )
+    ids, rows = majority_by_rp(rp_ids, bits)
 
-    def codes_for(rp: int) -> list[LatentCode]:
-        rows = bits[rp_ids == rp]
-        if rows.shape[0] == 0:
+    def code_for(rp: int) -> LatentCode:
+        if rp not in ids:
             raise ConfigError(f"no latents for rp {rp} in {args.latents}")
-        return [LatentCode(row, args.hidden, args.ap_count) for row in rows]
+        return LatentCode(rows[ids.index(rp)], args.hidden, args.ap_count)
 
-    diff = latent_diff(codes_for(args.rp_a), codes_for(args.rp_b), args.rp_a, args.rp_b)
+    diff = LatentDiff.between(code_for(args.rp_a), code_for(args.rp_b), args.rp_a, args.rp_b)
     table = diff.format_table()
     print(table)
     if args.out:

@@ -24,9 +24,16 @@ def sample_errors(preds, truth, rp_map: RpMap) -> np.ndarray:
         raise ShapeError(f"{preds.size} predictions for {truth.size} ground-truth labels")
     if preds.size == 0:
         raise ValidationError("cannot score an empty prediction list")
-    pred_xy = np.stack([rp_map.coords(int(p)) for p in preds])
-    true_xy = np.stack([rp_map.coords(int(t)) for t in truth])
-    return np.linalg.norm(pred_xy - true_xy, axis=1)
+    if preds.ndim != 1:
+        raise ShapeError(f"predictions and labels must be 1-D, got shape {preds.shape}")
+    ids, first, index = np.unique(np.concatenate((preds, truth)), return_index=True,
+                                  return_inverse=True)
+    xy = np.empty((ids.size, 2))
+    # Look each RP up in order of first use, so the first unknown prediction
+    # (else the first unknown label) is the one an UnknownRpError names.
+    for k in np.argsort(first).tolist():
+        xy[k] = rp_map.coords(int(ids[k]))
+    return np.linalg.norm(xy[index[:preds.size]] - xy[index[preds.size:]], axis=1)
 
 
 def mean_localization_error(preds, truth, rp_map: RpMap) -> float:
@@ -169,8 +176,8 @@ def majority_code(latents: list[LatentCode]) -> LatentCode:
     depth, input_len = latents[0].depth, latents[0].input_len
     if any(l.depth != depth or l.input_len != input_len for l in latents):
         raise ShapeError("all latents must share depth and input length")
-    ones = np.stack([l.bits for l in latents]).sum(axis=0, dtype=np.int64)
-    return LatentCode(_vote(ones, len(latents)), depth, input_len)
+    _, rows = majority_by_rp(np.zeros(len(latents)), np.stack([l.bits for l in latents]))
+    return LatentCode(rows[0], depth, input_len)
 
 
 def majority_by_rp(rp_ids, bits: np.ndarray) -> tuple[list[int], np.ndarray]:
@@ -180,12 +187,7 @@ def majority_by_rp(rp_ids, bits: np.ndarray) -> tuple[list[int], np.ndarray]:
     rps, group, counts = np.unique(rp_ids, return_inverse=True, return_counts=True)
     starts = np.cumsum(counts) - counts
     ones = np.add.reduceat(bits[np.argsort(group)].astype(np.int64), starts, axis=0)
-    return rps.tolist(), _vote(ones, counts[:, None])
-
-
-def _vote(ones: np.ndarray, n) -> np.ndarray:
-    """Majority bit from per-position counts of ones among n codes."""
-    return (2 * ones >= n).astype(np.uint8)
+    return rps.tolist(), (2 * ones >= counts[:, None]).astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -198,6 +200,17 @@ class LatentDiff:
     ap_windows: tuple[range, ...]  # one window per differing bit
     majority_a: LatentCode
     majority_b: LatentCode
+
+    @classmethod
+    def between(cls, maj_a: LatentCode, maj_b: LatentCode, rp_a: int, rp_b: int) -> "LatentDiff":
+        """Where two RPs' already-voted majority codes disagree."""
+        if len(maj_a) != len(maj_b) or maj_a.input_len != maj_b.input_len:
+            raise ShapeError("latent lists have mismatched shapes")
+        differing = tuple(np.flatnonzero(maj_a.bits != maj_b.bits).tolist())
+        # Each index is in range, so the windows skip trace_bit_to_aps's bounds check.
+        span = 1 << maj_a.depth
+        windows = tuple(ap_window(i, span, maj_a.input_len) for i in differing)
+        return cls(rp_a, rp_b, differing, windows, maj_a, maj_b)
 
     def format_table(self) -> str:
         """Human-readable table: bit index -> AP window -> per-class bits."""
@@ -218,31 +231,23 @@ class LatentDiff:
 def latent_diff(latents_a: list[LatentCode], latents_b: list[LatentCode],
                 rp_a: int = 0, rp_b: int = 1) -> LatentDiff:
     """Majority-vote both classes and report where their latents disagree."""
-    maj_a = majority_code(latents_a)
-    maj_b = majority_code(latents_b)
-    if len(maj_a) != len(maj_b) or maj_a.input_len != maj_b.input_len:
-        raise ShapeError("latent lists have mismatched shapes")
-    differing = tuple(np.flatnonzero(maj_a.bits != maj_b.bits).tolist())
-    # Each index is in range, so the windows skip trace_bit_to_aps's bounds check.
-    span = 1 << maj_a.depth
-    windows = tuple(ap_window(i, span, maj_a.input_len) for i in differing)
-    return LatentDiff(rp_a, rp_b, differing, windows, maj_a, maj_b)
+    return LatentDiff.between(majority_code(latents_a), majority_code(latents_b), rp_a, rp_b)
 
 
 def export_latent_bitmap(latents_by_rp: dict[int, LatentCode], path: str) -> None:
-    """Write per-RP majority latents as a binary-pixel PGM.
-
-    Rows are RPs sorted by rp_id, columns latent bits; 0 maps to black and
-    1 to white.
-    """
+    """Write per-RP majority latents, rows sorted by rp_id, as a binary-pixel PGM."""
     if not latents_by_rp:
         raise ValidationError("no latents to export")
     rp_ids = sorted(latents_by_rp)
     lengths = {len(latents_by_rp[rp]) for rp in rp_ids}
     if len(lengths) != 1:
         raise ShapeError("all latent codes must have equal length")
-    matrix = np.stack([latents_by_rp[rp].bits for rp in rp_ids]).astype(np.uint8) * 255
-    write_pgm(matrix, path)
+    write_latent_bitmap(np.stack([latents_by_rp[rp].bits for rp in rp_ids]), path)
+
+
+def write_latent_bitmap(rows: np.ndarray, path: str) -> None:
+    """Write {0,1} latent rows as a PGM, one pixel row each: 0 maps to black, 1 to white."""
+    write_pgm(rows * np.uint8(255), path)
 
 
 def export_gray_bitmap(matrix: np.ndarray, path: str) -> None:

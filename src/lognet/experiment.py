@@ -23,12 +23,12 @@ from .data import (
 from .errors import ConfigError, StageError, ValidationError
 from .evaluate import (
     EvalReport,
+    LatentDiff,
     evaluate,
     export_gray_bitmap,
-    export_latent_bitmap,
-    latent_diff,
     majority_by_rp,
     measure_latency,
+    write_latent_bitmap,
 )
 from .fileio import (
     atomic_write,
@@ -309,13 +309,10 @@ def _has_type(value, kind) -> bool:
 def _write_lognet_artifacts(clf: LogNetClassifier, train_ds: Dataset, out: Path) -> None:
     rp_ids, rows = majority_by_rp(train_ds.labels(), clf.latent_matrix(train_ds))
     write_latents_csv(rp_ids, rows, out / "latents.csv")
-    depth, n = clf.encoder.hidden_layers, clf.ap_count
-    by_rp = {rp: LatentCode(row, depth, n) for rp, row in zip(rp_ids, rows)}
-    export_latent_bitmap(by_rp, out / "latent_bitmap.pgm")
-    blocks = []
-    for rp_a, rp_b in zip(rp_ids, rp_ids[1:]):
-        diff = latent_diff([by_rp[rp_a]], [by_rp[rp_b]], rp_a, rp_b)
-        blocks.append(diff.format_table())
+    write_latent_bitmap(rows, out / "latent_bitmap.pgm")
+    codes = [LatentCode(row, clf.encoder.hidden_layers, clf.ap_count) for row in rows]
+    blocks = [LatentDiff.between(a, b, rp_a, rp_b).format_table()
+              for rp_a, rp_b, a, b in zip(rp_ids, rp_ids[1:], codes, codes[1:])]
     atomic_write(out / "trace.txt", "\n\n".join(blocks) + "\n")
 
 

@@ -2,9 +2,18 @@ import copy
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lognet import read_latents_csv, read_pgm
+from lognet import (
+    LatentCode,
+    export_latent_bitmap,
+    latent_diff,
+    majority_code,
+    read_latents_csv,
+    read_pgm,
+    write_latents_csv,
+)
 from lognet.cli import _flag_overrides, build_parser, main
 
 
@@ -32,6 +41,61 @@ def test_encode_bitmap_trace_chain(tmp_path, fixture_dir, capsys):
     printed = capsys.readouterr().out
     assert "rp 0 vs rp 1" in printed
     assert (out / "trace.txt").exists()
+
+
+def test_run_artifacts_match_the_public_latent_path(tmp_path, capsys):
+    # A lognet run's latents.csv holds one majority row per RP; trace.txt,
+    # latent_bitmap.pgm, `lognet trace` and `lognet bitmap` must all agree
+    # with the public latent API applied to those rows.
+    run = tmp_path / "run"
+    assert main(["run", "--synth-rps", "8", "--synth-aps", "20", "--synth-per-rp", "6",
+                 "--model", "lognet", "--gate", "nor", "--hidden", "1", "--epochs", "5",
+                 "--out", str(run)]) == 0
+    capsys.readouterr()
+    rp_ids, rows = read_latents_csv(run / "latents.csv")
+    assert rp_ids.tolist() == list(range(8)) and rows.shape == (8, 10)
+    codes = {rp: LatentCode(row, 1, 20) for rp, row in zip(rp_ids.tolist(), rows)}
+    pairs = list(zip(rp_ids.tolist(), rp_ids.tolist()[1:]))
+    blocks = [latent_diff([codes[a]], [codes[b]], a, b).format_table() for a, b in pairs]
+    assert any(latent_diff([codes[a]], [codes[b]]).differing_bits for a, b in pairs)
+    assert (run / "trace.txt").read_text() == "\n\n".join(blocks) + "\n"
+    export_latent_bitmap(codes, tmp_path / "public.pgm")
+    pgm = (run / "latent_bitmap.pgm").read_bytes()
+    assert pgm == (tmp_path / "public.pgm").read_bytes()
+
+    for (rp_a, rp_b), block in zip(pairs, blocks):
+        assert main(["trace", "--latents", str(run / "latents.csv"), "--rp-a", str(rp_a),
+                     "--rp-b", str(rp_b), "--hidden", "1", "--ap-count", "20"]) == 0
+        assert capsys.readouterr().out == block + "\n"
+    cli_out = tmp_path / "cli"
+    assert main(["trace", "--latents", str(run / "latents.csv"), "--rp-a", "0",
+                 "--rp-b", "1", "--hidden", "1", "--ap-count", "20", "--out", str(cli_out)]) == 0
+    assert (cli_out / "trace.txt").read_text() == blocks[0] + "\n"
+    assert main(["bitmap", "--latents", str(run / "latents.csv"), "--out", str(cli_out)]) == 0
+    assert (cli_out / "latent_bitmap.pgm").read_bytes() == pgm
+    assert np.array_equal(read_pgm(cli_out / "latent_bitmap.pgm"), rows * np.uint8(255))
+
+
+def test_trace_and_bitmap_vote_over_per_fingerprint_rows(tmp_path, capsys):
+    # A file with several rows per RP, as `lognet encode` writes: trace and
+    # bitmap must majority-vote each RP's rows (ties to 1) as the public API does.
+    rng = np.random.default_rng(11)
+    rp_ids = rng.permutation(np.repeat(np.arange(5), 4))
+    bits = rng.integers(0, 2, (20, 8)).astype(np.uint8)
+    write_latents_csv(rp_ids, bits, tmp_path / "latents.csv")
+    codes = {rp: [LatentCode(row, 1, 16) for row in bits[rp_ids == rp]] for rp in range(5)}
+    assert any((2 * bits[rp_ids == rp].sum(axis=0) == 4).any() for rp in range(5))  # a tie
+    for rp_a, rp_b in ((0, 1), (3, 2), (4, 4)):
+        assert main(["trace", "--latents", str(tmp_path / "latents.csv"), "--rp-a", str(rp_a),
+                     "--rp-b", str(rp_b), "--hidden", "1", "--ap-count", "16"]) == 0
+        expected = latent_diff(codes[rp_a], codes[rp_b], rp_a, rp_b).format_table()
+        assert capsys.readouterr().out == expected + "\n"
+    export_latent_bitmap({rp: majority_code(group) for rp, group in codes.items()},
+                         tmp_path / "public.pgm")
+    assert main(["bitmap", "--latents", str(tmp_path / "latents.csv"),
+                 "--out", str(tmp_path / "cli")]) == 0
+    assert (tmp_path / "cli" / "latent_bitmap.pgm").read_bytes() == \
+        (tmp_path / "public.pgm").read_bytes()
 
 
 def test_train_then_eval(tmp_path, fixture_dir):
@@ -235,6 +299,16 @@ def test_train_rejects_rp_map(fixture_dir, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--data", f"{fixture_dir}/fingerprints_2rp3ap.csv",
               "--rp-map", "x.csv", "--epochs", "2", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --rp-map x.csv" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_encode_rejects_rp_map(fixture_dir, tmp_path, capsys):
+    # encode never reads an RP map, so it does not take the flag.
+    with pytest.raises(SystemExit) as exc:
+        main(["encode", "--data", f"{fixture_dir}/fingerprints_2rp3ap.csv",
+              "--rp-map", "x.csv", "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
     assert "unrecognized arguments: --rp-map x.csv" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()

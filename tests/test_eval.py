@@ -26,6 +26,7 @@ from lognet import (
     measure_latency,
     read_latent_bitmap,
     read_pgm,
+    sample_errors,
     synth_dataset,
     trace_bit_to_aps,
 )
@@ -63,6 +64,33 @@ class TestMeanError:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             mean_localization_error([], [], PATH_MAP)
+
+    @pytest.mark.parametrize("preds, truth, named", [
+        ([0, 99, 98], [97, 0, 96], 99),  # the first unknown prediction, not the smallest id
+        ([0, 1, 2], [0, 97, 96], 97),    # else the first unknown label
+        ([96, 0], [1, 95], 96),
+    ])
+    def test_unknown_rp_names_the_first_unknown_prediction_then_label(self, preds, truth, named):
+        with pytest.raises(UnknownRpError, match=rf"rp_id {named} has no coordinates"):
+            sample_errors(preds, truth, PATH_MAP)
+
+    def test_shape_and_empty_checks_come_before_rp_lookup(self):
+        with pytest.raises(ShapeError):
+            sample_errors([99, 98], [97], PATH_MAP)
+        with pytest.raises(ValidationError):
+            sample_errors([], [], RpMap({}))
+
+    def test_non_vector_input_is_a_shape_error(self):
+        with pytest.raises(ShapeError):
+            sample_errors([[0, 1]], [[1, 0]], PATH_MAP)
+
+    def test_errors_equal_the_per_sample_lookup(self):
+        rng = np.random.default_rng(5)
+        rp_map = RpMap({rp: tuple(rng.normal(0.0, 30.0, 2)) for rp in range(40)})
+        preds, truth = rng.integers(0, 40, 500), rng.integers(0, 40, 500)
+        expected = np.linalg.norm(np.stack([rp_map.coords(int(p)) for p in preds])
+                                  - np.stack([rp_map.coords(int(t)) for t in truth]), axis=1)
+        assert np.array_equal(sample_errors(preds, truth, rp_map), expected)
 
 
 class TestEvaluate:
@@ -149,10 +177,13 @@ class TestLatency:
         base = Dataset(double.fingerprints[:32768], double.ap_count)
         small = Dataset(double.fingerprints[:512], double.ap_count)
         clf, _ = fit_dnn(small, 1, TrainConfig(epochs=2))
-        for ds in (base, double):
-            clf.predict(ds)
-        t1 = min(measure_latency(clf, base, repetitions=5).milliseconds for _ in range(2))
-        t2 = min(measure_latency(clf, double, repetitions=5).milliseconds for _ in range(2))
+        # BLAS threads run slow for about a second after the host idles, so
+        # the two sizes alternate and each keeps its fastest round: a slow
+        # first round cannot land on one size only.
+        t1, t2 = float("inf"), float("inf")
+        for _ in range(3):
+            t1 = min(t1, measure_latency(clf, base, repetitions=5).milliseconds)
+            t2 = min(t2, measure_latency(clf, double, repetitions=5).milliseconds)
         assert 1.5 * t1 <= t2 <= 3.0 * t1
 
 
