@@ -29,7 +29,7 @@ from .fileio import (
     write_latents_csv,
     write_rp_map_csv,
 )
-from .gates import GateType, LatentCode, LogicEncoderConfig, ceil_chain
+from .gates import LatentCode, ceil_chain
 from .noise import SynthSpec, synth_dataset
 from .pipeline import encode_rss, load_model, save_model
 
@@ -79,10 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic CI:0 dataset")
     p.add_argument("--rps", type=int, required=True, help="number of reference points")
     p.add_argument("--aps", type=int, required=True, help="number of access points")
-    p.add_argument("--per-rp", type=int, default=6, help="fingerprints per RP")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pattern", choices=["window", "random", "beacon-tint"], default="window")
-    p.add_argument("--geometry", choices=["path", "grid"], default="path")
+    p.add_argument("--per-rp", type=int, help="fingerprints per RP")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--pattern", choices=["window", "random", "beacon-tint"])
+    p.add_argument("--geometry", choices=["path", "grid"])
     _add_config_flags(p, "out_dir")
     p.set_defaults(func=cmd_synth)
 
@@ -97,10 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encode", help="emit per-fingerprint latent codes as CSV")
     _add_config_flags(p, "data.fingerprints")
-    gate = CONFIG_KEYS["model.gate"]
-    p.add_argument("--gate", choices=gate.choices, default=gate.default)
-    p.add_argument("--hidden", type=int, default=CONFIG_KEYS["model.hidden_layers"].default)
-    p.add_argument("--threshold", type=float, default=CONFIG_KEYS["model.threshold"].default)
+    p.add_argument("--gate", choices=CONFIG_KEYS["model.gate"].choices)
+    p.add_argument("--hidden", type=int)
+    p.add_argument("--threshold", type=float)
     _add_config_flags(p, "out_dir")
     p.set_defaults(func=cmd_encode)
 
@@ -139,15 +138,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_synth(args) -> int:
-    spec = SynthSpec(
-        num_rps=args.rps,
-        num_aps=args.aps,
-        fingerprints_per_rp=args.per_rp,
-        seed=args.seed,
-        base_pattern=args.pattern,
-        geometry=args.geometry,
-    )
-    ds, rp_map = synth_dataset(spec)
+    flags = {"fingerprints_per_rp": args.per_rp, "seed": args.seed, "base_pattern": args.pattern,
+             "geometry": args.geometry}
+    given = {name: value for name, value in flags.items() if value is not None}
+    ds, rp_map = synth_dataset(SynthSpec(args.rps, args.aps, **given))
     out = _out_dir(args)
     write_fingerprints_csv(ds, out / "fingerprints.csv")
     write_rp_map_csv(rp_map, out / "rp_map.csv")
@@ -192,7 +186,7 @@ def cmd_encode(args) -> int:
     if not args.data:
         raise ConfigError("encode requires --data")
     ds = read_fingerprints_csv(args.data)
-    encoder = LogicEncoderConfig(GateType.from_name(args.gate), args.threshold, args.hidden)
+    encoder = ExperimentConfig.from_dict(_flag_overrides(args)).encoder_config()
     latents = encode_rss(ds.rss_matrix(), encoder)
     out = _out_dir(args)
     write_latents_csv(ds.labels(), latents, out / "latents.csv")

@@ -329,23 +329,17 @@ def normalize(ds: Dataset, lo: float = DEFAULT_RSS_LO, hi: float = DEFAULT_RSS_H
 
 
 def binarize(fp: Fingerprint, threshold: float = DEFAULT_THRESHOLD) -> BinaryFingerprint:
-    """Threshold a normalized fingerprint into activity bits.
+    """Threshold a normalized fingerprint into activity bits, as `binarize_matrix` does."""
+    return BinaryFingerprint(binarize_matrix(fp.rss, threshold), fp.ap_count)
+
+
+def binarize_matrix(values: np.ndarray, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
+    """Threshold normalized values into activity bits, element by element.
 
     The comparison is inclusive: a value exactly at the threshold counts as
     active (1).
     """
-    _check_threshold(threshold)
-    rss = fp.rss
-    if not (rss.min() >= 0.0 and rss.max() <= 1.0):
-        raise ValidationError(
-            "binarize expects normalized values in [0, 1]; run normalize() first"
-        )
-    return BinaryFingerprint((rss >= threshold).astype(np.uint8), fp.ap_count)
-
-
-def binarize_matrix(values: np.ndarray, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
-    """Vectorized binarize over a (samples, aps) matrix of normalized values."""
-    _check_threshold(threshold)
+    check_threshold(threshold)
     values = np.asarray(values, dtype=np.float64)
     # Written so that a NaN, which fails every comparison, is rejected too.
     if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
@@ -355,7 +349,8 @@ def binarize_matrix(values: np.ndarray, threshold: float = DEFAULT_THRESHOLD) ->
     return (values >= threshold).view(np.uint8)
 
 
-def _check_threshold(threshold: float) -> None:
+def check_threshold(threshold: float) -> None:
+    """Raise ConfigError unless the binarization threshold lies in (0, 1)."""
     if not 0.0 < threshold < 1.0:
         raise ConfigError(f"threshold must lie in (0, 1), got {threshold}")
 

@@ -208,8 +208,7 @@ class LatentDiff:
             raise ShapeError("latent lists have mismatched shapes")
         differing = tuple(np.flatnonzero(maj_a.bits != maj_b.bits).tolist())
         # Each index is in range, so the windows skip trace_bit_to_aps's bounds check.
-        span = 1 << maj_a.depth
-        windows = tuple(ap_window(i, span, maj_a.input_len) for i in differing)
+        windows = tuple(ap_window(i, maj_a.depth, maj_a.input_len) for i in differing)
         return cls(rp_a, rp_b, differing, windows, maj_a, maj_b)
 
     def format_table(self) -> str:

@@ -18,7 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .data import (
-    DEFAULT_RSS_HI, DEFAULT_RSS_LO, DEFAULT_THRESHOLD, Dataset, check_rss_range, split_train_test,
+    DEFAULT_RSS_HI, DEFAULT_RSS_LO, DEFAULT_THRESHOLD, Dataset, check_rss_range, check_threshold,
+    split_train_test,
 )
 from .errors import ConfigError, StageError, ValidationError
 from .evaluate import (
@@ -64,71 +65,71 @@ class ConfigKey:
 
     `attr` is the ExperimentConfig attribute it sets: "noise.seed" is the `seed`
     of `noise`, and a tuple of names takes the value's items in turn. `kind` is
-    the JSON type of the value, `default` its file and CLI default (MISSING: its
-    section must give it), and `parse` makes the attribute's value from it.
+    the JSON type of the value, `required` whether its section must give it,
+    and `parse` makes the attribute's value from it. Defaults are not kept
+    here: an omitted key keeps the value ExperimentConfig(...) gives it.
     """
 
     path: str
     attr: str | tuple[str, ...]
     kind: object
-    default: object
     flag: str | None = None
     metavar: str | None = None
     help: str | None = None
     choices: tuple[str, ...] | None = None
     parse: typing.Callable | None = None
     is_path: bool = False  # a file or directory
+    required: bool = False
 
 
 def _spec_keys(section: str, spec: type, **flags: tuple) -> list[ConfigKey]:
-    """One key per field of the dataclass behind a section, typed and defaulted as the field."""
+    """One key per field of the dataclass behind a section, typed as the field."""
     hints = typing.get_type_hints(spec)
-    return [ConfigKey(f"{section}.{f.name}", f"{section}.{f.name}", hints[f.name], f.default,
-                      *flags.get(f.name, ())) for f in dataclasses.fields(spec)]
+    return [ConfigKey(f"{section}.{f.name}", f"{section}.{f.name}", hints[f.name],
+                      *flags.get(f.name, ()), required=f.default is MISSING)
+            for f in dataclasses.fields(spec)]
 
 
 # The run-config schema, in CLI flag order. Parsing, type checks, the echo and
 # the CLI flags all derive from it.
 CONFIG_KEYS = {key.path: key for key in (
-    ConfigKey("data.fingerprints", "data_path", str | None, None, "--data", "CSV",
+    ConfigKey("data.fingerprints", "data_path", str | None, "--data", "CSV",
               "fingerprint CSV path", is_path=True),
-    ConfigKey("data.rp_map", "rp_map_path", str | None, None, "--rp-map", "CSV",
+    ConfigKey("data.rp_map", "rp_map_path", str | None, "--rp-map", "CSV",
               "RP coordinate CSV path", is_path=True),
     *_spec_keys("synth", SynthSpec, num_rps=("--synth-rps", "K"), num_aps=("--synth-aps", "N"),
                 fingerprints_per_rp=("--synth-per-rp", "M"), seed=("--synth-seed", "N")),
-    ConfigKey("model.family", "model_family", str, "lognet", "--model", help="model family",
+    ConfigKey("model.family", "model_family", str, "--model", help="model family",
               choices=tuple(DEFAULT_EPOCHS)),
-    ConfigKey("model.gate", "gate", str | None, GateType.NOR.value, "--gate",
+    ConfigKey("model.gate", "gate", str | None, "--gate",
               help="logic gate for lognet", choices=tuple(g.value for g in GateType),
               parse=GateType.from_name),
-    ConfigKey("model.hidden_layers", "hidden_layers", int, 1, "--hidden", "N",
+    ConfigKey("model.hidden_layers", "hidden_layers", int, "--hidden", "N",
               "number of hidden/logic layers"),
-    ConfigKey("model.threshold", "threshold", float, DEFAULT_THRESHOLD, "--threshold", "F",
+    ConfigKey("model.threshold", "threshold", float, "--threshold", "F",
               "binarization threshold in (0,1)"),
     *_spec_keys("train", TrainConfig, learning_rate=("--lr", "F", "learning rate"),
                 epochs=("--epochs", "N", "training epochs"),
                 seed=("--seed", "N", "seed for split/init/batching"),
                 batch_size=("--batch-size", "N", "minibatch size (default full batch)")),
-    ConfigKey("noise.mode", "noise.mode", str, NoiseMode.ED.value, "--noise-mode",
+    ConfigKey("noise.mode", "noise.mode", str, "--noise-mode",
               help="noise structure", choices=tuple(m.value for m in NoiseMode),
               parse=NoiseMode.from_name),
-    ConfigKey("noise.delta", "noise.delta", float | list[float], -4.0, "--delta", "DB",
+    ConfigKey("noise.delta", "noise.delta", float | list[float], "--delta", "DB",
               "ED delta in dB"),
     # Reads noise.delta from a file; the echo holds the deltas under noise.delta.
-    ConfigKey("noise.delta_csv", "noise.delta", str, None, "--delta-csv", "CSV",
+    ConfigKey("noise.delta_csv", "noise.delta", str, "--delta-csv", "CSV",
               "per-AP deltas (ap_index,delta_db)", parse=read_delta_csv, is_path=True),
-    ConfigKey("noise.sigma", "noise.stochastic_sigma", float | list[float], 0.0, "--sigma", "DB",
+    ConfigKey("noise.sigma", "noise.stochastic_sigma", float | list[float], "--sigma", "DB",
               "stochastic jitter stddev in dB"),
-    ConfigKey("noise.seed", "noise.seed", int, 0, "--noise-seed", "N", "noise seed"),
-    ConfigKey("schedule", "schedule.entries", list[tuple[int, float]],
-              TemporalSchedule.default().entries, "--schedule", "FILE",
+    ConfigKey("noise.seed", "noise.seed", int, "--noise-seed", "N", "noise seed"),
+    ConfigKey("schedule", "schedule.entries", list[tuple[int, float]], "--schedule", "FILE",
               "JSON temporal schedule [[ci, mult], ...]"),
-    ConfigKey("per_rp_holdout", "per_rp_holdout", int, 1, "--holdout", "N",
+    ConfigKey("per_rp_holdout", "per_rp_holdout", int, "--holdout", "N",
               "test fingerprints per (RP, CI)"),
-    ConfigKey("out_dir", "out_dir", str, "out", "--out", "DIR", is_path=True),
-    ConfigKey("rss_range", ("rss_lo", "rss_hi"), tuple[float, float],
-              (DEFAULT_RSS_LO, DEFAULT_RSS_HI)),
-    ConfigKey("latency_repetitions", "latency_repetitions", int, 3),
+    ConfigKey("out_dir", "out_dir", str, "--out", "DIR", is_path=True),
+    ConfigKey("rss_range", ("rss_lo", "rss_hi"), tuple[float, float]),
+    ConfigKey("latency_repetitions", "latency_repetitions", int),
 )}
 
 
@@ -153,18 +154,18 @@ _CONFIG_KEYS = key_tree((key.path, key.kind) for key in CONFIG_KEYS.values())
 class ExperimentConfig:
     """Everything one pipeline run needs; exactly one data source is allowed.
 
-    The defaults match CONFIG_KEYS but for `noise`, whose jitter sigma is 1.0
-    here and 0.0 in a config file or on the command line.
+    Its defaults, and those of its section dataclasses, are the defaults of a
+    config file and of the command line too.
     """
 
-    out_dir: str
+    out_dir: str = "out"
     data_path: str | None = None
     rp_map_path: str | None = None
     synth: SynthSpec | None = None
     model_family: str = "lognet"
     gate: GateType = GateType.NOR
     hidden_layers: int = 1
-    threshold: float = 0.5
+    threshold: float = DEFAULT_THRESHOLD
     rss_lo: float = DEFAULT_RSS_LO
     rss_hi: float = DEFAULT_RSS_HI
     per_rp_holdout: int = 1
@@ -195,8 +196,8 @@ class ExperimentConfig:
             raise ConfigError(f"hidden_layers must be >= 1, got {self.hidden_layers}")
         if self.latency_repetitions < 3:
             raise ConfigError("latency_repetitions must be >= 3")
-        if self.model_family == "lognet":  # the encoder's own threshold check; a dnn has none
-            _naming_key("model.threshold", LogicEncoderConfig, GateType.NOR, self.threshold)
+        if self.model_family == "lognet":  # a dnn binarizes nothing, so takes any threshold
+            _naming_key("model.threshold", check_threshold, self.threshold)
         _naming_key("rss_range", check_rss_range, self.rss_lo, self.rss_hi)
 
     def encoder_config(self) -> LogicEncoderConfig:
@@ -219,18 +220,17 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict, base_dir: str = ".") -> "ExperimentConfig":
         """Build a config from a document; a relative path is taken from `base_dir`.
 
-        An omitted or null key takes its CONFIG_KEYS default, but SynthSpec and
-        TrainConfig (with the family's epochs) fill in what their sections omit,
-        and there is a synth spec only if the document gives a synth section.
+        An omitted key (or a null one, where its type allows null) keeps the
+        value the constructor gives it, and a partly given `train`, `noise` or
+        `schedule` section replaces only the keys it gives. There is a synth spec only if the document gives a
+        synth section.
         """
         _check_keys(doc, _CONFIG_KEYS)
         attrs = []
         for key in CONFIG_KEYS.values():
             section, _, leaf = key.path.rpartition(".")
             value = ((doc.get(section) or {}) if section else doc).get(leaf)
-            if value is None and section not in ("synth", "train"):
-                value = key.default
-            elif value is None and key.default is MISSING and doc.get(section) is not None:
+            if value is None and key.required and doc.get(section) is not None:
                 raise ConfigError(f"missing config key '{key.path}'")
             if value is None:  # the attribute keeps its default
                 continue
@@ -241,11 +241,10 @@ class ExperimentConfig:
         kwargs = key_tree(attrs)
         if "synth" in kwargs:
             kwargs["synth"] = SynthSpec(**kwargs["synth"])
-        kwargs["noise"] = NoiseSpec(**kwargs["noise"])
-        kwargs["schedule"] = TemporalSchedule(**kwargs["schedule"])
-        train = kwargs.pop("train", {})
+        sections = {name: kwargs.pop(name, {}) for name in ("train", "noise", "schedule")}
         cfg = cls(**kwargs)
-        cfg.train = dataclasses.replace(cfg.train, **train)
+        for name, given in sections.items():
+            setattr(cfg, name, dataclasses.replace(getattr(cfg, name), **given))
         return cfg
 
 

@@ -130,9 +130,10 @@ def _exact_header(*names: str):
     return rule
 
 
-def _ap_header(ap_count: int) -> list[str]:
-    width = max(3, len(str(max(ap_count - 1, 0))))
-    return [f"ap_{i:0{width}d}" for i in range(ap_count)]
+def _indexed_header(prefix: str, count: int) -> list[str]:
+    """`count` column names: `prefix` and an index zero-padded to at least 3 digits."""
+    width = max(3, len(str(max(count - 1, 0))))
+    return [f"{prefix}{i:0{width}d}" for i in range(count)]
 
 
 def _csv_field(value) -> str:
@@ -151,7 +152,7 @@ def write_fingerprints_csv(ds: Dataset, path: str) -> None:
     device_ids = ds.device_id.tolist()
     quoted = {dev: _csv_field(dev) for dev in set(device_ids)}
     with atomic_open(path) as fh:
-        csv.writer(fh).writerow(list(_FP_FIXED_COLS) + _ap_header(ds.ap_count))
+        csv.writer(fh).writerow(list(_FP_FIXED_COLS) + _indexed_header("ap_", ds.ap_count))
         for rp_id, dev, ci, rss in zip(ds.rp_id.tolist(), device_ids, ds.ci.tolist(), ds.rss):
             fh.write(f"{rp_id},{quoted[dev]},{ci},{','.join(map(repr, rss.tolist()))}\r\n")
 
@@ -172,7 +173,7 @@ def read_fingerprints_csv(path: str) -> Dataset:
             raise ValidationError(
                 f"header must start with {','.join(_FP_FIXED_COLS)} followed by AP columns"
             )
-        if header[3:] != _ap_header(len(header) - 3):
+        if header[3:] != _indexed_header("ap_", len(header) - 3):
             raise ValidationError("malformed AP column names")
         # Rows are written into one matrix that doubles when full. resize()
         # reallocates in place (nothing else references `rss`), so the file
@@ -224,10 +225,9 @@ def write_latents_csv(rp_ids, bit_matrix: np.ndarray, path: str) -> None:
     rp_ids = list(rp_ids)
     if bits.ndim != 2 or len(rp_ids) != bits.shape[0]:
         raise ParseError(f"{len(rp_ids)} rp_ids for {bits.shape[0]} latent rows", path=path)
-    width = max(3, len(str(max(bits.shape[1] - 1, 0))))
     with atomic_open(path) as fh:
         writer = csv.writer(fh)
-        writer.writerow(["rp_id"] + [f"bit_{i:0{width}d}" for i in range(bits.shape[1])])
+        writer.writerow(["rp_id"] + _indexed_header("bit_", bits.shape[1]))
         for rp_id, row in zip(rp_ids, bits):
             writer.writerow([rp_id] + [int(b) for b in row])
 
@@ -237,7 +237,7 @@ def read_latents_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     rp_ids, rows = [], []
 
     def header_rule(header):
-        if not header or header[0] != "rp_id" or len(header) < 2:
+        if len(header) < 2 or header != ["rp_id"] + _indexed_header("bit_", len(header) - 1):
             raise ValidationError("header must be rp_id,bit_000,...")
         return len(header)
 

@@ -7,7 +7,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import BinaryFingerprint
+from .data import DEFAULT_THRESHOLD, BinaryFingerprint, check_threshold
 from .errors import BoundsError, ConfigError, ValidationError
 
 
@@ -50,18 +50,22 @@ GATE_FORMULAS = {
 }
 
 
-def apply_gate(x: int, y: int, gate: GateType) -> int:
-    """Evaluate one gate on a bit pair via its truth table."""
+def _bit_pair(x, y) -> tuple[int, int]:
+    """A gate's inputs as ints; anything equal to 0 or 1 (1.0, True) counts as that bit."""
     if x not in (0, 1) or y not in (0, 1):
         raise ValidationError(f"gate inputs must be bits, got ({x}, {y})")
+    return int(x), int(y)
+
+
+def apply_gate(x: int, y: int, gate: GateType) -> int:
+    """Evaluate one gate on a bit pair via its truth table."""
+    x, y = _bit_pair(x, y)
     return TRUTH_TABLES[gate][2 * x + y]
 
 
 def gate_arithmetic(x: int, y: int, gate: GateType) -> int:
     """Evaluate one gate through its closed-form expression."""
-    if x not in (0, 1) or y not in (0, 1):
-        raise ValidationError(f"gate inputs must be bits, got ({x}, {y})")
-    return GATE_FORMULAS[gate](x, y)
+    return GATE_FORMULAS[gate](*_bit_pair(x, y))
 
 
 _ONE = np.uint8(1)
@@ -133,14 +137,13 @@ class LogicEncoderConfig:
     """Fixed gate type, binarization threshold and number of logic layers."""
 
     gate: GateType
-    threshold: float = 0.5
+    threshold: float = DEFAULT_THRESHOLD
     hidden_layers: int = 1
 
     def __post_init__(self):
         if not isinstance(self.gate, GateType):
             raise ConfigError(f"gate must be a GateType, got {self.gate!r}")
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigError(f"threshold must lie in (0, 1), got {self.threshold}")
+        check_threshold(self.threshold)
         if self.hidden_layers < 1:
             raise ConfigError(f"hidden_layers must be >= 1, got {self.hidden_layers}")
 
@@ -209,10 +212,17 @@ def trace_bit_to_aps(bit_index: int, depth: int, input_len: int) -> range:
         raise BoundsError(
             f"bit_index {bit_index} out of range for latent length {latent_len}"
         )
-    return ap_window(bit_index, 1 << depth, input_len)
+    return ap_window(bit_index, depth, input_len)
 
 
-def ap_window(bit_index: int, span: int, input_len: int) -> range:
-    """`trace_bit_to_aps` without the bounds check, for `span` = 2**depth."""
+def ap_window(bit_index: int, depth: int, input_len: int) -> range:
+    """`trace_bit_to_aps` without the bounds check.
+
+    Windows are clipped at `input_len`, so every depth of at least its bit
+    length gives the same windows; capping the shift there keeps a huge depth
+    from building a huge integer.
+    """
+    cap = int(input_len).bit_length()
+    span = 1 << (depth if depth < cap else cap)  # not min(): this runs once per differing bit
     start = bit_index * span
     return range(start, min(start + span, input_len))

@@ -6,15 +6,21 @@ import numpy as np
 import pytest
 
 from lognet import (
+    ExperimentConfig,
     LatentCode,
+    SynthSpec,
     export_latent_bitmap,
     latent_diff,
     majority_code,
+    read_fingerprints_csv,
     read_latents_csv,
     read_pgm,
+    synth_dataset,
+    write_fingerprints_csv,
     write_latents_csv,
 )
 from lognet.cli import _flag_overrides, build_parser, main
+from lognet.pipeline import encode_rss
 
 
 def test_synth_writes_dataset(tmp_path):
@@ -23,6 +29,28 @@ def test_synth_writes_dataset(tmp_path):
                  "--seed", "1", "--out", str(out)]) == 0
     assert (out / "fingerprints.csv").exists()
     assert (out / "rp_map.csv").exists()
+
+
+def test_flags_left_out_take_the_config_dataclass_defaults(tmp_path, fixture_dir):
+    assert main(["synth", "--rps", "4", "--aps", "8", "--out", str(tmp_path / "s")]) == 0
+    write_fingerprints_csv(synth_dataset(SynthSpec(4, 8))[0], tmp_path / "expected.csv")
+    assert (tmp_path / "s" / "fingerprints.csv").read_bytes() == \
+        (tmp_path / "expected.csv").read_bytes()
+    data = f"{fixture_dir}/fingerprints_2rp3ap.csv"
+    assert main(["encode", "--data", data, "--out", str(tmp_path / "e")]) == 0
+    expected = encode_rss(read_fingerprints_csv(data).rss_matrix(),
+                          ExperimentConfig().encoder_config())
+    assert np.array_equal(read_latents_csv(tmp_path / "e" / "latents.csv")[1], expected)
+    run = ExperimentConfig.from_dict(_flag_overrides(build_parser().parse_args(["run"])))
+    assert run.to_dict() == ExperimentConfig().to_dict()
+
+
+def test_trace_takes_a_depth_past_the_ap_count_bit_length(tmp_path, capsys):
+    write_latents_csv([0, 1], np.array([[0], [1]], dtype=np.uint8), tmp_path / "latents.csv")
+    for depth in ("70", "1000000000000000000000"):
+        assert main(["trace", "--latents", str(tmp_path / "latents.csv"), "--rp-a", "0",
+                     "--rp-b", "1", "--hidden", depth, "--ap-count", "5"]) == 0
+        assert "[0, 5)" in capsys.readouterr().out
 
 
 def test_encode_bitmap_trace_chain(tmp_path, fixture_dir, capsys):

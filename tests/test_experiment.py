@@ -17,6 +17,7 @@ from lognet import (
     compare_models,
     run_experiment,
 )
+from lognet.experiment import CONFIG_KEYS, ConfigKey
 
 
 def _synth_cfg(out_dir, family="lognet", gate=GateType.NOR, hidden=1, epochs=40, seed=0):
@@ -63,12 +64,16 @@ class TestExperimentConfig:
         assert (nested.out_dir, nested.data_path) == ("/cfg/out", "/cfg/fp.csv")
 
     @pytest.mark.parametrize("family", ["lognet", "dnn"])
-    def test_file_defaults_match_the_constructor_but_for_noise_sigma(self, family):
-        doc = {"out_dir": "out", "synth": {"num_rps": 4, "num_aps": 8}, "model": {"family": family}}
-        from_file = ExperimentConfig.from_dict(doc).to_dict()
-        built = ExperimentConfig(out_dir="out", synth=SynthSpec(4, 8), model_family=family).to_dict()
-        assert (from_file["noise"].pop("sigma"), built["noise"].pop("sigma")) == (0.0, 1.0)
-        assert from_file == built
+    def test_file_defaults_match_the_constructor(self, family):
+        doc = {"synth": {"num_rps": 4, "num_aps": 8}, "model": {"family": family}}
+        built = ExperimentConfig(synth=SynthSpec(4, 8), model_family=family)
+        assert ExperimentConfig.from_dict(doc).to_dict() == built.to_dict()
+        assert built.out_dir == "out" and built.noise.stochastic_sigma == 1.0
+        noise = ExperimentConfig.from_dict(doc | {"noise": {"delta": -8}}).noise
+        assert (noise.mode, noise.delta, noise.stochastic_sigma, noise.seed) == (
+            NoiseMode.ED, -8.0, 1.0, 0)
+        train = ExperimentConfig.from_dict(doc | {"train": {"learning_rate": 0.05}}).train
+        assert (train.learning_rate, train.epochs) == (0.05, built.train.epochs)
 
     @pytest.mark.parametrize("change,key", [
         ({"threshold": 1.5}, "model.threshold"),
@@ -241,6 +246,13 @@ class TestConfigKeys:
         doc = {"synth": {"num_rps": 4, "num_aps": 8, "strong_dbm": -40}, "rss_range": [-100, 0]}
         cfg = ExperimentConfig.from_dict(doc)
         assert (cfg.synth.strong_dbm, cfg.rss_lo, cfg.rss_hi) == (-40.0, -100.0, 0.0)
+
+    def test_keys_declare_no_defaults_and_only_synth_sizes_are_required(self):
+        assert "default" not in {f.name for f in dataclasses.fields(ConfigKey)}
+        required = {key.path for key in CONFIG_KEYS.values() if key.required}
+        assert required == {"synth.num_rps", "synth.num_aps"}
+        with pytest.raises(ConfigError, match="missing config key 'synth.num_aps'"):
+            ExperimentConfig.from_dict({"synth": {"num_rps": 4}})
 
     def test_section_must_be_an_object(self):
         with pytest.raises(ConfigError, match="'train' must hold a JSON object"):

@@ -6,7 +6,9 @@ from lognet import (
     BoundsError,
     ConfigError,
     GateType,
+    TRUTH_TABLES,
     LatentCode,
+    LatentDiff,
     LogicEncoderConfig,
     ValidationError,
     apply_gate,
@@ -19,6 +21,7 @@ from lognet import (
     normalize_values,
     trace_bit_to_aps,
 )
+from lognet.gates import ap_window
 
 ALL_GATES = list(GateType)
 ALL_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -54,6 +57,16 @@ class TestGateTables:
     def test_non_bit_input_rejected(self):
         with pytest.raises(ValidationError):
             apply_gate(2, 0, GateType.AND)
+
+    def test_float_and_bool_bits_count_as_bits(self):
+        for gate in ALL_GATES:
+            for fn in (apply_gate, gate_arithmetic):
+                for x, y in ((1.0, 0), (True, False), (0.0, 1.0), (False, True)):
+                    got = fn(x, y, gate)
+                    assert got == TRUTH_TABLES[gate][2 * int(x) + int(y)], (fn, gate, x, y)
+                    assert type(got) is int
+                with pytest.raises(ValidationError):
+                    fn(2, 0, gate)
 
     def test_gate_names_round_trip(self):
         assert GateType.from_name("NOR") is GateType.NOR
@@ -151,6 +164,15 @@ class TestTrace:
     def test_out_of_range_bit(self):
         with pytest.raises(BoundsError):
             trace_bit_to_aps(82, 1, 164)
+
+    @pytest.mark.parametrize("depth", [70, 10**21])
+    def test_depth_past_the_input_bit_length(self, depth):
+        # Windows are clipped at the input length, so a deep latent's one
+        # window covers every input without building a 2**depth integer.
+        assert trace_bit_to_aps(0, depth, 164) == range(0, 164)
+        assert ap_window(0, depth, 5) == range(0, 5)
+        a, b = LatentCode([0], depth, 164), LatentCode([1], depth, 164)
+        assert LatentDiff.between(a, b, 0, 1).ap_windows == (range(0, 164),)
 
     def test_windows_are_never_empty(self):
         rng = np.random.default_rng(7)

@@ -129,6 +129,15 @@ class TestLatentsCsv:
             read_latents_csv(path)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("header", ["rp_id,foo,bar", "rp_id,bit_0,bit_1",
+                                        "rp_id,bit_001,bit_000", "id,bit_000,bit_001"])
+    def test_header_needs_exact_bit_column_names(self, tmp_path, header):
+        path = tmp_path / "lat.csv"
+        path.write_text(header + "\n0,1,0\n")
+        with pytest.raises(ParseError, match="header must be rp_id,bit_000") as err:
+            read_latents_csv(path)
+        assert err.value.line == 1
+
 
 class TestDeltaCsv:
     def test_reads_vector_in_index_order(self, tmp_path):
