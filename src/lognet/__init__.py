@@ -6,11 +6,9 @@ from .data import (
     DEFAULT_RSS_LO,
     DEFAULT_THRESHOLD,
     RSS_SENTINEL,
-    BinaryFingerprint,
     Dataset,
     Fingerprint,
     RpMap,
-    binarize,
     binarize_matrix,
     normalize,
     normalize_values,
@@ -64,10 +62,12 @@ from .fileio import (
 from .gates import (
     GATE_FORMULAS,
     TRUTH_TABLES,
+    BinaryFingerprint,
     GateType,
     LatentCode,
     LogicEncoderConfig,
     apply_gate,
+    binarize,
     ceil_chain,
     encode,
     encode_layer,

@@ -267,33 +267,6 @@ class RpMap:
             raise UnknownRpError(f"rp map lacks coordinates for rp_ids {missing}")
 
 
-@dataclass(frozen=True, eq=False)
-class BinaryFingerprint:
-    """Thresholded fingerprint: one {0,1} activity bit per AP."""
-
-    bits: np.ndarray
-    source_ap_count: int
-
-    def __post_init__(self):
-        bits = np.asarray(self.bits)
-        if bits.ndim != 1:
-            raise ValidationError("bits must be a 1-D vector")
-        if not np.all((bits == 0) | (bits == 1)):
-            raise ValidationError("bits must contain only 0 and 1")
-        if bits.size != self.source_ap_count:
-            raise ValidationError(
-                f"got {bits.size} bits for {self.source_ap_count} APs"
-            )
-        object.__setattr__(self, "bits", _readonly(bits.astype(np.uint8)))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BinaryFingerprint):
-            return NotImplemented
-        return self.source_ap_count == other.source_ap_count and np.array_equal(
-            self.bits, other.bits
-        )
-
-
 def check_rss_range(lo, hi) -> None:
     """Raise ConfigError unless [lo, hi] is a finite dBm range with lo < hi."""
     try:
@@ -326,11 +299,6 @@ def normalize_values(
 def normalize(ds: Dataset, lo: float = DEFAULT_RSS_LO, hi: float = DEFAULT_RSS_HI) -> Dataset:
     """Normalize every fingerprint in the dataset onto [0, 1]."""
     return Dataset.from_columns(ds.rp_id, ds.device_id, ds.ci, normalize_values(ds.rss, lo, hi))
-
-
-def binarize(fp: Fingerprint, threshold: float = DEFAULT_THRESHOLD) -> BinaryFingerprint:
-    """Threshold a normalized fingerprint into activity bits, as `binarize_matrix` does."""
-    return BinaryFingerprint(binarize_matrix(fp.rss, threshold), fp.ap_count)
 
 
 def binarize_matrix(values: np.ndarray, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:

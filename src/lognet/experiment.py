@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import (
     DEFAULT_RSS_HI, DEFAULT_RSS_LO, DEFAULT_THRESHOLD, Dataset, check_rss_range, check_threshold,
-    split_train_test,
+    normalize_values, split_train_test,
 )
 from .errors import ConfigError, StageError, ValidationError
 from .evaluate import (
@@ -316,13 +316,15 @@ def _write_lognet_artifacts(clf: LogNetClassifier, train_ds: Dataset, out: Path)
 
 
 def _write_dnn_artifacts(clf: DnnClassifier, train_ds: Dataset, out: Path) -> None:
-    from .data import normalize_values
-
     norm = normalize_values(train_ds.rss_matrix(), clf.rss_lo, clf.rss_hi)
     hidden = dnn_hidden_activations(clf.model, norm)
     labels = train_ds.labels()
-    rp_ids = sorted(set(int(l) for l in labels))
-    rows = np.stack([hidden[labels == rp].mean(axis=0) for rp in rp_ids])
+    # One block of row indices per RP, ascending; the stable sort keeps each
+    # block in row order, so every mean adds the same rows in the same order
+    # as a per-RP mask would.
+    order = np.argsort(labels, kind="stable")
+    _, starts = np.unique(labels[order], return_index=True)
+    rows = np.stack([hidden[block].mean(axis=0) for block in np.split(order, starts[1:])])
     export_gray_bitmap(rows, out / "latent_gray.pgm")
 
 

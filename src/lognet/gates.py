@@ -7,7 +7,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import DEFAULT_THRESHOLD, BinaryFingerprint, check_threshold
+from .data import DEFAULT_THRESHOLD, Fingerprint, binarize_matrix, check_threshold
 from .errors import BoundsError, ConfigError, ValidationError
 
 
@@ -88,23 +88,14 @@ def _gate_columns(left: np.ndarray, right: np.ndarray, gate: GateType) -> np.nda
     raise ConfigError(f"unknown gate {gate!r}")
 
 
-def _check_bit_vector(bits, name: str) -> np.ndarray:
-    arr = np.asarray(bits)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError(f"{name} requires a non-empty 1-D bit vector")
-    if not np.all((arr == 0) | (arr == 1)):
-        raise ValidationError(f"{name} input must contain only 0 and 1")
-    return arr
-
-
 def encode_layer(bits: np.ndarray, gate: GateType) -> np.ndarray:
     """Apply one gate pairwise over adjacent, non-overlapping bit pairs.
 
     A vector of odd length gets a single 0 appended before pairing, so the
     output length is always ceil(len/2).
     """
-    arr = _check_bit_vector(bits, "encode_layer")
-    return encode_layer_matrix(arr[None, :], gate)[0]
+    code = LatentCode(bits, 0, np.size(bits))
+    return encode_layer_matrix(code.bits[None, :], gate)[0]
 
 
 def encode_layer_matrix(bits: np.ndarray, gate: GateType) -> np.ndarray:
@@ -120,16 +111,16 @@ def encode_layer_matrix(bits: np.ndarray, gate: GateType) -> np.ndarray:
 
 
 def ceil_chain(length: int, depth: int) -> int:
-    """Apply L -> ceil(L/2) `depth` times."""
+    """Apply L -> ceil(L/2) `depth` times, i.e. ceil(length / 2**depth).
+
+    Every depth of at least `length`'s bit length gives 1, so the shift is
+    capped there and a huge depth builds no huge integer.
+    """
     if length < 1:
         raise ValidationError(f"length must be positive, got {length}")
     if depth < 0:
         raise ValidationError(f"depth must be non-negative, got {depth}")
-    for _ in range(depth):
-        if length == 1:  # a width of 1 stays 1
-            break
-        length = (length + 1) // 2
-    return length
+    return -(-length // (1 << min(depth, int(length).bit_length())))
 
 
 @dataclass(frozen=True)
@@ -150,7 +141,10 @@ class LogicEncoderConfig:
 
 @dataclass(frozen=True, eq=False)
 class LatentCode:
-    """Binary latent vector emitted after all logic layers."""
+    """Bit vector after `depth` logic layers over `input_len` input bits.
+
+    Depth 0 is a fingerprint's AP activity bits, as `binarize` returns them.
+    """
 
     bits: np.ndarray
     depth: int
@@ -158,8 +152,10 @@ class LatentCode:
 
     def __post_init__(self):
         bits = np.asarray(self.bits)
+        if bits.ndim != 1 or bits.size == 0:
+            raise ValidationError("bits must form a non-empty 1-D vector")
         if not np.all((bits == 0) | (bits == 1)):
-            raise ValidationError("latent bits must contain only 0 and 1")
+            raise ValidationError("bits must contain only 0 and 1")
         expected = ceil_chain(self.input_len, self.depth)
         if bits.size != expected:
             raise ValidationError(
@@ -183,19 +179,38 @@ class LatentCode:
         )
 
 
-def encode(bf: BinaryFingerprint, cfg: LogicEncoderConfig) -> LatentCode:
-    """Run the layered encoder over one binary fingerprint."""
-    arr = _check_bit_vector(bf.bits, "encode")
-    bits = encode_matrix(arr[None, :], cfg.gate, cfg.hidden_layers)[0]
-    return LatentCode(bits, cfg.hidden_layers, bf.source_ap_count)
+def BinaryFingerprint(bits, source_ap_count: int) -> LatentCode:
+    """AP activity bits: the depth-0 code over `source_ap_count` APs."""
+    return LatentCode(bits, 0, source_ap_count)
+
+
+def binarize(fp: Fingerprint, threshold: float = DEFAULT_THRESHOLD) -> LatentCode:
+    """Threshold a normalized fingerprint into its depth-0 code, as `binarize_matrix` does."""
+    return LatentCode(binarize_matrix(fp.rss, threshold), 0, fp.ap_count)
+
+
+def encode(code: LatentCode, cfg: LogicEncoderConfig) -> LatentCode:
+    """Run cfg's logic layers over a code; the result is `cfg.hidden_layers` deeper."""
+    bits = encode_matrix(code.bits[None, :], cfg.gate, cfg.hidden_layers)[0]
+    return LatentCode(bits, code.depth + cfg.hidden_layers, code.input_len)
 
 
 def encode_matrix(bits: np.ndarray, gate: GateType, hidden_layers: int) -> np.ndarray:
-    """Run the layered encoder over a (samples, aps) bit matrix."""
+    """Run the layered encoder over a (samples, aps) bit matrix.
+
+    A layer at width 1 maps x to gate(x, 0), which is a constant, x or not x,
+    so a run of two or more such layers acts like one or two of them (same
+    parity). The layers past that point are therefore skipped in pairs, and
+    the work stops growing with the depth once the width is 1.
+    """
     if hidden_layers < 1:
         raise ConfigError(f"hidden_layers must be >= 1, got {hidden_layers}")
-    out = np.asarray(bits, dtype=np.uint8)
-    for _ in range(hidden_layers):
+    out = encode_layer_matrix(bits, gate)  # validates the input
+    rest = hidden_layers - 1
+    to_one = (out.shape[1] - 1).bit_length()  # layers until the width is 1
+    if rest > to_one + 2:
+        rest = to_one + 2 - (rest - to_one) % 2
+    for _ in range(rest):
         out = encode_layer_matrix(out, gate)
     return out
 

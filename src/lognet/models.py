@@ -13,6 +13,7 @@ import numpy as np
 
 from .data import Dataset, _readonly
 from .errors import ConfigError, ShapeError, TrainingError, ValidationError
+from .gates import ceil_chain
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -78,7 +79,7 @@ def _check_stack(layers, class_labels) -> tuple[tuple, tuple[int, ...]]:
         # The final (classifier) width is free.
         widths = [clean[0][0].shape[0]] + [W.shape[1] for W, _ in clean]
         for k in range(1, len(widths) - 1):
-            expected = (widths[k - 1] + 1) // 2
+            expected = ceil_chain(widths[k - 1], 1)
             if widths[k] != expected:
                 raise ValidationError(
                     f"hidden width {widths[k]} at layer {k} violates the halving "
@@ -214,10 +215,7 @@ def dnn_hidden_widths(input_dim: int, hidden_layers: int) -> list[int]:
     """Widths [input, h1, ..., hH] under the ceil-halving rule."""
     if hidden_layers < 1:
         raise ConfigError(f"hidden_layers must be >= 1, got {hidden_layers}")
-    widths = [int(input_dim)]
-    for _ in range(hidden_layers):
-        widths.append((widths[-1] + 1) // 2)
-    return widths
+    return [ceil_chain(int(input_dim), k) for k in range(hidden_layers + 1)]
 
 
 class Adam:

@@ -7,7 +7,9 @@ import pytest
 
 from lognet import (
     ExperimentConfig,
+    GateType,
     LatentCode,
+    LogicEncoderConfig,
     SynthSpec,
     export_latent_bitmap,
     latent_diff,
@@ -51,6 +53,17 @@ def test_trace_takes_a_depth_past_the_ap_count_bit_length(tmp_path, capsys):
         assert main(["trace", "--latents", str(tmp_path / "latents.csv"), "--rp-a", "0",
                      "--rp-b", "1", "--hidden", depth, "--ap-count", "5"]) == 0
         assert "[0, 5)" in capsys.readouterr().out
+
+
+def test_encode_takes_a_depth_past_width_1(tmp_path, fixture_dir):
+    # The fixture's 3 APs reach width 1 after 2 layers; NOR then negates the
+    # bit at every layer, so depth 10**12 encodes like depth 4.
+    data = f"{fixture_dir}/fingerprints_2rp3ap.csv"
+    assert main(["encode", "--data", data, "--gate", "nor", "--hidden", "1000000000000",
+                 "--out", str(tmp_path)]) == 0
+    expected = encode_rss(read_fingerprints_csv(data).rss_matrix(),
+                          LogicEncoderConfig(GateType.NOR, 0.5, 4))
+    assert np.array_equal(read_latents_csv(tmp_path / "latents.csv")[1], expected)
 
 
 def test_encode_bitmap_trace_chain(tmp_path, fixture_dir, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lognet import (
+    BinaryFingerprint,
     ConfigError,
     Dataset,
     Fingerprint,
@@ -123,6 +124,12 @@ class TestBinarize:
     def test_unnormalized_input_rejected(self):
         with pytest.raises(ValidationError):
             binarize(Fingerprint(0, "d", 0, [-40.0, 0.5]), 0.5)
+
+    def test_binarize_is_the_depth_0_code_of_binarize_matrix(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 7, 164):
+            fp = Fingerprint(0, "d", 0, rng.uniform(0.0, 1.0, n))
+            assert binarize(fp) == BinaryFingerprint(binarize_matrix(fp.rss), n)
 
     def test_threshold_out_of_range(self):
         fp = Fingerprint(0, "d", 0, [0.5])

@@ -21,7 +21,7 @@ from lognet import (
     normalize_values,
     trace_bit_to_aps,
 )
-from lognet.gates import ap_window
+from lognet.gates import ap_window, encode_layer_matrix
 
 ALL_GATES = list(GateType)
 ALL_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -137,6 +137,57 @@ class TestEncode:
     def test_latent_code_length_invariant(self):
         with pytest.raises(ValidationError):
             LatentCode(np.array([0, 1, 0]), depth=1, input_len=164)
+
+    def test_code_bits_must_form_a_non_empty_vector(self):
+        with pytest.raises(ValidationError):
+            LatentCode(np.zeros((1, 2), np.uint8), 1, 4)
+        with pytest.raises(ValidationError):
+            BinaryFingerprint([], 0)
+
+    def test_activity_bits_are_the_depth_0_code(self):
+        bf = BinaryFingerprint([1, 0, 1], 3)
+        assert bf == LatentCode(np.array([1, 0, 1], np.uint8), 0, 3)
+        assert bf.depth == 0 and bf.input_len == 3
+
+    def test_encode_adds_its_layers_to_the_code_depth(self):
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            n = int(rng.integers(1, 120))
+            d, h = int(rng.integers(0, 4)), int(rng.integers(1, 4))
+            gate = ALL_GATES[int(rng.integers(len(ALL_GATES)))]
+            bits = rng.integers(0, 2, ceil_chain(n, d)).astype(np.uint8)
+            code = encode(LatentCode(bits, d, n), LogicEncoderConfig(gate, 0.5, h))
+            assert (code.depth, code.input_len) == (d + h, n)
+            assert code.bits.tolist() == encode_matrix(bits[None, :], gate, h)[0].tolist()
+
+
+class TestEncoderDepth:
+    @staticmethod
+    def layer_by_layer(bits, gate, depth):
+        for _ in range(depth):
+            bits = encode_layer_matrix(bits, gate)
+        return bits
+
+    def test_matches_one_layer_at_a_time(self):
+        rng = np.random.default_rng(10)
+        for width in range(1, 20):
+            B = rng.integers(0, 2, (6, width)).astype(np.uint8)
+            for gate in ALL_GATES:
+                for depth in range(1, 14):
+                    assert np.array_equal(
+                        encode_matrix(B, gate, depth), self.layer_by_layer(B, gate, depth)
+                    ), (width, gate, depth)
+
+    def test_huge_depth_acts_like_a_small_one_of_the_same_parity(self):
+        # Width 19 reaches 1 after 5 layers, so depths 12 and 13 are already
+        # past it.
+        rng = np.random.default_rng(11)
+        B = rng.integers(0, 2, (8, 19)).astype(np.uint8)
+        for gate in ALL_GATES:
+            for huge, small in ((10**12, 12), (10**12 + 1, 13)):
+                assert np.array_equal(
+                    encode_matrix(B, gate, huge), self.layer_by_layer(B, gate, small)
+                ), (gate, huge)
 
 
 class TestCeilChain:
