@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -31,11 +32,33 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _id_error(name: str, value) -> str | None:
+    """Why `value` is no rp_id or ci, or None if it is one.
+
+    An id is a non-bool integer in [0, 2**63).
+    """
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral):
+        return f"{name} must be an integer, got {value!r}"
+    if value < 0:
+        return f"{name} must be non-negative, got {value}"
+    if value >= _ID_LIMIT:
+        return f"{name} must be below 2**63, got {value}"
+    return None
+
+
+def _id_column_ok(col: np.ndarray) -> np.ndarray:
+    """Which entries of an rp_id or ci column `_id_error` accepts."""
+    if col.dtype.kind in "iu":
+        return (col >= 0) & (col < _ID_LIMIT)
+    return np.array([_id_error("", v) is None for v in col.tolist()], dtype=bool)
+
+
 def check_fingerprint(rp_id: int, ci: int, rss) -> np.ndarray:
     """Validate one fingerprint's fields; return its RSS as a float64 vector.
 
     Raises ValidationError for an empty or non-1-D RSS vector, a non-finite
-    RSS value, or an rp_id or ci outside [0, 2**63), checked in that order.
+    RSS value, or an rp_id or ci that is not an integer in [0, 2**63),
+    checked in that order.
     """
     rss = np.asarray(rss, dtype=np.float64)
     if rss.ndim != 1 or rss.size == 0:
@@ -43,10 +66,9 @@ def check_fingerprint(rp_id: int, ci: int, rss) -> np.ndarray:
     if not np.isfinite(rss).all():
         raise ValidationError("rss values must be finite")
     for name, value in (("rp_id", rp_id), ("ci", ci)):
-        if value < 0:
-            raise ValidationError(f"{name} must be non-negative, got {value}")
-        if value >= _ID_LIMIT:
-            raise ValidationError(f"{name} must be below 2**63, got {value}")
+        error = _id_error(name, value)
+        if error:
+            raise ValidationError(error)
     return rss
 
 
@@ -154,13 +176,12 @@ class Dataset:
         device_id = np.asarray(device_id, dtype=object)
         if any(col.shape != (n,) for col in (ids, cis, device_id)):
             raise ValidationError(f"rp_id, device_id and ci must each hold {n} entries")
-        finite = np.isfinite(rss).all(axis=1)
-        in_range = (ids >= 0) & (ids < _ID_LIMIT) & (cis >= 0) & (cis < _ID_LIMIT)
-        bad = np.flatnonzero(~(finite & in_range))
+        ok = np.isfinite(rss).all(axis=1) & _id_column_ok(ids) & _id_column_ok(cis)
+        bad = np.flatnonzero(~ok)
         if bad.size:
             i = int(bad[0])
             try:
-                check_fingerprint(int(ids[i]), int(cis[i]), rss[i])
+                check_fingerprint(ids[i : i + 1].tolist()[0], cis[i : i + 1].tolist()[0], rss[i])
             except ValidationError as exc:
                 raise ValidationError(f"row {i}: {exc}") from None
         return cls._of(

@@ -316,8 +316,9 @@ def _write_lognet_artifacts(clf: LogNetClassifier, train_ds: Dataset, out: Path)
 
 
 def _write_dnn_artifacts(clf: DnnClassifier, train_ds: Dataset, out: Path) -> None:
-    norm = normalize_values(train_ds.rss_matrix(), clf.rss_lo, clf.rss_hi)
-    hidden = dnn_hidden_activations(clf.model, norm)
+    hidden = dnn_hidden_activations(
+        clf.model, normalize_values(train_ds.rss_matrix(), clf.rss_lo, clf.rss_hi)
+    )
     labels = train_ds.labels()
     # One block of row indices per RP, ascending; the stable sort keeps each
     # block in row order, so every mean adds the same rows in the same order
@@ -389,6 +390,7 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     # Stage: simulate the temporal schedule over the held-out fingerprints.
     with _stage("simulate", out):
         test_cis = simulate_cis(test_ds, cfg.noise, cfg.schedule)
+    del test_ds  # simulate_cis copied its rows; evaluate and latency read only test_cis
 
     # Stage: evaluate across all CIs.
     with _stage("evaluate", out):

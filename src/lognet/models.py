@@ -165,15 +165,28 @@ def sparse_cross_entropy(logits: np.ndarray, class_idx: np.ndarray) -> float:
 
 
 def forward(model: DenseStack, x) -> np.ndarray:
-    """Class probabilities for one input vector, or per row of an (m, input_dim) batch."""
+    """Class probabilities for one input vector, or per row of an (m, input_dim) batch.
+
+    The pass walks the stack by rebinding `x`, so each layer's input is
+    released as soon as the next layer exists. A caller that hands over a
+    temporary (`forward(model, normalize_values(...))`) thus holds at most two
+    adjacent layers at once; CPython >= 3.11 gives the callee the only
+    reference to such an argument.
+    """
     x = np.asarray(x, dtype=np.float64)
-    X = x.reshape(1, -1) if x.ndim == 1 else x
+    shape = x.shape
+    if x.ndim == 1:
+        x = x.reshape(1, -1)
     dim = model.input_dim
-    if X.ndim != 2 or X.shape[1] != dim:
-        raise ShapeError(f"input of shape {x.shape} does not match model input_dim {dim}")
-    logits = _dnn_logits(model.layers, X)
-    probs = _softmax_into(logits, logits)
-    return probs[0] if x.ndim == 1 else probs
+    if x.ndim != 2 or x.shape[1] != dim:
+        raise ShapeError(f"input of shape {shape} does not match model input_dim {dim}")
+    for W, b in model.layers[:-1]:
+        x = _hidden_layer(x, W, b)
+    W_out, b_out = model.layers[-1]
+    x = x @ W_out
+    x += b_out
+    probs = _softmax_into(x, x)
+    return probs[0] if len(shape) == 1 else probs
 
 
 # The names each classifier calls the forward pass by.
@@ -181,25 +194,35 @@ softmax_forward = dnn_forward = forward
 
 
 def dnn_hidden_activations(model: DenseStack, X: np.ndarray) -> np.ndarray:
-    """Activations of the last hidden layer for a (samples, input_dim) batch."""
+    """Activations of the last hidden layer for a (samples, input_dim) batch.
+
+    Like `forward`, it holds only the layer it reads and the one it writes.
+    """
     if len(model.layers) < 2:
         raise ShapeError("model has no hidden layer")
-    return _activations(model.layers, np.atleast_2d(np.asarray(X, dtype=np.float64)))[-1]
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    for W, b in model.layers[:-1]:
+        X = _hidden_layer(X, W, b)
+    return X
+
+
+def _hidden_layer(a: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One hidden layer's ReLU output, in a fresh array.
+
+    The bias and ReLU work in place on the matmul output: the same ufuncs in
+    the same order as `np.maximum(a @ W + b, 0.0)`, without two temporaries.
+    """
+    h = a @ W
+    h += b
+    np.maximum(h, 0.0, out=h)
+    return h
 
 
 def _activations(layers, X: np.ndarray) -> list[np.ndarray]:
-    """The input, then each hidden layer's ReLU output.
-
-    Each hidden layer's bias and ReLU work in place on its matmul output:
-    the same ufuncs in the same order as `np.maximum(a @ W + b, 0.0)`, without two
-    temporaries per layer.
-    """
+    """The input, then each hidden layer's ReLU output (training keeps them all for backprop)."""
     acts = [X]
     for W, b in layers[:-1]:
-        h = acts[-1] @ W
-        h += b
-        np.maximum(h, 0.0, out=h)
-        acts.append(h)
+        acts.append(_hidden_layer(acts[-1], W, b))
     return acts
 
 

@@ -45,8 +45,7 @@ def encode_rss(
     rss_hi: float = DEFAULT_RSS_HI,
 ) -> np.ndarray:
     """Normalize, binarize and gate-encode a raw dBm matrix into uint8 latents."""
-    norm = normalize_values(rss, rss_lo, rss_hi)
-    bits = binarize_matrix(norm, encoder.threshold)
+    bits = binarize_matrix(normalize_values(rss, rss_lo, rss_hi), encoder.threshold)
     return encode_matrix(bits, encoder.gate, encoder.hidden_layers)
 
 
@@ -137,8 +136,8 @@ class DnnClassifier:
 
     def predict_proba(self, ds: Dataset) -> np.ndarray:
         _check_aps(self, ds)
-        norm = normalize_values(ds.rss_matrix(), self.rss_lo, self.rss_hi)
-        return dnn_forward(self.model, norm)
+        # Handed over unbound, so the forward pass frees it once the first hidden layer exists.
+        return dnn_forward(self.model, normalize_values(ds.rss_matrix(), self.rss_lo, self.rss_hi))
 
     predict = _predict
 

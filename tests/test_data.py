@@ -25,6 +25,12 @@ from lognet import (
 from lognet import pipeline
 
 
+# Columns of two ids, each first entry no id: a fraction, which int64 would
+# truncate; a str; a bool, which is an int to Python; and a NaN.
+NON_IDS = [[0.5, 1.7], ["a", "b"], [True, False], [float("nan"), 1]]
+NON_ID_NAMES = ["fraction", "str", "bool", "nan"]
+
+
 class TestFingerprint:
     def test_rejects_nan(self):
         with pytest.raises(ValidationError):
@@ -35,6 +41,13 @@ class TestFingerprint:
             Fingerprint(-1, "d", 0, [-50.0])
         with pytest.raises(ValidationError):
             Fingerprint(0, "d", -2, [-50.0])
+
+    @pytest.mark.parametrize("bad", NON_IDS, ids=NON_ID_NAMES)
+    @pytest.mark.parametrize("field", ["rp_id", "ci"])
+    def test_rejects_non_integer_ids(self, field, bad):
+        ids = {"rp_id": 0, "ci": 0, field: bad[0]}
+        with pytest.raises(ValidationError, match=f"^{field} must be an integer, got "):
+            Fingerprint(ids["rp_id"], "d", ids["ci"], [-50.0])
 
     def test_rss_is_immutable(self):
         fp = Fingerprint(0, "d", 0, [-50.0, -60.0])
@@ -241,6 +254,18 @@ class TestColumnarDataset:
             Dataset.from_columns([2**63], ["d"], [0], [[-50.0]])
         with pytest.raises(ValidationError):
             Dataset.from_columns([0, 1], ["d"], [0, 0], [[-50.0], [-60.0]])
+
+    @pytest.mark.parametrize("bad", NON_IDS, ids=NON_ID_NAMES)
+    @pytest.mark.parametrize("field", ["rp_id", "ci"])
+    def test_from_columns_rejects_non_integer_ids(self, field, bad):
+        cols = {"rp_id": [0, 1], "ci": [0, 0], field: bad}
+        with pytest.raises(ValidationError, match=f"^row 0: {field} must be an integer, got "):
+            Dataset.from_columns(cols["rp_id"], ["a", "b"], cols["ci"], np.full((2, 3), -50.0))
+
+    def test_from_columns_names_the_first_row_without_an_id(self):
+        with pytest.raises(ValidationError, match="^row 1: rp_id must be an integer, got 1.5$"):
+            Dataset.from_columns(np.array([0, 1.5], dtype=object), ["a", "b"], [0, 0],
+                                 np.full((2, 3), -50.0))
 
     def test_immutable_and_copyable(self, tiny_dataset):
         with pytest.raises(AttributeError):

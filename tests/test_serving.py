@@ -2,6 +2,9 @@
 bit, never writes into its caller's array, and serves a row alone exactly as
 it serves that row in a batch."""
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -26,8 +29,8 @@ from lognet import (
     softmax_forward,
     synth_dataset,
 )
-from lognet.models import dnn_hidden_activations, softmax
-from lognet.pipeline import fit_dnn, fit_lognet
+from lognet.models import dnn_hidden_activations, dnn_hidden_widths, forward, init_dnn, softmax
+from lognet.pipeline import DnnClassifier, fit_dnn, fit_lognet
 
 SETTINGS = settings(max_examples=200, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -188,3 +191,49 @@ class TestWrongApCount:
         ds = Dataset.from_columns([0], ["d"], [0], np.full((1, 23), -50.0))
         with pytest.raises(ShapeError, match="dataset has 23 APs but the model expects 24"):
             getattr(clf, method)(ds)
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak, in bytes, of the allocations `call()` makes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="before CPython 3.11 the caller's frame keeps its own reference to a temporary "
+           "argument, so the forward pass cannot free the normalized batch",
+)
+class TestServingMemory:
+    """A predict holds its normalized batch only until the first hidden layer
+    exists, and after that at most two adjacent layers (building scale: 520
+    APs, 400 RPs)."""
+
+    ROWS, APS, CLASSES = 2000, 520, 400
+    MARGIN = 2**19  # the softmax's per-row max and sum, and small bookkeeping
+
+    def layer_bytes(self, hidden_layers: int) -> list[int]:
+        widths = dnn_hidden_widths(self.APS, hidden_layers) + [self.CLASSES]
+        return [self.ROWS * w * 8 for w in widths]
+
+    def test_predict_proba_frees_the_normalized_batch(self):
+        rng = np.random.default_rng(0)
+        ds = Dataset.from_columns(np.arange(self.ROWS) % self.CLASSES, ["d"] * self.ROWS,
+                                  np.zeros(self.ROWS, np.int64),
+                                  rng.uniform(-100.0, 0.0, (self.ROWS, self.APS)))
+        clf = DnnClassifier(init_dnn(self.APS, 1, range(self.CLASSES), seed=0))
+        normalized, hidden, _ = self.layer_bytes(1)
+        peak = traced_peak(lambda: clf.predict_proba(ds))
+        # Holding the logits next to both would add another 6.4 MB.
+        assert peak < normalized + hidden + self.MARGIN
+
+    def test_a_deep_forward_holds_two_adjacent_layers(self):
+        rng = np.random.default_rng(1)
+        model = init_dnn(self.APS, 2, range(self.CLASSES), seed=0)
+        sizes = self.layer_bytes(2)
+        peak = traced_peak(lambda: forward(model, rng.uniform(0.0, 1.0, (self.ROWS, self.APS))))
+        assert peak < max(a + b for a, b in zip(sizes, sizes[1:])) + self.MARGIN
