@@ -10,33 +10,29 @@ import tempfile
 from pathlib import Path
 
 import lognet as ln
-from lognet.evaluate import latent_diff, majority_code
-from lognet.gates import LatentCode
+from lognet.pipeline import encode_rss
 
 
 def main():
     ds, _ = ln.synth_dataset(ln.SynthSpec(num_rps=10, num_aps=20, fingerprints_per_rp=6, seed=3))
     encoder = ln.LogicEncoderConfig(ln.GateType.NOR, threshold=0.5, hidden_layers=1)
 
-    codes_by_rp: dict[int, list[LatentCode]] = {}
-    for fp in ds:
-        norm = ln.normalize_values(fp.rss)
-        bits = ln.binarize(ln.Fingerprint(fp.rp_id, fp.device_id, fp.ci, norm))
-        codes_by_rp.setdefault(fp.rp_id, []).append(ln.encode(bits, encoder))
-
-    majorities = {rp: majority_code(codes) for rp, codes in codes_by_rp.items()}
+    # One latent row per fingerprint, then one majority row per RP (sorted by id).
+    rp_ids, majorities = ln.majority_by_rp(ds.labels(), encode_rss(ds.rss_matrix(), encoder))
+    codes = {rp: ln.LatentCode(row, encoder.hidden_layers, ds.ap_count)
+             for rp, row in zip(rp_ids, majorities)}
 
     print("latent matrix (rows = RPs):")
-    for rp in sorted(majorities):
-        print(f"  rp {rp:>2}: {''.join(str(b) for b in majorities[rp].bits)}")
+    for rp, code in codes.items():
+        print(f"  rp {rp:>2}: {''.join(str(b) for b in code.bits)}")
 
     for rp_a, rp_b in ((4, 5), (8, 9)):
-        diff = latent_diff(codes_by_rp[rp_a], codes_by_rp[rp_b], rp_a, rp_b)
+        diff = ln.LatentDiff.between(codes[rp_a], codes[rp_b], rp_a, rp_b)
         print()
         print(diff.format_table())
 
     out = Path(tempfile.mkdtemp(prefix="lognet-demo-")) / "latent_bitmap.pgm"
-    ln.export_latent_bitmap(majorities, out)
+    ln.write_latent_bitmap(majorities, out)
     print(f"\nbitmap written to {out}")
 
 

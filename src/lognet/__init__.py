@@ -34,13 +34,12 @@ from .evaluate import (
     LatentDiff,
     evaluate,
     export_gray_bitmap,
-    export_latent_bitmap,
-    latent_diff,
-    majority_code,
+    majority_by_rp,
     mean_localization_error,
     measure_latency,
     read_latent_bitmap,
     sample_errors,
+    write_latent_bitmap,
 )
 from .experiment import (
     ComparisonTable,
@@ -62,7 +61,6 @@ from .fileio import (
 from .gates import (
     GATE_FORMULAS,
     TRUTH_TABLES,
-    BinaryFingerprint,
     GateType,
     LatentCode,
     LogicEncoderConfig,
@@ -70,7 +68,6 @@ from .gates import (
     binarize,
     ceil_chain,
     encode,
-    encode_layer,
     encode_matrix,
     gate_arithmetic,
     trace_bit_to_aps,
@@ -78,17 +75,13 @@ from .gates import (
 from .models import (
     BYTES_PER_PARAM,
     DenseStack,
-    DnnModel,
-    SoftmaxModel,
     TrainConfig,
     count_params,
-    dnn_forward,
     dnn_hidden_widths,
     forward,
     gradient_check,
     init_dnn,
     model_size_bytes,
-    softmax_forward,
     train_dnn,
     train_softmax,
 )

@@ -12,7 +12,7 @@ import numpy as np
 from .data import Dataset, RpMap
 from .errors import ShapeError, ValidationError
 from .fileio import atomic_open, read_pgm, write_pgm
-from .gates import LatentCode, ap_window
+from .gates import LatentCode, ap_window, check_bits
 from .models import count_params, model_size_bytes
 
 
@@ -169,19 +169,16 @@ def measure_latency(classifier, test: Dataset, repetitions: int = 5) -> LatencyR
     )
 
 
-def majority_code(latents: list[LatentCode]) -> LatentCode:
-    """Bitwise majority across latent codes; ties resolve to 1."""
-    if not latents:
-        raise ValidationError("majority over an empty latent list")
-    depth, input_len = latents[0].depth, latents[0].input_len
-    if any(l.depth != depth or l.input_len != input_len for l in latents):
-        raise ShapeError("all latents must share depth and input length")
-    _, rows = majority_by_rp(np.zeros(len(latents)), np.stack([l.bits for l in latents]))
-    return LatentCode(rows[0], depth, input_len)
+def majority_by_rp(rp_ids, bits) -> tuple[list[int], np.ndarray]:
+    """Sorted RP ids and each RP's bitwise majority row; ties resolve to 1.
 
-
-def majority_by_rp(rp_ids, bits: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """Sorted RP ids and each RP's bitwise majority row; ties resolve to 1."""
+    `bits` holds one {0,1} row per entry of `rp_ids`.
+    """
+    bits = check_bits(bits)
+    if bits.ndim != 2:
+        raise ShapeError(f"latent rows must form a 2-D matrix, got shape {bits.shape}")
+    if len(rp_ids) != len(bits):
+        raise ShapeError(f"{len(rp_ids)} RP ids for {len(bits)} latent rows")
     if len(rp_ids) == 0:
         raise ValidationError("majority over an empty latent list")
     rps, group, counts = np.unique(rp_ids, return_inverse=True, return_counts=True)
@@ -205,7 +202,7 @@ class LatentDiff:
     def between(cls, maj_a: LatentCode, maj_b: LatentCode, rp_a: int, rp_b: int) -> "LatentDiff":
         """Where two RPs' already-voted majority codes disagree."""
         if len(maj_a) != len(maj_b) or maj_a.input_len != maj_b.input_len:
-            raise ShapeError("latent lists have mismatched shapes")
+            raise ShapeError("latent codes have mismatched shapes")
         differing = tuple(np.flatnonzero(maj_a.bits != maj_b.bits).tolist())
         # Each index is in range, so the windows skip trace_bit_to_aps's bounds check.
         windows = tuple(ap_window(i, maj_a.depth, maj_a.input_len) for i in differing)
@@ -227,26 +224,9 @@ class LatentDiff:
         return "\n".join(lines)
 
 
-def latent_diff(latents_a: list[LatentCode], latents_b: list[LatentCode],
-                rp_a: int = 0, rp_b: int = 1) -> LatentDiff:
-    """Majority-vote both classes and report where their latents disagree."""
-    return LatentDiff.between(majority_code(latents_a), majority_code(latents_b), rp_a, rp_b)
-
-
-def export_latent_bitmap(latents_by_rp: dict[int, LatentCode], path: str) -> None:
-    """Write per-RP majority latents, rows sorted by rp_id, as a binary-pixel PGM."""
-    if not latents_by_rp:
-        raise ValidationError("no latents to export")
-    rp_ids = sorted(latents_by_rp)
-    lengths = {len(latents_by_rp[rp]) for rp in rp_ids}
-    if len(lengths) != 1:
-        raise ShapeError("all latent codes must have equal length")
-    write_latent_bitmap(np.stack([latents_by_rp[rp].bits for rp in rp_ids]), path)
-
-
 def write_latent_bitmap(rows: np.ndarray, path: str) -> None:
     """Write {0,1} latent rows as a PGM, one pixel row each: 0 maps to black, 1 to white."""
-    write_pgm(rows * np.uint8(255), path)
+    write_pgm(check_bits(rows) * np.uint8(255), path)
 
 
 def export_gray_bitmap(matrix: np.ndarray, path: str) -> None:

@@ -88,18 +88,13 @@ def _gate_columns(left: np.ndarray, right: np.ndarray, gate: GateType) -> np.nda
     raise ConfigError(f"unknown gate {gate!r}")
 
 
-def encode_layer(bits: np.ndarray, gate: GateType) -> np.ndarray:
-    """Apply one gate pairwise over adjacent, non-overlapping bit pairs.
-
-    A vector of odd length gets a single 0 appended before pairing, so the
-    output length is always ceil(len/2).
-    """
-    code = LatentCode(bits, 0, np.size(bits))
-    return encode_layer_matrix(code.bits[None, :], gate)[0]
-
-
 def encode_layer_matrix(bits: np.ndarray, gate: GateType) -> np.ndarray:
-    """One encoder layer applied row-wise over a (samples, width) bit matrix."""
+    """One encoder layer applied row-wise over a (samples, width) bit matrix.
+
+    The gate runs over adjacent, non-overlapping bit pairs. A row of odd
+    width gets a single 0 appended before pairing, so the output width is
+    always ceil(width/2).
+    """
     arr = np.asarray(bits, dtype=np.uint8)
     if arr.ndim != 2 or arr.shape[1] == 0:
         raise ValidationError("encode_layer_matrix requires a non-empty 2-D bit matrix")
@@ -108,6 +103,14 @@ def encode_layer_matrix(bits: np.ndarray, gate: GateType) -> np.ndarray:
         arr = np.hstack([arr, pad])
     pairs = arr.reshape(arr.shape[0], -1, 2)
     return _gate_columns(pairs[:, :, 0], pairs[:, :, 1], gate)
+
+
+def check_bits(bits) -> np.ndarray:
+    """`bits` as an array, checked to hold only 0 and 1."""
+    bits = np.asarray(bits)
+    if not ((bits == 0) | (bits == 1)).all():
+        raise ValidationError("bits must contain only 0 and 1")
+    return bits
 
 
 def ceil_chain(length: int, depth: int) -> int:
@@ -154,8 +157,7 @@ class LatentCode:
         bits = np.asarray(self.bits)
         if bits.ndim != 1 or bits.size == 0:
             raise ValidationError("bits must form a non-empty 1-D vector")
-        if not np.all((bits == 0) | (bits == 1)):
-            raise ValidationError("bits must contain only 0 and 1")
+        check_bits(bits)
         expected = ceil_chain(self.input_len, self.depth)
         if bits.size != expected:
             raise ValidationError(
@@ -177,11 +179,6 @@ class LatentCode:
             and self.input_len == other.input_len
             and np.array_equal(self.bits, other.bits)
         )
-
-
-def BinaryFingerprint(bits, source_ap_count: int) -> LatentCode:
-    """AP activity bits: the depth-0 code over `source_ap_count` APs."""
-    return LatentCode(bits, 0, source_ap_count)
 
 
 def binarize(fp: Fingerprint, threshold: float = DEFAULT_THRESHOLD) -> LatentCode:

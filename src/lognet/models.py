@@ -131,14 +131,6 @@ class DenseStack:
         return self.layers[-1][1]
 
 
-DnnModel = DenseStack
-
-
-def SoftmaxModel(weights, biases, class_labels) -> DenseStack:
-    """The softmax head: a one-layer stack from (latent_dim, classes) weights."""
-    return DenseStack(((weights, biases),), class_labels)
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax via max-shifted exponentiation, computed in one fresh array."""
     logits = np.asarray(logits, dtype=np.float64)
@@ -187,10 +179,6 @@ def forward(model: DenseStack, x) -> np.ndarray:
     x += b_out
     probs = _softmax_into(x, x)
     return probs[0] if len(shape) == 1 else probs
-
-
-# The names each classifier calls the forward pass by.
-softmax_forward = dnn_forward = forward
 
 
 def dnn_hidden_activations(model: DenseStack, X: np.ndarray) -> np.ndarray:
@@ -365,7 +353,7 @@ def train_softmax(latents, labels, cfg: TrainConfig,
     rng = np.random.default_rng(cfg.seed)
     params = list(_init_linear(rng, X.shape[1], len(classes)))
     history = _fit(params, X, y_idx, cfg, rng)
-    return SoftmaxModel(params[0], params[1], classes), history
+    return DenseStack(((params[0], params[1]),), classes), history
 
 
 def init_dnn(input_dim: int, hidden_layers: int, class_labels: Sequence[int],

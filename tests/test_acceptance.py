@@ -2,6 +2,7 @@
 pass/fail line and enforcing its runtime budget."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -56,12 +57,12 @@ def test_c2_encoder_shape_law():
         for n in lengths:
             n = int(n)
             bits = rng.integers(0, 2, n).astype(np.uint8)
-            bf = ln.BinaryFingerprint(bits, n)
+            bf = ln.LatentCode(bits, 0, n)
             for gate in ALL_GATES:
                 for depth in range(1, 7):
                     code = ln.encode(bf, ln.LogicEncoderConfig(gate, 0.5, depth))
                     assert len(code) == ln.ceil_chain(n, depth)
-        bf = ln.BinaryFingerprint(rng.integers(0, 2, 164).astype(np.uint8), 164)
+        bf = ln.LatentCode(rng.integers(0, 2, 164).astype(np.uint8), 0, 164)
         assert len(ln.encode(bf, ln.LogicEncoderConfig(ln.GateType.NOR, 0.5, 1))) == 82
 
 
@@ -76,13 +77,13 @@ def test_c3_locality_traceability():
             window = ln.trace_bit_to_aps(j, h, n)
             bits = rng.integers(0, 2, n).astype(np.uint8)
             cfg = ln.LogicEncoderConfig(gate, 0.5, h)
-            before = ln.encode(ln.BinaryFingerprint(bits, n), cfg).bits[j]
+            before = ln.encode(ln.LatentCode(bits, 0, n), cfg).bits[j]
             outside = np.setdiff1d(np.arange(n), np.arange(window.start, window.stop))
             if outside.size:
                 flips = rng.choice(outside, int(rng.integers(1, outside.size + 1)), replace=False)
                 mutated = bits.copy()
                 mutated[flips] ^= 1
-                after = ln.encode(ln.BinaryFingerprint(mutated, n), cfg).bits[j]
+                after = ln.encode(ln.LatentCode(mutated, 0, n), cfg).bits[j]
                 assert before == after, "outside flip changed a latent bit"
         # Flipping inside the window can change the bit: with OR over zeros,
         # raising any real in-window input turns latent bit j on.
@@ -94,7 +95,7 @@ def test_c3_locality_traceability():
             bits = np.zeros(n, dtype=np.uint8)
             bits[int(rng.integers(window.start, window.stop))] = 1
             cfg = ln.LogicEncoderConfig(ln.GateType.OR, 0.5, h)
-            assert ln.encode(ln.BinaryFingerprint(bits, n), cfg).bits[j] == 1
+            assert ln.encode(ln.LatentCode(bits, 0, n), cfg).bits[j] == 1
 
 
 def test_c4_threshold_noise_filtering():
@@ -114,7 +115,7 @@ def test_c4_threshold_noise_filtering():
             codes = []
             for values in (raw, perturbed):
                 bits = ln.binarize_matrix(ln.normalize_values(values)[None, :])[0]
-                codes.append(ln.encode(ln.BinaryFingerprint(bits, n), cfg))
+                codes.append(ln.encode(ln.LatentCode(bits, 0, n), cfg))
             assert codes[0] == codes[1], "sub-threshold perturbation changed the latent"
 
 
@@ -124,7 +125,7 @@ def test_c5_gradient_fidelity():
         for i in range(20):
             W = rng.normal(0.0, 0.4, size=(10, 5))
             b = rng.normal(0.0, 0.2, size=5)
-            head = ln.SoftmaxModel(W, b, tuple(range(5)))
+            head = ln.DenseStack(((W, b),), tuple(range(5)))
             x = rng.integers(0, 2, 10).astype(np.float64)
             if not x.any():
                 x[0] = 1.0
@@ -141,7 +142,7 @@ def test_c5_gradient_fidelity():
 
 def test_c6_parameter_accounting():
     with budget("c6 parameter-accounting", 1.0):
-        head = ln.SoftmaxModel(np.zeros((82, 61)), np.zeros(61), tuple(range(61)))
+        head = ln.DenseStack(((np.zeros((82, 61)), np.zeros(61)),), tuple(range(61)))
         assert ln.count_params(head) == 5063
         dnn = init_dnn(164, 1, tuple(range(61)), seed=0)
         assert ln.count_params(dnn) == 18593
@@ -156,7 +157,7 @@ def test_c6_parameter_accounting():
         for depth in range(1, 5):
             latent = ln.ceil_chain(128, depth)
             lognet_params.append(
-                ln.count_params(ln.SoftmaxModel(np.zeros((latent, 8)), np.zeros(8), classes))
+                ln.count_params(ln.DenseStack(((np.zeros((latent, 8)), np.zeros(8)),), classes))
             )
             dnn_params.append(ln.count_params(init_dnn(128, depth, classes, seed=0)))
         assert all(b < a for a, b in zip(lognet_params, lognet_params[1:])), lognet_params
@@ -253,8 +254,7 @@ def test_c8_determinism_and_round_trips(tmp_path):
         # PGM bitmap round trip.
         rng = np.random.default_rng(4)
         bits = rng.integers(0, 2, (9, 13)).astype(np.uint8)
-        latents = {rp: ln.LatentCode(bits[rp], 1, 26) for rp in range(9)}
-        ln.export_latent_bitmap(latents, tmp_path / "bits.pgm")
+        ln.write_latent_bitmap(bits, tmp_path / "bits.pgm")
         assert np.array_equal(ln.read_latent_bitmap(tmp_path / "bits.pgm"), bits)
 
 
@@ -262,6 +262,9 @@ def test_c9_pipeline_smoke(tmp_path):
     with budget("c9 pipeline-smoke", 30.0):
         fixtures = Path(__file__).parent / "fixtures"
         out = tmp_path / "run"
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [
                 sys.executable, "-m", "lognet.cli", "run",
@@ -274,6 +277,7 @@ def test_c9_pipeline_smoke(tmp_path):
             capture_output=True,
             text=True,
             timeout=25,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         report = json.loads((out / "report.json").read_text())

@@ -9,16 +9,15 @@ from lognet import (
     ExperimentConfig,
     GateType,
     LatentCode,
+    LatentDiff,
     LogicEncoderConfig,
     SynthSpec,
-    export_latent_bitmap,
-    latent_diff,
-    majority_code,
     read_fingerprints_csv,
     read_latents_csv,
     read_pgm,
     synth_dataset,
     write_fingerprints_csv,
+    write_latent_bitmap,
     write_latents_csv,
 )
 from lognet.cli import _flag_overrides, build_parser, main
@@ -97,10 +96,11 @@ def test_run_artifacts_match_the_public_latent_path(tmp_path, capsys):
     assert rp_ids.tolist() == list(range(8)) and rows.shape == (8, 10)
     codes = {rp: LatentCode(row, 1, 20) for rp, row in zip(rp_ids.tolist(), rows)}
     pairs = list(zip(rp_ids.tolist(), rp_ids.tolist()[1:]))
-    blocks = [latent_diff([codes[a]], [codes[b]], a, b).format_table() for a, b in pairs]
-    assert any(latent_diff([codes[a]], [codes[b]]).differing_bits for a, b in pairs)
+    diffs = [LatentDiff.between(codes[a], codes[b], a, b) for a, b in pairs]
+    blocks = [diff.format_table() for diff in diffs]
+    assert any(diff.differing_bits for diff in diffs)
     assert (run / "trace.txt").read_text() == "\n\n".join(blocks) + "\n"
-    export_latent_bitmap(codes, tmp_path / "public.pgm")
+    write_latent_bitmap(rows, tmp_path / "public.pgm")
     pgm = (run / "latent_bitmap.pgm").read_bytes()
     assert pgm == (tmp_path / "public.pgm").read_bytes()
 
@@ -119,20 +119,20 @@ def test_run_artifacts_match_the_public_latent_path(tmp_path, capsys):
 
 def test_trace_and_bitmap_vote_over_per_fingerprint_rows(tmp_path, capsys):
     # A file with several rows per RP, as `lognet encode` writes: trace and
-    # bitmap must majority-vote each RP's rows (ties to 1) as the public API does.
+    # bitmap must majority-vote each RP's rows, ties to 1.
     rng = np.random.default_rng(11)
     rp_ids = rng.permutation(np.repeat(np.arange(5), 4))
     bits = rng.integers(0, 2, (20, 8)).astype(np.uint8)
     write_latents_csv(rp_ids, bits, tmp_path / "latents.csv")
-    codes = {rp: [LatentCode(row, 1, 16) for row in bits[rp_ids == rp]] for rp in range(5)}
+    votes = np.stack([2 * bits[rp_ids == rp].sum(axis=0) >= 4 for rp in range(5)]).astype(np.uint8)
+    codes = {rp: LatentCode(votes[rp], 1, 16) for rp in range(5)}
     assert any((2 * bits[rp_ids == rp].sum(axis=0) == 4).any() for rp in range(5))  # a tie
     for rp_a, rp_b in ((0, 1), (3, 2), (4, 4)):
         assert main(["trace", "--latents", str(tmp_path / "latents.csv"), "--rp-a", str(rp_a),
                      "--rp-b", str(rp_b), "--hidden", "1", "--ap-count", "16"]) == 0
-        expected = latent_diff(codes[rp_a], codes[rp_b], rp_a, rp_b).format_table()
+        expected = LatentDiff.between(codes[rp_a], codes[rp_b], rp_a, rp_b).format_table()
         assert capsys.readouterr().out == expected + "\n"
-    export_latent_bitmap({rp: majority_code(group) for rp, group in codes.items()},
-                         tmp_path / "public.pgm")
+    write_latent_bitmap(votes, tmp_path / "public.pgm")
     assert main(["bitmap", "--latents", str(tmp_path / "latents.csv"),
                  "--out", str(tmp_path / "cli")]) == 0
     assert (tmp_path / "cli" / "latent_bitmap.pgm").read_bytes() == \

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from lognet import (
-    BinaryFingerprint,
     ConfigError,
     Dataset,
     Fingerprint,
     GateType,
+    LatentCode,
     LogicEncoderConfig,
     RpMap,
     SplitError,
@@ -142,7 +142,7 @@ class TestBinarize:
         rng = np.random.default_rng(12)
         for n in (1, 7, 164):
             fp = Fingerprint(0, "d", 0, rng.uniform(0.0, 1.0, n))
-            assert binarize(fp) == BinaryFingerprint(binarize_matrix(fp.rss), n)
+            assert binarize(fp) == LatentCode(binarize_matrix(fp.rss), 0, n)
 
     def test_threshold_out_of_range(self):
         fp = Fingerprint(0, "d", 0, [0.5])

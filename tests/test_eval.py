@@ -5,23 +5,22 @@ from hypothesis import strategies as st
 
 from lognet import (
     Dataset,
+    DenseStack,
     EvalReport,
     Fingerprint,
     GateType,
     LatentCode,
+    LatentDiff,
     LogicEncoderConfig,
     RpMap,
     ShapeError,
-    SoftmaxModel,
     SynthSpec,
     TrainConfig,
     UnknownRpError,
     ValidationError,
     evaluate,
     export_gray_bitmap,
-    export_latent_bitmap,
-    latent_diff,
-    majority_code,
+    majority_by_rp,
     mean_localization_error,
     measure_latency,
     read_latent_bitmap,
@@ -29,8 +28,8 @@ from lognet import (
     sample_errors,
     synth_dataset,
     trace_bit_to_aps,
+    write_latent_bitmap,
 )
-from lognet.evaluate import majority_by_rp
 from lognet.gates import ceil_chain
 from lognet.pipeline import LogNetClassifier, fit_dnn, fit_lognet
 
@@ -187,56 +186,67 @@ class TestLatency:
         assert 1.5 * t1 <= t2 <= 3.0 * t1
 
 
+def vote(codes: list[LatentCode]) -> LatentCode:
+    """One RP's majority code, voted by `majority_by_rp`."""
+    _, rows = majority_by_rp([0] * len(codes), np.stack([c.bits for c in codes]))
+    return LatentCode(rows[0], codes[0].depth, codes[0].input_len)
+
+
+def vote_and_diff(codes_a, codes_b, rp_a=0, rp_b=1) -> LatentDiff:
+    """Where the majority codes of two RPs' code lists disagree."""
+    return LatentDiff.between(vote(codes_a), vote(codes_b), rp_a, rp_b)
+
+
 class TestLatentDiff:
     def _codes(self, rows, depth=1, input_len=6):
         return [LatentCode(np.asarray(r, dtype=np.uint8), depth, input_len) for r in rows]
 
     def test_majority_resolves_ties_to_one(self):
         codes = self._codes([[1, 0, 1], [0, 1, 1]])
-        assert majority_code(codes).bits.tolist() == [1, 1, 1]
+        assert vote(codes).bits.tolist() == [1, 1, 1]
 
     def test_identical_classes_have_empty_diff(self):
         a = self._codes([[1, 0, 1]])
-        assert latent_diff(a, a).differing_bits == ()
+        assert vote_and_diff(a, a).differing_bits == ()
 
     def test_single_sample_diff_position(self):
         a = self._codes([[1, 0, 1]])
         b = self._codes([[1, 1, 1]])
-        assert latent_diff(a, b).differing_bits == (1,)
+        assert vote_and_diff(a, b).differing_bits == (1,)
 
     def test_complement_codes_differ_everywhere(self):
         a = self._codes([[0, 1, 0]])
         b = self._codes([[1, 0, 1]])
-        assert latent_diff(a, b).differing_bits == (0, 1, 2)
+        assert vote_and_diff(a, b).differing_bits == (0, 1, 2)
 
     def test_symmetric_as_position_set(self):
         rng = np.random.default_rng(1)
         a = self._codes(rng.integers(0, 2, (5, 3)))
         b = self._codes(rng.integers(0, 2, (4, 3)))
-        assert latent_diff(a, b).differing_bits == latent_diff(b, a).differing_bits
+        assert vote_and_diff(a, b).differing_bits == vote_and_diff(b, a).differing_bits
 
     def test_windows_match_trace(self):
         a = self._codes([[1, 0, 1]])
         b = self._codes([[0, 1, 0]])
-        diff = latent_diff(a, b, rp_a=5, rp_b=6)
+        diff = vote_and_diff(a, b, rp_a=5, rp_b=6)
         for bit, window in zip(diff.differing_bits, diff.ap_windows):
             assert window == trace_bit_to_aps(bit, 1, 6)
 
     def test_table_rendering(self):
         a = self._codes([[1, 0, 1]])
         b = self._codes([[1, 1, 1]])
-        table = latent_diff(a, b, rp_a=5, rp_b=6).format_table()
+        table = vote_and_diff(a, b, rp_a=5, rp_b=6).format_table()
         assert "rp 5 vs rp 6" in table and "[2, 4)" in table
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            latent_diff(self._codes([[1, 0]], input_len=4), self._codes([[1, 0, 1]]))
+            vote_and_diff(self._codes([[1, 0]], input_len=4), self._codes([[1, 0, 1]]))
 
 
 def reference_trace_table(latents_a, latents_b, rp_a, rp_b):
     """The per-bit trace table as it was first written: numpy scalars per bit and
     one bounds-checked `trace_bit_to_aps` call per differing bit."""
-    maj_a, maj_b = majority_code(latents_a), majority_code(latents_b)
+    maj_a, maj_b = vote(latents_a), vote(latents_b)
     differing = tuple(int(i) for i in np.flatnonzero(maj_a.bits != maj_b.bits))
     windows = tuple(trace_bit_to_aps(i, maj_a.depth, maj_a.input_len) for i in differing)
     lines = [
@@ -267,7 +277,7 @@ def latent_pairs(draw):
 
 
 class TestTraceTableBytes:
-    """`latent_diff(...).format_table()` is the text of trace.txt; it must keep
+    """`LatentDiff.format_table()` is the text of trace.txt; it must keep
     the bytes of the per-bit reference formatter."""
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -277,7 +287,7 @@ class TestTraceTableBytes:
     @example(case=[[LatentCode(np.array([1, 0, 1], dtype=np.uint8), 3, 19)]] * 2 + [0, 1])
     def test_table_equals_the_per_bit_reference(self, case):
         a, b, rp_a, rp_b = case
-        diff = latent_diff(a, b, rp_a, rp_b)
+        diff = vote_and_diff(a, b, rp_a, rp_b)
         expected, windows = reference_trace_table(a, b, rp_a, rp_b)
         assert diff.format_table() == expected
         assert diff.ap_windows == windows
@@ -286,49 +296,47 @@ class TestTraceTableBytes:
         # Depth 2 over 7 APs: bit 1 covers APs 4..6 only.
         a = [LatentCode(np.array([1, 0], dtype=np.uint8), 2, 7)]
         b = [LatentCode(np.array([0, 1], dtype=np.uint8), 2, 7)]
-        assert latent_diff(a, b, 3, 12).format_table() == "\n".join([
+        assert vote_and_diff(a, b, 3, 12).format_table() == "\n".join([
             "latent diff: rp 3 vs rp 12 (2 differing bits)",
             "  bit       ap window  rp3      rp12    ",
             "    0          [0, 4)  1        0       ",
             "    1          [4, 7)  0        1       ",
         ])
-        assert latent_diff(a, a, 3, 3).format_table().endswith("\n  (identical latents)")
+        assert vote_and_diff(a, a, 3, 3).format_table().endswith("\n  (identical latents)")
 
 
 class TestBitmaps:
     def test_building_scale_dimensions(self, tmp_path):
         rng = np.random.default_rng(2)
-        latents = {
-            rp: LatentCode(rng.integers(0, 2, 82).astype(np.uint8), 1, 164) for rp in range(61)
-        }
         path = tmp_path / "latent.pgm"
-        export_latent_bitmap(latents, path)
+        write_latent_bitmap(rng.integers(0, 2, (61, 82)).astype(np.uint8), path)
         img = read_pgm(path)
         assert img.shape == (61, 82)
 
     def test_all_zero_is_black(self, tmp_path):
-        latents = {rp: LatentCode(np.zeros(8, dtype=np.uint8), 1, 16) for rp in range(3)}
         path = tmp_path / "zero.pgm"
-        export_latent_bitmap(latents, path)
+        write_latent_bitmap(np.zeros((3, 8), dtype=np.uint8), path)
         assert not read_pgm(path).any()
 
     def test_round_trip_reproduces_bits(self, tmp_path):
         rng = np.random.default_rng(3)
         bits = rng.integers(0, 2, (7, 10)).astype(np.uint8)
-        latents = {rp: LatentCode(bits[rp], 1, 20) for rp in range(7)}
         path = tmp_path / "rt.pgm"
-        export_latent_bitmap(latents, path)
+        write_latent_bitmap(bits, path)
         assert np.array_equal(read_latent_bitmap(path), bits)
 
     def test_rows_sorted_by_rp_id(self, tmp_path):
-        latents = {
-            4: LatentCode(np.array([1, 1], dtype=np.uint8), 1, 4),
-            2: LatentCode(np.array([0, 0], dtype=np.uint8), 1, 4),
-        }
+        ids, rows = majority_by_rp([4, 2], np.array([[1, 1], [0, 0]], dtype=np.uint8))
         path = tmp_path / "sorted.pgm"
-        export_latent_bitmap(latents, path)
+        write_latent_bitmap(rows, path)
         img = read_pgm(path)
+        assert ids == [2, 4]
         assert img[0].tolist() == [0, 0] and img[1].tolist() == [255, 255]
+
+    def test_non_bit_value_rejected(self, tmp_path):
+        with pytest.raises(ValidationError, match="only 0 and 1"):
+            write_latent_bitmap([[0, 1, 2]], tmp_path / "two.pgm")
+        assert not (tmp_path / "two.pgm").exists()
 
     def test_gray_export_scales_linearly(self, tmp_path):
         path = tmp_path / "gray.pgm"
@@ -337,7 +345,7 @@ class TestBitmaps:
 
 
 class TestMajorityByRp:
-    def test_matches_majority_code_per_rp(self):
+    def test_matches_a_per_rp_vote(self):
         rng = np.random.default_rng(7)
         rp_ids = rng.integers(0, 5, 40)
         bits = rng.integers(0, 2, (40, 9)).astype(np.uint8)
@@ -345,8 +353,8 @@ class TestMajorityByRp:
         assert ids == sorted(set(rp_ids.tolist()))
         assert rows.dtype == np.uint8 and rows.shape == (len(ids), 9)
         for rp, row in zip(ids, rows):
-            codes = [LatentCode(b, 1, 18) for b in bits[rp_ids == rp]]
-            assert np.array_equal(row, majority_code(codes).bits)
+            group = bits[rp_ids == rp]
+            assert np.array_equal(row, 2 * group.sum(axis=0) >= len(group))
 
     def test_ties_resolve_to_one(self):
         ids, rows = majority_by_rp([3, 3], np.array([[1, 0], [0, 1]], dtype=np.uint8))
@@ -356,11 +364,25 @@ class TestMajorityByRp:
         with pytest.raises(ValidationError):
             majority_by_rp([], np.zeros((0, 4), dtype=np.uint8))
 
+    def test_fewer_ids_than_rows_rejected(self):
+        bits = np.zeros((5, 2), dtype=np.uint8)
+        with pytest.raises(ShapeError, match="3 RP ids for 5 latent rows"):
+            majority_by_rp([0, 0, 1], bits)
+
+    def test_more_ids_than_rows_rejected(self):
+        bits = np.zeros((5, 2), dtype=np.uint8)
+        with pytest.raises(ShapeError, match="6 RP ids for 5 latent rows"):
+            majority_by_rp([0, 0, 1, 1, 2, 2], bits)
+
+    def test_non_bit_value_rejected(self):
+        with pytest.raises(ValidationError, match="only 0 and 1"):
+            majority_by_rp([0, 1], [[2, 0], [1, 5]])
+
 
 class TestCiStatsRounding:
     def test_equal_non_integer_errors_keep_mean_within_min_max(self):
         # The float mean of three 0.1 m errors is 0.10000000000000002 > max.
-        head = SoftmaxModel(np.zeros((1, 2)), np.array([0.0, 1.0]), (0, 1))
+        head = DenseStack(((np.zeros((1, 2)), np.array([0.0, 1.0])),), (0, 1))
         clf = LogNetClassifier(LogicEncoderConfig(GateType.NOR), head, ap_count=2)
         test = Dataset.from_fingerprints(Fingerprint(0, "d", 0, [-40.0, -80.0]) for _ in range(3))
         report = evaluate(clf, test, RpMap({0: (0.0, 0.0), 1: (0.1, 0.0)}))

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from lognet import (
-    BinaryFingerprint,
     BoundsError,
     ConfigError,
     GateType,
@@ -15,7 +14,6 @@ from lognet import (
     binarize_matrix,
     ceil_chain,
     encode,
-    encode_layer,
     encode_matrix,
     gate_arithmetic,
     normalize_values,
@@ -25,6 +23,12 @@ from lognet.gates import ap_window, encode_layer_matrix
 
 ALL_GATES = list(GateType)
 ALL_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def one_layer(bits, gate: GateType) -> np.ndarray:
+    """One gate layer over a 1-D bit vector, run through `encode`."""
+    bits = np.asarray(bits)
+    return encode(LatentCode(bits, 0, bits.size), LogicEncoderConfig(gate)).bits
 
 
 class TestGateTables:
@@ -50,7 +54,7 @@ class TestGateTables:
 
     def test_vectorized_path_matches_scalar(self):
         for gate in ALL_GATES:
-            vec = encode_layer(np.array([0, 0, 0, 1, 1, 0, 1, 1], dtype=np.uint8), gate)
+            vec = one_layer(np.array([0, 0, 0, 1, 1, 0, 1, 1], dtype=np.uint8), gate)
             scalar = [apply_gate(x, y, gate) for x, y in ALL_PAIRS]
             assert vec.tolist() == scalar
 
@@ -77,22 +81,22 @@ class TestGateTables:
 class TestEncodeLayer:
     def test_nor_pairs_by_hand(self):
         # (1,0) and (1,1) rows of the NOR table are both 0.
-        assert encode_layer(np.array([1, 0, 1, 1]), GateType.NOR).tolist() == [0, 0]
+        assert one_layer(np.array([1, 0, 1, 1]), GateType.NOR).tolist() == [0, 0]
 
     def test_odd_length_pads_with_zero(self):
         # [1,1,1] -> [1,1,1,0]; AND rows (1,1)->1 and (1,0)->0.
-        assert encode_layer(np.array([1, 1, 1]), GateType.AND).tolist() == [1, 0]
+        assert one_layer(np.array([1, 1, 1]), GateType.AND).tolist() == [1, 0]
 
     def test_single_bit_pads(self):
-        assert encode_layer(np.array([0]), GateType.OR).tolist() == [0]
+        assert one_layer(np.array([0]), GateType.OR).tolist() == [0]
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            encode_layer(np.array([], dtype=np.uint8), GateType.AND)
+            one_layer(np.array([], dtype=np.uint8), GateType.AND)
 
     def test_non_binary_rejected(self):
         with pytest.raises(ValidationError):
-            encode_layer(np.array([0, 2]), GateType.AND)
+            one_layer(np.array([0, 2]), GateType.AND)
 
     def test_shape_law(self):
         rng = np.random.default_rng(0)
@@ -100,12 +104,12 @@ class TestEncodeLayer:
             n = int(rng.integers(1, 400))
             bits = rng.integers(0, 2, n).astype(np.uint8)
             gate = ALL_GATES[int(rng.integers(len(ALL_GATES)))]
-            assert encode_layer(bits, gate).size == (n + 1) // 2
+            assert one_layer(bits, gate).size == (n + 1) // 2
 
 
 class TestEncode:
     def test_building_scale_latent_length(self):
-        bf = BinaryFingerprint(np.zeros(164, dtype=np.uint8), 164)
+        bf = LatentCode(np.zeros(164, dtype=np.uint8), 0, 164)
         assert len(encode(bf, LogicEncoderConfig(GateType.NOR, 0.5, 1))) == 82
         assert len(encode(bf, LogicEncoderConfig(GateType.NOR, 0.5, 2))) == 41
 
@@ -113,7 +117,7 @@ class TestEncode:
         rng = np.random.default_rng(4)
         for _ in range(10):
             n = int(rng.integers(1, 200))
-            bf = BinaryFingerprint(np.zeros(n, dtype=np.uint8), n)
+            bf = LatentCode(np.zeros(n, dtype=np.uint8), 0, n)
             depth = int(rng.integers(1, 5))
             code = encode(bf, LogicEncoderConfig(GateType.AND, 0.5, depth))
             assert not code.bits.any()
@@ -121,7 +125,7 @@ class TestEncode:
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         bits = rng.integers(0, 2, 97).astype(np.uint8)
-        bf = BinaryFingerprint(bits, 97)
+        bf = LatentCode(bits, 0, 97)
         cfg = LogicEncoderConfig(GateType.XNOR, 0.5, 3)
         assert encode(bf, cfg) == encode(bf, cfg)
 
@@ -131,7 +135,7 @@ class TestEncode:
         for gate in ALL_GATES:
             batch = encode_matrix(B, gate, 2)
             for row_in, row_out in zip(B, batch):
-                bf = BinaryFingerprint(row_in, 51)
+                bf = LatentCode(row_in, 0, 51)
                 assert encode(bf, LogicEncoderConfig(gate, 0.5, 2)).bits.tolist() == row_out.tolist()
 
     def test_latent_code_length_invariant(self):
@@ -142,10 +146,10 @@ class TestEncode:
         with pytest.raises(ValidationError):
             LatentCode(np.zeros((1, 2), np.uint8), 1, 4)
         with pytest.raises(ValidationError):
-            BinaryFingerprint([], 0)
+            LatentCode([], 0, 0)
 
     def test_activity_bits_are_the_depth_0_code(self):
-        bf = BinaryFingerprint([1, 0, 1], 3)
+        bf = LatentCode([1, 0, 1], 0, 3)
         assert bf == LatentCode(np.array([1, 0, 1], np.uint8), 0, 3)
         assert bf.depth == 0 and bf.input_len == 3
 
@@ -250,8 +254,8 @@ class TestTrace:
             mutated = bits.copy()
             mutated[flips] ^= 1
             cfg = LogicEncoderConfig(gate, 0.5, h)
-            before = encode(BinaryFingerprint(bits, n), cfg).bits[j]
-            after = encode(BinaryFingerprint(mutated, n), cfg).bits[j]
+            before = encode(LatentCode(bits, 0, n), cfg).bits[j]
+            after = encode(LatentCode(mutated, 0, n), cfg).bits[j]
             assert before == after
 
     def test_inside_flips_can_change_bit(self):
@@ -265,7 +269,7 @@ class TestTrace:
             bits = np.zeros(n, dtype=np.uint8)
             bits[int(rng.integers(window.start, window.stop))] = 1
             cfg = LogicEncoderConfig(GateType.OR, 0.5, h)
-            assert encode(BinaryFingerprint(bits, n), cfg).bits[j] == 1
+            assert encode(LatentCode(bits, 0, n), cfg).bits[j] == 1
 
 
 class TestNoiseFiltering:
@@ -285,5 +289,5 @@ class TestNoiseFiltering:
             codes = []
             for values in (raw, perturbed):
                 bits = binarize_matrix(normalize_values(values)[None, :])[0]
-                codes.append(encode(BinaryFingerprint(bits, n), cfg))
+                codes.append(encode(LatentCode(bits, 0, n), cfg))
             assert codes[0] == codes[1]

@@ -13,13 +13,12 @@ import pytest
 import lognet
 from lognet import (
     CiStats,
-    DnnModel,
+    DenseStack,
     EvalReport,
     GateType,
     LogicEncoderConfig,
     ParseError,
     RpMap,
-    SoftmaxModel,
     SynthSpec,
     TrainConfig,
     read_delta_csv,
@@ -248,10 +247,10 @@ def _pinned_classifiers():
     """A lognet (XNOR, depth 2) and a depth-2 dnn with exactly representable parameters."""
     lognet = LogNetClassifier(
         LogicEncoderConfig(GateType.XNOR, 0.25, 2),
-        SoftmaxModel([[0.5, -0.25, 1.0], [0.0, 2.0, -1.5]], [0.125, 0.0, -0.75], (3, 7, 9)),
+        DenseStack((([[0.5, -0.25, 1.0], [0.0, 2.0, -1.5]], [0.125, 0.0, -0.75]),), (3, 7, 9)),
         6,
     )
-    dnn = DnnClassifier(DnnModel((
+    dnn = DnnClassifier(DenseStack((
         ([[1.0, -1.0], [0.5, 0.25], [-2.0, 0.0], [0.75, -0.5]], [0.0, 0.5]),
         ([[1.5], [-0.125]], [-1.0]),
         ([[2.0, -2.0]], [0.25, -0.25]),

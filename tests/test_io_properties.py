@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 from lognet import (
     RSS_SENTINEL,
     Dataset,
-    DnnModel,
+    DenseStack,
     ExperimentConfig,
     GateType,
     LogicEncoderConfig,
@@ -31,7 +31,7 @@ from lognet import (
 )
 from lognet.experiment import _CONFIG_KEYS
 from lognet.gates import ceil_chain
-from lognet.models import SoftmaxModel, dnn_hidden_widths
+from lognet.models import dnn_hidden_widths
 from lognet.pipeline import DnnClassifier, LogNetClassifier, load_model, save_model
 
 SETTINGS = settings(max_examples=150, deadline=None,
@@ -353,16 +353,16 @@ def classifiers(draw):
                                      draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
                                      depth)
         latent = ceil_chain(inputs, depth)
-        head = SoftmaxModel(matrix(latent, len(labels)), matrix(1, len(labels))[0], labels)
+        head = DenseStack(((matrix(latent, len(labels)), matrix(1, len(labels))[0]),), labels)
         return LogNetClassifier(encoder, head, inputs, rss_lo, rss_hi)
     widths = dnn_hidden_widths(inputs, depth) + [len(labels)]
     layers = tuple((matrix(a, b), matrix(1, b)[0]) for a, b in zip(widths, widths[1:]))
-    return DnnClassifier(DnnModel(layers, labels), rss_lo, rss_hi)
+    return DnnClassifier(DenseStack(layers, labels), rss_lo, rss_hi)
 
 
 @SETTINGS
 @given(clf=classifiers())
-@example(clf=DnnClassifier(DnnModel(
+@example(clf=DnnClassifier(DenseStack(
     ((np.array([[1e-05, 1e+16], [-0.0, 5e-324], [0.1, -1.5e-7], [2.0, 1e22]]),
       np.array([1.7976931348623157e+308, -0.0])),
      (np.array([[0.5], [2.5e-300]]), np.array([-1e+16])),

@@ -4,50 +4,49 @@ import pytest
 from lognet import (
     ConfigError,
     Dataset,
-    DnnModel,
+    DenseStack,
     Fingerprint,
     ShapeError,
-    SoftmaxModel,
     TrainConfig,
     TrainingError,
     ValidationError,
     count_params,
-    dnn_forward,
     dnn_hidden_widths,
+    forward,
     gradient_check,
     init_dnn,
     model_size_bytes,
-    softmax_forward,
     train_dnn,
     train_softmax,
 )
 from lognet.gates import GateType, LogicEncoderConfig
 from lognet.models import BYTES_PER_PARAM, dnn_hidden_activations, softmax
+from lognet import pipeline
 from lognet.pipeline import DnnClassifier, LogNetClassifier
 
 
 def _accuracy(model, X, labels):
-    probs = softmax_forward(model, X)
+    probs = forward(model, X)
     preds = np.asarray(model.class_labels)[np.argmax(probs, axis=1)]
     return (preds == np.asarray(labels)).mean()
 
 
 class TestSoftmaxForward:
     def test_zero_model_is_uniform(self):
-        m = SoftmaxModel(np.zeros((5, 4)), np.zeros(4), (0, 1, 2, 3))
-        probs = softmax_forward(m, np.ones(5))
+        m = DenseStack(((np.zeros((5, 4)), np.zeros(4)),), (0, 1, 2, 3))
+        probs = forward(m, np.ones(5))
         np.testing.assert_allclose(probs, 0.25)
 
     def test_bias_only_closed_form(self):
         # softmax([ln 2, 0]) = [2/3, 1/3].
-        m = SoftmaxModel(np.zeros((3, 2)), np.array([np.log(2.0), 0.0]), (0, 1))
-        probs = softmax_forward(m, np.zeros(3))
+        m = DenseStack(((np.zeros((3, 2)), np.array([np.log(2.0), 0.0])),), (0, 1))
+        probs = forward(m, np.zeros(3))
         np.testing.assert_allclose(probs, [2 / 3, 1 / 3], atol=1e-12)
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(0)
-        m = SoftmaxModel(rng.normal(size=(8, 6)), rng.normal(size=6), tuple(range(6)))
-        probs = softmax_forward(m, rng.uniform(size=(40, 8)))
+        m = DenseStack(((rng.normal(size=(8, 6)), rng.normal(size=6)),), tuple(range(6)))
+        probs = forward(m, rng.uniform(size=(40, 8)))
         assert probs.min() >= 0.0
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
@@ -59,22 +58,14 @@ class TestSoftmaxForward:
         )
 
     def test_dimension_mismatch(self):
-        m = SoftmaxModel(np.zeros((5, 2)), np.zeros(2), (0, 1))
+        m = DenseStack(((np.zeros((5, 2)), np.zeros(2)),), (0, 1))
         with pytest.raises(ShapeError):
-            softmax_forward(m, np.zeros(4))
+            forward(m, np.zeros(4))
 
     def test_extreme_logits_stay_finite(self):
-        m = SoftmaxModel(np.array([[1000.0, -1000.0]]), np.zeros(2), (0, 1))
-        probs = softmax_forward(m, np.array([1.0]))
+        m = DenseStack(((np.array([[1000.0, -1000.0]]), np.zeros(2)),), (0, 1))
+        probs = forward(m, np.array([1.0]))
         assert np.all(np.isfinite(probs)) and probs.sum() == pytest.approx(1.0)
-
-    def test_equals_the_one_layer_dnn_forward(self):
-        rng = np.random.default_rng(5)
-        m = SoftmaxModel(rng.normal(size=(9, 4)), rng.normal(size=4), (2, 3, 5, 8))
-        X = (rng.uniform(size=(25, 9)) < 0.5).astype(np.float64)
-        one_layer = DnnModel(m.layers, m.class_labels)
-        assert np.array_equal(softmax_forward(m, X), dnn_forward(one_layer, X))
-        assert np.array_equal(softmax_forward(m, X[3]), dnn_forward(one_layer, X[3]))
 
 
 class TestTrainSoftmax:
@@ -86,13 +77,13 @@ class TestTrainSoftmax:
 
     def test_single_class_converges_to_certainty(self):
         model, history = train_softmax([np.array([1.0, 0.0])], [7], TrainConfig(epochs=150))
-        assert softmax_forward(model, np.array([1.0, 0.0]))[0] == pytest.approx(1.0)
+        assert forward(model, np.array([1.0, 0.0]))[0] == pytest.approx(1.0)
         assert abs(history[-1]) < 1e-9
 
     def test_conflicting_labels_converge_to_even_split(self):
         X = [np.array([1.0, 0.0]), np.array([1.0, 0.0])]
         model, _ = train_softmax(X, [0, 1], TrainConfig(epochs=400))
-        np.testing.assert_allclose(softmax_forward(model, X[0]), [0.5, 0.5], atol=1e-3)
+        np.testing.assert_allclose(forward(model, X[0]), [0.5, 0.5], atol=1e-3)
 
     def test_empty_training_set(self):
         with pytest.raises(TrainingError):
@@ -121,17 +112,17 @@ class TestDnnModel:
     def test_halving_rule_enforced(self):
         layers = ((np.zeros((8, 3)), np.zeros(3)), (np.zeros((3, 2)), np.zeros(2)))
         with pytest.raises(ValidationError):
-            DnnModel(layers, (0, 1))
+            DenseStack(layers, (0, 1))
 
     def test_zero_model_uniform(self):
         layers = ((np.zeros((4, 2)), np.zeros(2)), (np.zeros((2, 3)), np.zeros(3)))
-        m = DnnModel(layers, (0, 1, 2))
-        np.testing.assert_allclose(dnn_forward(m, np.ones(4)), 1 / 3)
+        m = DenseStack(layers, (0, 1, 2))
+        np.testing.assert_allclose(forward(m, np.ones(4)), 1 / 3)
 
     def test_relu_clips_negative_preactivation(self):
         # One hidden neuron: w=1, bias=-0.3, input 0.2 -> relu(-0.1) = 0.
         layers = ((np.array([[1.0]]), np.array([-0.3])), (np.ones((1, 2)), np.zeros(2)))
-        m = DnnModel(layers, (0, 1))
+        m = DenseStack(layers, (0, 1))
         assert dnn_hidden_activations(m, np.array([[0.2]]))[0, 0] == 0.0
         assert dnn_hidden_activations(m, np.array([[0.5]]))[0, 0] == pytest.approx(0.2)
 
@@ -139,13 +130,13 @@ class TestDnnModel:
         from lognet.models import _dnn_logits
 
         layers = ((np.array([[1.0]]), np.zeros(1)), (np.array([[1.0]]), np.zeros(1)))
-        m = DnnModel(layers, (0,))
+        m = DenseStack(layers, (0,))
         assert _dnn_logits(m.layers, np.array([[0.7]]))[0, 0] == pytest.approx(0.7)
 
     def test_shape_mismatch(self):
         m = init_dnn(6, 1, (0, 1), seed=0)
         with pytest.raises(ShapeError):
-            dnn_forward(m, np.zeros(5))
+            forward(m, np.zeros(5))
 
 
 def _xor_dataset():
@@ -164,7 +155,7 @@ class TestTrainDnn:
         best = 0.0
         for seed in range(4):
             m, _ = train_dnn(ds, 1, TrainConfig(epochs=400, seed=seed))
-            probs = dnn_forward(m, ds.rss_matrix())
+            probs = forward(m, ds.rss_matrix())
             preds = np.asarray(m.class_labels)[np.argmax(probs, axis=1)]
             best = max(best, (preds == ds.labels()).mean())
         assert best < 1.0
@@ -177,7 +168,7 @@ class TestTrainDnn:
                 fps.append(Fingerprint(label, "d", 0, np.clip(rng.normal(center, 0.08, 4), 0, 1)))
         ds = Dataset.from_fingerprints(fps)
         m, history = train_dnn(ds, 1, TrainConfig(epochs=300, seed=0))
-        probs = dnn_forward(m, ds.rss_matrix())
+        probs = forward(m, ds.rss_matrix())
         preds = np.asarray(m.class_labels)[np.argmax(probs, axis=1)]
         assert (preds == ds.labels()).mean() >= 0.99
         # Smoothed loss trend is non-increasing on separable data.
@@ -212,7 +203,7 @@ class TestTrainDnn:
 
 class TestParamAccounting:
     def test_softmax_closed_form(self):
-        m = SoftmaxModel(np.zeros((82, 61)), np.zeros(61), tuple(range(61)))
+        m = DenseStack(((np.zeros((82, 61)), np.zeros(61)),), tuple(range(61)))
         assert count_params(m) == 82 * 61 + 61 == 5063
         assert model_size_bytes(m) == 5063 * BYTES_PER_PARAM
 
@@ -222,10 +213,10 @@ class TestParamAccounting:
         assert count_params(m) == 164 * 82 + 82 + 82 * 61 + 61 == 18593
 
     def test_empty_model_has_zero_params(self):
-        assert count_params(DnnModel((), ())) == 0
+        assert count_params(DenseStack((), ())) == 0
 
     def test_classifiers_count_their_model(self):
-        head = SoftmaxModel(np.zeros((82, 61)), np.zeros(61), tuple(range(61)))
+        head = DenseStack(((np.zeros((82, 61)), np.zeros(61)),), tuple(range(61)))
         lognet = LogNetClassifier(LogicEncoderConfig(GateType.NOR, 0.5, 1), head, 164)
         dnn = DnnClassifier(init_dnn(164, 1, tuple(range(61)), seed=0))
         assert count_params(lognet) == count_params(head) == 5063
@@ -239,7 +230,7 @@ class TestParamAccounting:
 class TestGradientCheck:
     def test_softmax_head_matches_finite_differences(self):
         rng = np.random.default_rng(0)
-        m = SoftmaxModel(rng.normal(0, 0.3, (6, 4)), rng.normal(0, 0.1, 4), (0, 1, 2, 3))
+        m = DenseStack(((rng.normal(0, 0.3, (6, 4)), rng.normal(0, 0.1, 4)),), (0, 1, 2, 3))
         x = rng.uniform(0.1, 1.0, 6)
         assert gradient_check(m, (x, 2), epsilon=1e-5) < 1e-5
 
@@ -257,7 +248,7 @@ class TestGradientCheck:
         rng = np.random.default_rng(2)
         W = rng.normal(size=(5, 3))
         b = rng.normal(size=3)
-        m = SoftmaxModel(W, b, (0, 1, 2))
+        m = DenseStack(((W, b),), (0, 1, 2))
         x = np.zeros((1, 5))
         _, grads = _loss_and_grads([np.array(W), np.array(b)], x, np.array([1]))
         expected = softmax(b[None, :])[0]
@@ -273,7 +264,7 @@ class TestGradientCheck:
         assert gradient_check(m, (x, 0)) == gradient_check(m, (x, 0))
 
     def test_epsilon_range_enforced(self):
-        m = SoftmaxModel(np.zeros((2, 2)), np.zeros(2), (0, 1))
+        m = DenseStack(((np.zeros((2, 2)), np.zeros(2)),), (0, 1))
         with pytest.raises(ConfigError):
             gradient_check(m, (np.ones(2), 0), epsilon=1e-2)
 
@@ -303,13 +294,14 @@ class TestDivergence:
 
 class TestOneModelType:
     def test_softmax_head_and_mlp_are_one_type(self):
-        head = SoftmaxModel(np.zeros((3, 2)), np.zeros(2), (0, 1))
-        assert type(head) is type(init_dnn(4, 1, (0, 1), seed=0)) is DnnModel
-        assert softmax_forward is dnn_forward
+        head, _ = train_softmax(np.eye(2), [0, 1], TrainConfig(epochs=1))
+        assert type(head) is type(init_dnn(4, 1, (0, 1), seed=0)) is DenseStack
+        # Both classifiers call the one forward pass, under the names perfbench patches.
+        assert pipeline.softmax_forward is pipeline.dnn_forward is forward
 
     def test_softmax_head_is_the_one_layer_stack(self):
         W, b = np.arange(6.0).reshape(3, 2), np.array([0.5, -0.5])
-        head = SoftmaxModel(W, b, (4, 9))
+        head = DenseStack(((W, b),), (4, 9))
         assert len(head.layers) == 1
         assert head.widths == (3, 2) and head.input_dim == 3 and head.class_labels == (4, 9)
         assert head.weights is head.layers[0][0] and head.biases is head.layers[0][1]
@@ -323,16 +315,16 @@ class TestOneModelType:
     @pytest.mark.parametrize("x", [[[0.0, 1.0, 1.0]], [0.0, 1.0, 1.0], [[0, 1, 1], [1, 0, 0]]])
     def test_forward_takes_sequences_as_float64(self, x):
         rng = np.random.default_rng(8)
-        head = SoftmaxModel(rng.normal(size=(3, 4)), rng.normal(size=4), (0, 1, 2, 3))
-        expected = dnn_forward(head, np.asarray(x, dtype=np.float64))
-        assert np.array_equal(softmax_forward(head, x), expected)
+        head = DenseStack(((rng.normal(size=(3, 4)), rng.normal(size=4)),), (0, 1, 2, 3))
+        expected = forward(head, np.asarray(x, dtype=np.float64))
+        assert np.array_equal(forward(head, x), expected)
         assert np.shape(expected) == np.shape(x)[:-1] + (4,)
 
     @pytest.mark.parametrize("x", [1.0, np.zeros((1, 1, 3)), np.zeros(4), np.zeros((2, 2))])
     def test_forward_rejects_other_shapes(self, x):
-        head = SoftmaxModel(np.zeros((3, 2)), np.zeros(2), (0, 1))
+        head = DenseStack(((np.zeros((3, 2)), np.zeros(2)),), (0, 1))
         with pytest.raises(ShapeError, match="does not match model input_dim 3"):
-            softmax_forward(head, x)
+            forward(head, x)
 
     def test_training_inputs_must_match_the_labels(self):
         with pytest.raises(ShapeError, match="do not match 3 labels"):

@@ -20,7 +20,7 @@ from lognet import (
 )
 from lognet.noise import _random_patterns
 from lognet.pipeline import LogNetClassifier
-from lognet.models import SoftmaxModel
+from lognet.models import DenseStack
 
 
 class TestNoiseSpec:
@@ -225,7 +225,7 @@ class TestSubThresholdInvariance:
         rng = np.random.default_rng(0)
         delta = rng.uniform(-8.0, 8.0, 16)
         encoder = LogicEncoderConfig(GateType.NOR, 0.5, 1)
-        head = SoftmaxModel(np.zeros((8, 8)), np.zeros(8), tuple(range(8)))
+        head = DenseStack(((np.zeros((8, 8)), np.zeros(8)),), tuple(range(8)))
         clf = LogNetClassifier(encoder, head, ap_count=16)
         noisy = inject_noise(ds, NoiseSpec(NoiseMode.NON_ED, delta, 0.0))
         assert np.array_equal(clf.latent_matrix(ds), clf.latent_matrix(noisy))

@@ -23,10 +23,8 @@ from lognet import (
     TrainConfig,
     ValidationError,
     binarize_matrix,
-    dnn_forward,
     normalize_values,
     simulate_cis,
-    softmax_forward,
     synth_dataset,
 )
 from lognet.models import dnn_hidden_activations, dnn_hidden_widths, forward, init_dnn, softmax
@@ -164,10 +162,10 @@ class TestServingInvariants:
             (lambda x: binarize_matrix(x), unit),
             (softmax, logits),
             (softmax, logits[0].copy()),
-            (lambda x: softmax_forward(lognet.head, x), latents),
-            (lambda x: softmax_forward(lognet.head, x), latents[0].astype(np.float64)),
-            (lambda x: dnn_forward(dnn.model, x), unit),
-            (lambda x: dnn_forward(dnn.model, x), unit[0].copy()),
+            (lambda x: forward(lognet.head, x), latents),
+            (lambda x: forward(lognet.head, x), latents[0].astype(np.float64)),
+            (lambda x: forward(dnn.model, x), unit),
+            (lambda x: forward(dnn.model, x), unit[0].copy()),
             (lambda x: dnn_hidden_activations(dnn.model, x), unit),
             (lambda x: dnn_hidden_activations(dnn.model, x), unit[0].copy()),
         ]
