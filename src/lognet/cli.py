@@ -55,17 +55,13 @@ def _flag_type(kind):
     return first if first in (int, float) else None
 
 
-def _add_config_flags(p: argparse.ArgumentParser, *sections: str, no_help=()) -> None:
-    """Add the flag of each config key in the named sections or key paths (or all), in table order.
-
-    The keys in `no_help` get their flags without help text.
-    """
+def _add_config_flags(p: argparse.ArgumentParser, *sections: str) -> None:
+    """Add the flag of each config key in the named sections or key paths (or all), in table order."""
     for key in CONFIG_KEYS.values():
         named = key.path in sections or key.path.split(".")[0] in sections
         if key.flag and (named or not sections):
-            text = None if key.path in no_help else key.help
             p.add_argument(key.flag, dest=_dest(key.flag), type=_flag_type(key.kind),
-                           metavar=key.metavar, choices=key.choices, help=text)
+                           metavar=key.metavar, choices=key.choices, help=key.help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,8 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma list like lognet-nor-1,lognet-xor-1,dnn-1,dnn-2",
     )
-    sections = ("train", "noise", "schedule", "per_rp_holdout", "out_dir")
-    _add_config_flags(p, *sections, no_help=("per_rp_holdout",))
+    _add_config_flags(p, "train", "noise", "schedule", "per_rp_holdout", "out_dir")
     p.set_defaults(func=cmd_compare)
 
     return parser
@@ -262,14 +257,19 @@ def _flag_overrides(args) -> dict:
 
 
 def _merged_config(args) -> tuple[dict, str]:
-    """The --config document (if any) with flag overrides, and its base directory."""
+    """The --config document (if any) with flag overrides, and its base directory.
+
+    The document's out_dir defaults to the command's directory under the run root.
+    """
     doc, base_dir = {}, "."
     if args.config:
         doc = read_json(args.config)
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
         base_dir = os.path.dirname(os.path.abspath(args.config))
-    return _deep_merge(doc, _flag_overrides(args)), base_dir
+    merged = _deep_merge(doc, _flag_overrides(args))
+    merged.setdefault("out_dir", _default_out(args.command))
+    return merged, base_dir
 
 
 def _prefer_synth(doc: dict) -> None:
@@ -280,7 +280,6 @@ def _prefer_synth(doc: dict) -> None:
 
 def _experiment_config(args) -> ExperimentConfig:
     merged, base_dir = _merged_config(args)
-    merged.setdefault("out_dir", _default_out(args.command))
     _prefer_synth(merged)
     return ExperimentConfig.from_dict(merged, base_dir)
 
@@ -316,10 +315,8 @@ def _parse_variant(text: str) -> dict:
 
 def cmd_compare(args) -> int:
     merged, base_dir = _merged_config(args)
-    root = merged.get("out_dir") or _default_out(args.command)
-    if not os.path.isabs(root):
-        root = os.path.join(base_dir if merged.get("out_dir") else ".", root)
-    out_root = Path(root)
+    # The table's directory is resolved as each variant's out_dir is (and as `run`'s is).
+    out_root = Path(ExperimentConfig.from_dict({"out_dir": merged["out_dir"]}, base_dir).out_dir)
 
     variants = [v for v in args.variants.split(",") if v.strip()]
     if not variants:

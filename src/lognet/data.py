@@ -46,6 +46,14 @@ def _id_error(name: str, value) -> str | None:
     return None
 
 
+def _check_id(name: str, value) -> int:
+    """`value` if it is an rp_id or ci by `_id_error`'s rule, else a ValidationError."""
+    error = _id_error(name, value)
+    if error:
+        raise ValidationError(error)
+    return value
+
+
 def _id_column_ok(col: np.ndarray) -> np.ndarray:
     """Which entries of an rp_id or ci column `_id_error` accepts."""
     if col.dtype.kind in "iu":
@@ -65,10 +73,8 @@ def check_fingerprint(rp_id: int, ci: int, rss) -> np.ndarray:
         raise ValidationError("rss must be a non-empty 1-D vector")
     if not np.isfinite(rss).all():
         raise ValidationError("rss values must be finite")
-    for name, value in (("rp_id", rp_id), ("ci", ci)):
-        error = _id_error(name, value)
-        if error:
-            raise ValidationError(error)
+    _check_id("rp_id", rp_id)
+    _check_id("ci", ci)
     return rss
 
 
@@ -267,7 +273,7 @@ class RpMap:
             x, y = float(xy[0]), float(xy[1])
             if not (np.isfinite(x) and np.isfinite(y)):
                 raise ValidationError(f"coordinates for rp {rp_id} must be finite")
-            clean[int(rp_id)] = (x, y)
+            clean[int(_check_id("rp_id", rp_id))] = (x, y)
         object.__setattr__(self, "entries", clean)
 
     def __contains__(self, rp_id: int) -> bool:

@@ -152,7 +152,7 @@ def environment_descriptor() -> dict:
     }
 
 
-def measure_latency(classifier, test: Dataset, repetitions: int = 5) -> LatencyResult:
+def measure_latency(classifier, test: Dataset, repetitions: int) -> LatencyResult:
     """Median wall-clock time of full-test-set inference, preprocessing included."""
     if repetitions < 3:
         raise ValidationError(f"need at least 3 repetitions, got {repetitions}")
@@ -234,6 +234,8 @@ def export_gray_bitmap(matrix: np.ndarray, path: str) -> None:
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2 or arr.size == 0:
         raise ValidationError("grayscale export requires a non-empty 2-D matrix")
+    if not np.isfinite(arr).all():
+        raise ValidationError("grayscale export requires finite values")
     lo, hi = float(arr.min()), float(arr.max())
     scaled = np.zeros_like(arr) if hi == lo else (arr - lo) / (hi - lo)
     write_pgm(np.round(scaled * 255).astype(np.uint8), path)

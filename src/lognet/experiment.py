@@ -417,10 +417,7 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
         report.write(staging / "report.json")
 
     for item in sorted(staging.iterdir()):
-        target = out / item.name
-        if target.exists():
-            target.unlink()
-        item.rename(target)
+        item.replace(out / item.name)
     staging.rmdir()
     return report
 

@@ -19,7 +19,7 @@ from contextlib import contextmanager, suppress
 
 import numpy as np
 
-from .data import Dataset, RpMap, check_fingerprint
+from .data import Dataset, RpMap, _check_id, check_fingerprint
 from .errors import ParseError, ValidationError
 
 _FP_FIXED_COLS = ("rp_id", "device_id", "ci")
@@ -210,7 +210,7 @@ def read_rp_map_csv(path: str) -> RpMap:
     entries = {}
 
     def add_row(row):
-        rp_id, x, y = int(row[0]), float(row[1]), float(row[2])
+        rp_id, x, y = _check_id("rp_id", int(row[0])), float(row[1]), float(row[2])
         if rp_id in entries:
             raise ValidationError(f"duplicate rp_id {rp_id}")
         entries[rp_id] = (x, y)
@@ -245,8 +245,7 @@ def read_latents_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
         rp_id, bits = int(row[0]), [int(v) for v in row[1:]]
         if any(b not in (0, 1) for b in bits):
             raise ValidationError("latent bits must be 0 or 1")
-        if not -(2**63) <= rp_id < 2**63:
-            raise ValidationError(f"rp_id {rp_id} does not fit in int64")
+        _check_id("rp_id", rp_id)
         rp_ids.append(rp_id)
         rows.append(bits)
 
@@ -276,11 +275,15 @@ def read_delta_csv(path: str) -> np.ndarray:
 
 
 def write_pgm(matrix: np.ndarray, path: str) -> None:
-    """Write a 2-D uint8 matrix as a raw (P5) graymap with maxval 255."""
+    """Write a 2-D matrix of integers in [0, 255] as a raw (P5) graymap with maxval 255."""
     arr = np.asarray(matrix)
     if arr.ndim != 2 or arr.size == 0:
         raise ValidationError("PGM export requires a non-empty 2-D matrix")
-    arr = arr.astype(np.uint8)
+    with np.errstate(invalid="ignore"):  # NaN or inf casts to some byte; the compare rejects it
+        pixels = arr.astype(np.uint8) if arr.dtype.kind in "biuf" else None
+    if pixels is None or not np.array_equal(pixels, arr):
+        raise ValidationError("PGM pixels must be integers in [0, 255]")
+    arr = pixels
     height, width = arr.shape
     with atomic_open(path, binary=True) as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))

@@ -145,17 +145,6 @@ def _softmax_into(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def sparse_cross_entropy(logits: np.ndarray, class_idx: np.ndarray) -> float:
-    """Mean negative log-likelihood of the true classes."""
-    logp = _log_softmax(np.atleast_2d(logits))
-    return float(-logp[np.arange(len(class_idx)), class_idx].mean())
-
-
 def forward(model: DenseStack, x) -> np.ndarray:
     """Class probabilities for one input vector, or per row of an (m, input_dim) batch.
 
@@ -214,14 +203,6 @@ def _activations(layers, X: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
-def _dnn_logits(layers, X: np.ndarray) -> np.ndarray:
-    """Output-layer logits of the stack, in a fresh array."""
-    W_out, b_out = layers[-1]
-    z = _activations(layers, X)[-1] @ W_out
-    z += b_out
-    return z
-
-
 def dnn_hidden_widths(input_dim: int, hidden_layers: int) -> list[int]:
     """Widths [input, h1, ..., hH] under the ceil-halving rule."""
     if hidden_layers < 1:
@@ -237,12 +218,8 @@ class Adam:
     p -= (lr_t*m) / (sqrt(v) + eps) in that order.
     """
 
-    def __init__(self, shapes, learning_rate: float,
-                 beta1: float = ADAM_BETA1, beta2: float = ADAM_BETA2, eps: float = ADAM_EPS):
+    def __init__(self, shapes, learning_rate: float):
         self.lr = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros(s) for s in shapes]
         self.v = [np.zeros(s) for s in shapes]
@@ -250,16 +227,16 @@ class Adam:
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         self.t += 1
-        lr_t = self.lr * np.sqrt(1.0 - self.beta2**self.t) / (1.0 - self.beta1**self.t)
+        lr_t = self.lr * np.sqrt(1.0 - ADAM_BETA2**self.t) / (1.0 - ADAM_BETA1**self.t)
         for p, g, m, v, (a, d) in zip(params, grads, self.m, self.v, self._scratch):
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=a)
-            v *= self.beta2
-            np.multiply(g, 1.0 - self.beta2, out=a)
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+            v *= ADAM_BETA2
+            np.multiply(g, 1.0 - ADAM_BETA2, out=a)
             a *= g
             v += a
             np.sqrt(v, out=d)
-            d += self.eps
+            d += ADAM_EPS
             np.multiply(m, lr_t, out=a)
             a /= d
             p -= a
@@ -397,10 +374,10 @@ def _loss_and_grads(params, X: np.ndarray, y_idx: np.ndarray, with_loss: bool = 
                     with_grads: bool = True) -> tuple[float | None, list[np.ndarray] | None]:
     """Mean cross-entropy of a flat [W1, b1, ..., Wk, bk] stack and its gradients.
 
-    One forward pass and one exp serve both: the loss equals
-    `sparse_cross_entropy(_dnn_logits(...))` and the output delta starts
-    from `softmax` of the same logits, bit for bit. Each is None when not
-    asked for.
+    One forward pass and one exp serve both: the loss is the mean of
+    `log(sum(exp(shifted))) - shifted[true class]` over the max-shifted
+    logits, and the output delta starts from `softmax` of the same logits,
+    bit for bit. Each is None when not asked for.
     """
     layers = _params_to_layers(params)
     acts = _activations(layers, X)
@@ -448,7 +425,7 @@ def model_size_bytes(model) -> int:
 
 
 def gradient_check(model, sample, epsilon: float = 1e-5) -> float:
-    """Compare analytic loss gradients against central finite differences.
+    """Compare the training loss's analytic gradients against its central finite differences.
 
     `sample` is an (input, label) pair; the input is a latent vector for a
     softmax head or a normalized fingerprint vector for an MLP (batches work
@@ -470,7 +447,7 @@ def gradient_check(model, sample, epsilon: float = 1e-5) -> float:
     _, analytic = _loss_and_grads(params, X, y_idx)
 
     def loss() -> float:
-        return sparse_cross_entropy(_dnn_logits(_params_to_layers(params), X), y_idx)
+        return _loss_and_grads(params, X, y_idx, with_grads=False)[0]
 
     worst = 0.0
     for p, g in zip(params, analytic):

@@ -66,7 +66,7 @@ class NoiseSpec:
         """Same structure with delta and sigma scaled by `multiplier`."""
         return NoiseSpec(
             self.mode,
-            self.delta * multiplier if self.mode is NoiseMode.NON_ED else float(self.delta) * multiplier,
+            self.delta * multiplier,
             self.stochastic_sigma * multiplier,
             self.seed if seed is None else seed,
         )

@@ -208,6 +208,23 @@ def test_compare_variants(tmp_path):
     assert (out / "comparison.txt").exists()
 
 
+def test_compare_writes_its_table_where_its_runs_go(tmp_path, monkeypatch):
+    # With no out_dir, a config's relative default out root is taken from the
+    # config's directory, for `run` and for all of `compare`'s outputs alike.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LOGNET_OUT_ROOT", raising=False)
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    doc = {"synth": {"num_rps": 4, "num_aps": 8, "fingerprints_per_rp": 4}, "train": {"epochs": 3}}
+    (sub / "cfg.json").write_text(json.dumps(doc))
+    assert main(["compare", "--config", "sub/cfg.json", "--variants", "lognet-nor-1,dnn-1"]) == 0
+    assert main(["run", "--config", "sub/cfg.json"]) == 0
+    assert {p.name for p in (sub / "runs" / "compare").iterdir()} == {
+        "comparison.csv", "comparison.txt", "lognet-nor-1", "dnn-1"}
+    assert (sub / "runs" / "run" / "report.json").exists()
+    assert not (tmp_path / "runs").exists()
+
+
 def test_env_var_sets_default_out_root(tmp_path, monkeypatch):
     monkeypatch.setenv("LOGNET_OUT_ROOT", str(tmp_path / "root"))
     assert main(["synth", "--rps", "3", "--aps", "6"]) == 0

@@ -87,6 +87,11 @@ class TestRpMap:
         with pytest.raises(ValidationError):
             RpMap({0: (np.inf, 0.0)})
 
+    @pytest.mark.parametrize("rp_id", [1.7, -3, True, 2**63])
+    def test_rejects_a_key_that_is_no_rp_id(self, rp_id):
+        with pytest.raises(ValidationError, match="rp_id"):
+            RpMap({rp_id: (0.0, 0.0)})
+
     def test_require_covers(self, tiny_dataset):
         with pytest.raises(UnknownRpError):
             RpMap({0: (0.0, 0.0)}).require_covers(tiny_dataset)

@@ -343,6 +343,13 @@ class TestBitmaps:
         export_gray_bitmap(np.array([[0.0, 0.5, 1.0]]), path)
         assert read_pgm(path)[0].tolist() == [0, 128, 255]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_gray_export_rejects_non_finite_values(self, tmp_path, bad):
+        path = tmp_path / "gray.pgm"
+        with pytest.raises(ValidationError, match="finite"):
+            export_gray_bitmap(np.array([[0.0, bad, 1.0]]), path)
+        assert not path.exists()
+
 
 class TestMajorityByRp:
     def test_matches_a_per_rp_vote(self):

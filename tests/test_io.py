@@ -19,6 +19,7 @@ from lognet import (
     LogicEncoderConfig,
     ParseError,
     RpMap,
+    ValidationError,
     SynthSpec,
     TrainConfig,
     read_delta_csv,
@@ -109,6 +110,14 @@ class TestRpMapCsv:
         with pytest.raises(ParseError):
             read_rp_map_csv(path)
 
+    @pytest.mark.parametrize("rp_id", ["-5", str(2**63)])
+    def test_rp_id_outside_the_id_range_rejected(self, tmp_path, rp_id):
+        path = tmp_path / "ids.csv"
+        path.write_text(f"rp_id,x_m,y_m\n0,0.0,0.0\n{rp_id},1.0,1.0\n")
+        with pytest.raises(ParseError, match="rp_id must be") as err:
+            read_rp_map_csv(path)
+        assert err.value.path == path and err.value.line == 3
+
 
 class TestLatentsCsv:
     def test_round_trip(self, tmp_path):
@@ -127,6 +136,14 @@ class TestLatentsCsv:
         with pytest.raises(ParseError) as err:
             read_latents_csv(path)
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("rp_id", ["-5", str(2**63)])
+    def test_rp_id_outside_the_id_range_rejected(self, tmp_path, rp_id):
+        path = tmp_path / "lat.csv"
+        path.write_text(f"rp_id,bit_000,bit_001\n0,1,0\n{rp_id},0,1\n")
+        with pytest.raises(ParseError, match="rp_id must be") as err:
+            read_latents_csv(path)
+        assert err.value.path == path and err.value.line == 3
 
     @pytest.mark.parametrize("header", ["rp_id,foo,bar", "rp_id,bit_0,bit_1",
                                         "rp_id,bit_001,bit_000", "id,bit_000,bit_001"])
@@ -165,6 +182,19 @@ class TestPgm:
         path = tmp_path / "img.pgm"
         write_pgm(img, path)
         assert np.array_equal(read_pgm(path), img)
+
+    @pytest.mark.parametrize("pixels", [[[300, -1, 128]], [[0.0, 0.5, 1.0]], [[0.0, np.nan, 1.0]],
+                                        [["0", "1", "2"]]], ids=["range", "fraction", "nan", "text"])
+    def test_pixel_that_is_no_byte_rejected(self, tmp_path, pixels):
+        path = tmp_path / "bad.pgm"
+        with pytest.raises(ValidationError, match=r"integers in \[0, 255\]"):
+            write_pgm(np.array(pixels), path)
+        assert not path.exists()
+
+    def test_integer_valued_pixels_of_any_dtype_are_written(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        write_pgm(np.array([[0.0, 128.0, 255.0], [True, False, True]]), path)
+        assert read_pgm(path).tolist() == [[0, 128, 255], [1, 0, 1]]
 
     def test_header_comments_are_skipped(self, tmp_path):
         path = tmp_path / "c.pgm"

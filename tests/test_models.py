@@ -127,11 +127,11 @@ class TestDnnModel:
         assert dnn_hidden_activations(m, np.array([[0.5]]))[0, 0] == pytest.approx(0.2)
 
     def test_identity_chain_passes_logit_through(self):
-        from lognet.models import _dnn_logits
-
-        layers = ((np.array([[1.0]]), np.zeros(1)), (np.array([[1.0]]), np.zeros(1)))
-        m = DenseStack(layers, (0,))
-        assert _dnn_logits(m.layers, np.array([[0.7]]))[0, 0] == pytest.approx(0.7)
+        # Logits (0.7, 0) after an identity hidden layer: log(p0 / p1) recovers 0.7.
+        layers = ((np.array([[1.0]]), np.zeros(1)), (np.array([[1.0, 0.0]]), np.zeros(2)))
+        m = DenseStack(layers, (0, 1))
+        p0, p1 = forward(m, np.array([0.7]))
+        assert np.log(p0 / p1) == pytest.approx(0.7)
 
     def test_shape_mismatch(self):
         m = init_dnn(6, 1, (0, 1), seed=0)
