@@ -117,11 +117,11 @@ class Dataset:
 
     `rss` is an (n, ap_count) float64 matrix, `rp_id` and `ci` are int64
     vectors and `device_id` an object vector of str, one entry per row.
-    Iterating yields one `Fingerprint` per row; those rows are built on first
-    use from the columns and not validated again.
+    Iterating builds one `Fingerprint` per row from the columns as it goes,
+    without validating it again; the dataset keeps no row.
     """
 
-    __slots__ = ("ap_count", "rss", "rp_id", "ci", "device_id", "_rows")
+    __slots__ = ("ap_count", "rss", "rp_id", "ci", "device_id")
 
     def __init__(self, fingerprints: Iterable[Fingerprint], ap_count: int):
         fps = tuple(fingerprints)
@@ -138,10 +138,9 @@ class Dataset:
             np.array([fp.rp_id for fp in fps], dtype=np.int64),
             np.array([fp.ci for fp in fps], dtype=np.int64),
             np.array([fp.device_id for fp in fps], dtype=object),
-            fps,
         )
 
-    def _adopt(self, ap_count, rss, rp_id, ci, device_id, rows=None) -> None:
+    def _adopt(self, ap_count, rss, rp_id, ci, device_id) -> None:
         for col in (rss, rp_id, ci, device_id):
             col.setflags(write=False)
         init = object.__setattr__
@@ -150,7 +149,6 @@ class Dataset:
         init(self, "rp_id", rp_id)
         init(self, "ci", ci)
         init(self, "device_id", device_id)
-        init(self, "_rows", rows)
 
     @classmethod
     def _of(cls, ap_count, rss, rp_id, ci, device_id) -> "Dataset":
@@ -199,7 +197,8 @@ class Dataset:
         return self.rss.shape[0]
 
     def __iter__(self) -> Iterator[Fingerprint]:
-        return iter(self.fingerprints)
+        return map(Fingerprint._row, self.rp_id.tolist(), self.device_id.tolist(),
+                   self.ci.tolist(), self.rss)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Dataset is immutable; cannot set {name!r}")
@@ -225,14 +224,9 @@ class Dataset:
 
     @property
     def fingerprints(self) -> tuple[Fingerprint, ...]:
-        """One Fingerprint per row; its `rss` is a read-only view of `rss_matrix()`."""
-        if self._rows is None:
-            rows = tuple(
-                map(Fingerprint._row, self.rp_id.tolist(), self.device_id.tolist(),
-                    self.ci.tolist(), self.rss)
-            )
-            object.__setattr__(self, "_rows", rows)
-        return self._rows
+        """One Fingerprint per row, built afresh on each read; its `rss` is a read-only
+        view of `rss_matrix()`."""
+        return tuple(self)
 
     @property
     def rp_ids(self) -> frozenset[int]:
@@ -261,6 +255,23 @@ class Dataset:
         return self._take(self.ci == ci)
 
 
+def _check_rp_entry(rp_id, xy) -> tuple[float, float]:
+    """RP `rp_id`'s (x, y) in meters as floats, else a ValidationError.
+
+    `rp_id` must be an id by `_check_id`, and `xy` exactly two finite real
+    numbers; a bool is no number.
+    """
+    _check_id("rp_id", rp_id)
+    try:
+        x, y = xy
+        if all(isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
+               and math.isfinite(v) for v in (x, y)):
+            return float(x), float(y)
+    except (TypeError, ValueError, OverflowError):  # no pair, or an int beyond float64's range
+        pass
+    raise ValidationError(f"coordinates for rp {rp_id} must be two finite numbers")
+
+
 @dataclass(frozen=True)
 class RpMap:
     """Planar (x, y) coordinates in meters for each reference point."""
@@ -270,10 +281,7 @@ class RpMap:
     def __post_init__(self):
         clean = {}
         for rp_id, xy in dict(self.entries).items():
-            x, y = float(xy[0]), float(xy[1])
-            if not (np.isfinite(x) and np.isfinite(y)):
-                raise ValidationError(f"coordinates for rp {rp_id} must be finite")
-            clean[int(_check_id("rp_id", rp_id))] = (x, y)
+            clean[int(rp_id)] = _check_rp_entry(rp_id, xy)  # checked before int() runs
         object.__setattr__(self, "entries", clean)
 
     def __contains__(self, rp_id: int) -> bool:

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import json
+import math
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -73,16 +74,7 @@ class EvalReport:
     def to_json(self) -> str:
         doc = {
             "schema_version": 1,
-            "per_ci": {
-                str(ci): {
-                    "mean_error_m": s.mean_error_m,
-                    "min_error_m": s.min_error_m,
-                    "max_error_m": s.max_error_m,
-                    "accuracy": s.accuracy,
-                    "samples": s.samples,
-                }
-                for ci, s in sorted(self.per_ci.items())
-            },
+            "per_ci": {str(ci): asdict(s) for ci, s in sorted(self.per_ci.items())},
             "model_meta": self.model_meta,
             "config": self.config,
         }
@@ -91,12 +83,7 @@ class EvalReport:
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
         doc = json.loads(text)
-        per_ci = {
-            int(ci): CiStats(
-                s["mean_error_m"], s["min_error_m"], s["max_error_m"], s["accuracy"], s["samples"]
-            )
-            for ci, s in doc["per_ci"].items()
-        }
+        per_ci = {int(ci): CiStats(**s) for ci, s in doc["per_ci"].items()}
         return cls(per_ci, doc["model_meta"], doc.get("config", {}))
 
     def write(self, path: str) -> None:
@@ -237,7 +224,9 @@ def export_gray_bitmap(matrix: np.ndarray, path: str) -> None:
     if not np.isfinite(arr).all():
         raise ValidationError("grayscale export requires finite values")
     lo, hi = float(arr.min()), float(arr.max())
-    scaled = np.zeros_like(arr) if hi == lo else (arr - lo) / (hi - lo)
+    # Halve only a range whose width overflows: halving is inexact on subnormals.
+    k = 1.0 if math.isfinite(hi - lo) else 0.5
+    scaled = np.zeros_like(arr) if hi == lo else (arr * k - lo * k) / (hi * k - lo * k)
     write_pgm(np.round(scaled * 255).astype(np.uint8), path)
 
 

@@ -19,8 +19,9 @@ from contextlib import contextmanager, suppress
 
 import numpy as np
 
-from .data import Dataset, RpMap, _check_id, check_fingerprint
-from .errors import ParseError, ValidationError
+from .data import Dataset, RpMap, _check_id, _check_rp_entry, check_fingerprint
+from .errors import ParseError, ShapeError, ValidationError
+from .gates import check_bits
 
 _FP_FIXED_COLS = ("rp_id", "device_id", "ci")
 
@@ -210,10 +211,10 @@ def read_rp_map_csv(path: str) -> RpMap:
     entries = {}
 
     def add_row(row):
-        rp_id, x, y = _check_id("rp_id", int(row[0])), float(row[1]), float(row[2])
+        rp_id = int(row[0])
         if rp_id in entries:
             raise ValidationError(f"duplicate rp_id {rp_id}")
-        entries[rp_id] = (x, y)
+        entries[rp_id] = _check_rp_entry(rp_id, (float(row[1]), float(row[2])))
 
     _read_csv(path, _exact_header("rp_id", "x_m", "y_m"), add_row, "coordinate")
     return RpMap(entries)
@@ -221,10 +222,10 @@ def read_rp_map_csv(path: str) -> RpMap:
 
 def write_latents_csv(rp_ids, bit_matrix: np.ndarray, path: str) -> None:
     """Write latent codes in the `rp_id,bit_000,...` schema, one row per code."""
-    bits = np.asarray(bit_matrix, dtype=np.uint8)
+    bits = check_bits(bit_matrix)
     rp_ids = list(rp_ids)
-    if bits.ndim != 2 or len(rp_ids) != bits.shape[0]:
-        raise ParseError(f"{len(rp_ids)} rp_ids for {bits.shape[0]} latent rows", path=path)
+    if bits.ndim != 2 or len(rp_ids) != len(bits):
+        raise ShapeError(f"{len(rp_ids)} rp_ids for latent rows of shape {bits.shape}")
     with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["rp_id"] + _indexed_header("bit_", bits.shape[1]))

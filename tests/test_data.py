@@ -1,5 +1,7 @@
 import copy
+import gc
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -83,11 +85,24 @@ class TestRpMap:
         with pytest.raises(UnknownRpError):
             tiny_rp_map.coords(7)
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValidationError):
-            RpMap({0: (np.inf, 0.0)})
+    @pytest.mark.parametrize("xy", [(np.inf, 0.0), (0.0, np.nan), (10**400, 0.0)])
+    def test_rejects_non_finite(self, xy):
+        with pytest.raises(ValidationError, match="coordinates for rp 0"):
+            RpMap({0: xy})
 
-    @pytest.mark.parametrize("rp_id", [1.7, -3, True, 2**63])
+    @pytest.mark.parametrize("xy", [("a", 0.0), (1.0,), 5, (1.0, 2.0, 3.0), (True, 0.0),
+                                    (0.0, np.bool_(False)), "xy", None])
+    def test_rejects_coordinates_that_are_not_two_numbers(self, xy):
+        with pytest.raises(ValidationError, match="must be two finite numbers"):
+            RpMap({0: xy})
+
+    def test_coordinates_become_floats(self):
+        rp_map = RpMap({np.int64(2): [np.float32(0.5), 3], 0: np.array([1.0, -2.0])})
+        assert rp_map.entries == {2: (0.5, 3.0), 0: (1.0, -2.0)}
+        assert all(type(v) is float for xy in rp_map.entries.values() for v in xy)
+        assert all(type(k) is int for k in rp_map.entries)
+
+    @pytest.mark.parametrize("rp_id", [1.7, -3, True, 2**63, "a", None])
     def test_rejects_a_key_that_is_no_rp_id(self, rp_id):
         with pytest.raises(ValidationError, match="rp_id"):
             RpMap({rp_id: (0.0, 0.0)})
@@ -186,10 +201,13 @@ class TestSplit:
         assert a[0] == b[0] and a[1] == b[1]
 
     def test_partition(self, tiny_dataset):
+        def contents(ds):
+            return [(fp.rp_id, fp.device_id, fp.ci, tuple(fp.rss.tolist())) for fp in ds]
+
         train, test = split_train_test(tiny_dataset, 2, seed=5)
-        assert len(train) + len(test) == len(tiny_dataset)
-        train_ids = {id(fp) for fp in train}
-        assert not train_ids & {id(fp) for fp in test}
+        rows = contents(tiny_dataset)
+        assert len(set(rows)) == len(rows)  # each row is told apart by its content
+        assert sorted(contents(train) + contents(test)) == sorted(rows)
 
     def test_too_small_group_names_offender(self):
         fps = [Fingerprint(3, "d", 1, [-50.0]), Fingerprint(3, "d", 1, [-60.0])]
@@ -248,7 +266,23 @@ class TestColumnarDataset:
         rows = list(ds)
         assert rows == expected
         assert all(np.shares_memory(fp.rss, ds.rss_matrix()) for fp in rows)
-        assert ds.fingerprints is ds.fingerprints
+        assert list(ds.fingerprints) == expected
+
+    def test_an_iterated_row_is_freed_once_the_caller_drops_it(self, tiny_dataset):
+        row = next(iter(tiny_dataset))
+        ref = weakref.ref(row)
+        del row
+        gc.collect()
+        assert ref() is None
+
+    def test_a_given_fingerprint_is_freed_once_the_caller_drops_it(self):
+        fp = Fingerprint(0, "d", 0, [-50.0])
+        ds = Dataset((fp,), 1)
+        ref = weakref.ref(fp)
+        del fp
+        gc.collect()
+        assert ref() is None
+        assert ds.rss_matrix().tolist() == [[-50.0]]
 
     def test_from_columns_rejects_what_fingerprint_rejects(self):
         with pytest.raises(ValidationError, match="row 1: rss values must be finite"):

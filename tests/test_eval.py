@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from lognet import (
@@ -342,6 +342,28 @@ class TestBitmaps:
         path = tmp_path / "gray.pgm"
         export_gray_bitmap(np.array([[0.0, 0.5, 1.0]]), path)
         assert read_pgm(path)[0].tolist() == [0, 128, 255]
+
+    def test_gray_export_survives_a_range_wider_than_float64(self, tmp_path):
+        path = tmp_path / "gray.pgm"
+        export_gray_bitmap(np.array([[-1e308, 0.0, 1e308]]), path)
+        assert read_pgm(path)[0].tolist() == [0, 128, 255]
+
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                           max_size=12), subnormal=st.booleans())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(values=[0.0, 5e-324], subnormal=False)
+    def test_gray_export_matches_the_unhalved_formula_where_it_fits(self, tmp_path, values,
+                                                                   subnormal):
+        arr = np.array([values]) * (5e-324 if subnormal else 1.0)
+        lo, hi = arr.min(), arr.max()
+        with np.errstate(over="ignore"):
+            assume(np.isfinite(hi - lo))
+        # The formula the export used before it handled an overflowing range.
+        scaled = np.zeros_like(arr) if hi == lo else (arr - lo) / (hi - lo)
+        path = tmp_path / "gray.pgm"
+        export_gray_bitmap(arr, path)
+        assert np.array_equal(read_pgm(path), np.round(scaled * 255).astype(np.uint8))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_gray_export_rejects_non_finite_values(self, tmp_path, bad):

@@ -19,6 +19,7 @@ from lognet import (
     LogicEncoderConfig,
     ParseError,
     RpMap,
+    ShapeError,
     ValidationError,
     SynthSpec,
     TrainConfig,
@@ -118,6 +119,14 @@ class TestRpMapCsv:
             read_rp_map_csv(path)
         assert err.value.path == path and err.value.line == 3
 
+    @pytest.mark.parametrize("x", ["nan", "1e999", "-inf"])
+    def test_coordinate_that_is_not_finite_rejected(self, tmp_path, x):
+        path = tmp_path / "xy.csv"
+        path.write_text(f"rp_id,x_m,y_m\n0,0.0,0.0\n1,{x},0.0\n")
+        with pytest.raises(ParseError, match="coordinates for rp 1 must be two finite") as err:
+            read_rp_map_csv(path)
+        assert err.value.path == path and err.value.line == 3
+
 
 class TestLatentsCsv:
     def test_round_trip(self, tmp_path):
@@ -129,6 +138,21 @@ class TestLatentsCsv:
         got_ids, got_bits = read_latents_csv(path)
         assert got_ids.tolist() == rp_ids
         assert np.array_equal(got_bits, bits)
+
+    @pytest.mark.parametrize("bits", [[[2, 0], [1, 0]], [[0, 1], [256, -1]], [[0.5, 1], [0, 1]]])
+    def test_writer_rejects_a_non_bit_and_writes_nothing(self, tmp_path, bits):
+        path = tmp_path / "lat.csv"
+        with pytest.raises(ValidationError, match="only 0 and 1"):
+            write_latents_csv([0, 1], bits, path)
+        assert not path.exists()
+
+    def test_writer_rejects_a_row_count_mismatch_as_a_shape_error(self, tmp_path):
+        path = tmp_path / "lat.csv"
+        with pytest.raises(ShapeError, match=r"3 rp_ids for latent rows of shape \(2, 4\)"):
+            write_latents_csv([0, 1, 2], np.zeros((2, 4), np.uint8), path)
+        with pytest.raises(ShapeError, match=r"1 rp_ids for latent rows of shape \(4,\)"):
+            write_latents_csv([0], np.zeros(4, np.uint8), path)
+        assert not path.exists()
 
     def test_non_bit_value_rejected(self, tmp_path):
         path = tmp_path / "lat.csv"
