@@ -8,6 +8,7 @@ import sys
 import typing
 from pathlib import Path
 
+from .data import _must_be
 from .errors import ConfigError, LogNetError
 from .evaluate import LatentDiff, evaluate, majority_by_rp, write_latent_bitmap
 from .experiment import (
@@ -245,9 +246,8 @@ def _flag_overrides(args) -> dict:
         elif key.path == "schedule":  # the flag names a JSON file holding the schedule
             sched = read_json(value)
             if isinstance(sched, dict) and "entries" not in sched:
-                raise ConfigError(
-                    f'schedule file {value} must hold a list or an object with "entries"'
-                )
+                raise ConfigError(_must_be(f"schedule file {value}",
+                                           'a list or an object with "entries"', sched))
             value = sched["entries"] if isinstance(sched, dict) else sched
         pairs.append((key.path, value))
     over = key_tree(pairs)
@@ -265,7 +265,7 @@ def _merged_config(args) -> tuple[dict, str]:
     if args.config:
         doc = read_json(args.config)
         if not isinstance(doc, dict):
-            raise ConfigError(f"config file {args.config} must hold a JSON object")
+            raise ConfigError(_must_be(f"config file {args.config}", dict, doc))
         base_dir = os.path.dirname(os.path.abspath(args.config))
     merged = _deep_merge(doc, _flag_overrides(args))
     merged.setdefault("out_dir", _default_out(args.command))

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import types
+import typing
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -32,17 +35,73 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _has_type(value, kind) -> bool:
+    """Whether `value` has type hint `kind`, by the one field-type rule: a bool is no number, a
+    float is finite (an int counts), and a `list[...]` or `tuple[...]` takes a list or a tuple."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is types.UnionType:
+        return any(_has_type(value, k) for k in args)
+    if origin is list or (origin is tuple and args[-1] is Ellipsis):
+        return isinstance(value, (list, tuple)) and all(_has_type(v, args[0]) for v in value)
+    if origin is tuple:
+        return (isinstance(value, (list, tuple)) and len(value) == len(args)
+                and all(map(_has_type, value, args)))
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        try:  # NaN, an infinity or an int beyond float64's range is no usable float
+            return isinstance(value, numbers.Real) and math.isfinite(value)
+        except OverflowError:
+            return False
+    return isinstance(value, numbers.Integral if kind is int else kind)
+
+
+# The field hints of a dataclass, resolved once per class: uncached, a call costs about 150 µs.
+_field_hints = functools.cache(typing.get_type_hints)
+
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a JSON array",
+               dict: "a JSON object", np.ndarray: "an array", type(None): "null"}
+
+
+def _shown(value) -> str:
+    """`value` as a message shows it: its repr, cut to 60 characters."""
+    try:
+        text = repr(value)
+    except ValueError:  # it holds an int too long for str()
+        return f"<{type(value).__name__} too long to show>"
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _must_be(name: str, kind, value) -> str:
+    """The one message for a rejected value. `kind` is a phrase or a type hint; a class that
+    `_KIND_NAMES` lacks is "a <name>", and a generic hint is named by its text."""
+    kinds = typing.get_args(kind) if typing.get_origin(kind) is types.UnionType else (kind,)
+    what = " or ".join(_KIND_NAMES.get(k) or (f"a {k.__name__}" if isinstance(k, type) else str(k))
+                       for k in kinds)
+    return f"{name} must be {what}, got {_shown(value)}"
+
+
+def _check_fields(obj, name=None) -> None:
+    """Raise ConfigError unless each field of dataclass `obj` has its hint's type by `_has_type`,
+    naming the field as `name(field)` does, by default as `Class.field`."""
+    for field, kind in _field_hints(type(obj)).items():
+        value = getattr(obj, field)
+        if not _has_type(value, kind):
+            where = name(field) if name else f"{type(obj).__name__}.{field}"
+            raise ConfigError(_must_be(where, kind, value))
+
+
 def _id_error(name: str, value) -> str | None:
     """Why `value` is no rp_id or ci, or None if it is one.
 
     An id is a non-bool integer in [0, 2**63).
     """
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral):
-        return f"{name} must be an integer, got {value!r}"
+        return _must_be(name, int, value)
     if value < 0:
-        return f"{name} must be non-negative, got {value}"
+        return _must_be(name, "non-negative", value)
     if value >= _ID_LIMIT:
-        return f"{name} must be below 2**63, got {value}"
+        return _must_be(name, "below 2**63", value)
     return None
 
 
@@ -258,18 +317,16 @@ class Dataset:
 def _check_rp_entry(rp_id, xy) -> tuple[float, float]:
     """RP `rp_id`'s (x, y) in meters as floats, else a ValidationError.
 
-    `rp_id` must be an id by `_check_id`, and `xy` exactly two finite real
-    numbers; a bool is no number.
+    `rp_id` must be an id by `_check_id`, and `xy` exactly two floats by `_has_type`.
     """
     _check_id("rp_id", rp_id)
     try:
         x, y = xy
-        if all(isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
-               and math.isfinite(v) for v in (x, y)):
-            return float(x), float(y)
-    except (TypeError, ValueError, OverflowError):  # no pair, or an int beyond float64's range
-        pass
-    raise ValidationError(f"coordinates for rp {rp_id} must be two finite numbers")
+    except (TypeError, ValueError):  # no pair
+        x = y = None
+    if not (_has_type(x, float) and _has_type(y, float)):
+        raise ValidationError(_must_be(f"coordinates for rp {rp_id}", "two finite numbers", xy))
+    return float(x), float(y)
 
 
 @dataclass(frozen=True)
@@ -303,13 +360,14 @@ class RpMap:
 
 
 def check_rss_range(lo, hi) -> None:
-    """Raise ConfigError unless [lo, hi] is a finite dBm range with lo < hi."""
+    """Raise ConfigError unless [lo, hi] is a finite dBm range with lo < hi; a bool is no bound."""
+    # `_has_type`'s rule for a float, by a shorter path: `predict` runs this on every call.
     try:
         finite = math.isfinite(lo) and math.isfinite(hi)
-    except OverflowError:  # an int beyond float64's range
+    except (TypeError, OverflowError):  # no number, or an int beyond float64's range
         finite = False
-    if not (finite and lo < hi):
-        raise ConfigError(f"rss range must be finite with lo < hi, got [{lo}, {hi}]")
+    if not (finite and lo < hi) or isinstance(lo, bool) or isinstance(hi, bool):
+        raise ConfigError(_must_be("rss range", "finite with lo < hi", [lo, hi]))
 
 
 def normalize_values(

@@ -3,11 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
-import numbers
 import os
 import shutil
-import sys
-import types
 import typing
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field
@@ -18,8 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .data import (
-    DEFAULT_RSS_HI, DEFAULT_RSS_LO, DEFAULT_THRESHOLD, Dataset, check_rss_range, check_threshold,
-    normalize_values, split_train_test,
+    DEFAULT_RSS_HI, DEFAULT_RSS_LO, DEFAULT_THRESHOLD, Dataset, _check_fields, _field_hints,
+    _has_type, _must_be, check_rss_range, check_threshold, normalize_values, split_train_test,
 )
 from .errors import ConfigError, StageError, ValidationError
 from .evaluate import (
@@ -84,7 +81,7 @@ class ConfigKey:
 
 def _spec_keys(section: str, spec: type, **flags: tuple) -> list[ConfigKey]:
     """One key per field of the dataclass behind a section, typed as the field."""
-    hints = typing.get_type_hints(spec)
+    hints = _field_hints(spec)
     return [ConfigKey(f"{section}.{f.name}", f"{section}.{f.name}", hints[f.name],
                       *flags.get(f.name, ()), required=f.default is MISSING)
             for f in dataclasses.fields(spec)]
@@ -145,8 +142,7 @@ def key_tree(pairs) -> dict:
     return tree
 
 
-# The key types by section, as _check_keys walks them. A JSON array is a list or
-# tuple, a float a finite number (an int counts), and a bool no number.
+# The key types by section, as _check_keys walks them with `_has_type`.
 _CONFIG_KEYS = key_tree((key.path, key.kind) for key in CONFIG_KEYS.values())
 
 
@@ -179,6 +175,9 @@ class ExperimentConfig:
             self.train = TrainConfig(epochs=DEFAULT_EPOCHS.get(self.model_family, 150))
 
     def validate(self) -> None:
+        paths = {name: key.path for key in CONFIG_KEYS.values()
+                 for name in (key.attr if isinstance(key.attr, tuple) else (key.attr,))}
+        _check_fields(self, lambda name: f"config key '{paths.get(name, name)}': {name}")
         has_files = self.data_path is not None
         if has_files == (self.synth is not None):
             raise ConfigError("exactly one of data paths or a synth spec must be given")
@@ -193,7 +192,7 @@ class ExperimentConfig:
         if self.per_rp_holdout < 1:
             raise ConfigError("the pipeline needs per_rp_holdout >= 1 to form a test split")
         if self.hidden_layers < 1:
-            raise ConfigError(f"hidden_layers must be >= 1, got {self.hidden_layers}")
+            raise ConfigError(_must_be("hidden_layers", ">= 1", self.hidden_layers))
         if self.latency_repetitions < 3:
             raise ConfigError("latency_repetitions must be >= 3")
         if self.model_family == "lognet":  # a dnn binarizes nothing, so takes any threshold
@@ -274,7 +273,7 @@ def _check_keys(doc, allowed: dict, prefix: str = "") -> None:
     """Reject a key that from_dict would ignore, or a value of the wrong type, naming its path."""
     if not isinstance(doc, dict):
         where = f"config key '{prefix[:-1]}'" if prefix else "config"
-        raise ConfigError(f"{where} must hold a JSON object")
+        raise ConfigError(_must_be(where, dict, doc))
     for key, value in doc.items():
         if key not in allowed:
             raise ConfigError(f"unknown config key '{prefix}{key}'")
@@ -283,26 +282,7 @@ def _check_keys(doc, allowed: dict, prefix: str = "") -> None:
             if value is not None:
                 _check_keys(value, kind, f"{prefix}{key}.")
         elif not _has_type(value, kind):
-            name = kind.__name__ if isinstance(kind, type) else str(kind)
-            raise ConfigError(f"config key '{prefix}{key}' must be {name}, got {value!r}")
-
-
-def _has_type(value, kind) -> bool:
-    """Whether a config value has a leaf type of _CONFIG_KEYS."""
-    origin, args = typing.get_origin(kind), typing.get_args(kind)
-    if origin is types.UnionType:
-        return any(_has_type(value, k) for k in args)
-    if origin is list:
-        return isinstance(value, (list, tuple)) and all(_has_type(v, args[0]) for v in value)
-    if origin is tuple:
-        return (isinstance(value, (list, tuple)) and len(value) == len(args)
-                and all(map(_has_type, value, args)))
-    if isinstance(value, bool):
-        return False
-    if kind is float:
-        # NaN, an infinity or an int beyond float64's range is no usable float.
-        return isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
-    return isinstance(value, numbers.Integral if kind is int else kind)
+            raise ConfigError(_must_be(f"config key '{prefix}{key}'", kind, value))
 
 
 def _write_lognet_artifacts(clf: LogNetClassifier, train_ds: Dataset, out: Path) -> None:

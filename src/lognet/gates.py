@@ -7,7 +7,8 @@ from enum import Enum
 
 import numpy as np
 
-from .data import DEFAULT_THRESHOLD, Fingerprint, binarize_matrix, check_threshold
+from .data import (DEFAULT_THRESHOLD, Fingerprint, _check_fields, _has_type, _must_be, _shown,
+                   binarize_matrix, check_threshold)
 from .errors import BoundsError, ConfigError, ValidationError
 
 
@@ -119,10 +120,10 @@ def ceil_chain(length: int, depth: int) -> int:
     Every depth of at least `length`'s bit length gives 1, so the shift is
     capped there and a huge depth builds no huge integer.
     """
-    if length < 1:
-        raise ValidationError(f"length must be positive, got {length}")
-    if depth < 0:
-        raise ValidationError(f"depth must be non-negative, got {depth}")
+    if not (_has_type(length, int) and length >= 1):
+        raise ValidationError(_must_be("length", "a positive integer", length))
+    if not (_has_type(depth, int) and depth >= 0):
+        raise ValidationError(_must_be("depth", "a non-negative integer", depth))
     return -(-length // (1 << min(depth, int(length).bit_length())))
 
 
@@ -135,11 +136,10 @@ class LogicEncoderConfig:
     hidden_layers: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.gate, GateType):
-            raise ConfigError(f"gate must be a GateType, got {self.gate!r}")
+        _check_fields(self)
         check_threshold(self.threshold)
         if self.hidden_layers < 1:
-            raise ConfigError(f"hidden_layers must be >= 1, got {self.hidden_layers}")
+            raise ConfigError(_must_be("hidden_layers", ">= 1", self.hidden_layers))
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,8 +161,8 @@ class LatentCode:
         expected = ceil_chain(self.input_len, self.depth)
         if bits.size != expected:
             raise ValidationError(
-                f"latent of depth {self.depth} over {self.input_len} inputs "
-                f"must have {expected} bits, got {bits.size}"
+                f"latent of depth {_shown(self.depth)} over {_shown(self.input_len)} inputs "
+                f"must have {_shown(expected)} bits, got {bits.size}"
             )
         bits = bits.astype(np.uint8)
         bits.setflags(write=False)

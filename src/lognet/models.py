@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, _readonly
+from .data import Dataset, _check_fields, _must_be, _readonly
 from .errors import ConfigError, ShapeError, TrainingError, ValidationError
 from .gates import ceil_chain
 
@@ -33,14 +33,15 @@ class TrainConfig:
     batch_size: int | None = None  # None = full batch
 
     def __post_init__(self):
-        if not 0 < self.learning_rate < math.inf:
+        _check_fields(self)
+        if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 0:
-            raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
+            raise ConfigError(_must_be("epochs", "non-negative", self.epochs))
         if self.seed < 0:
-            raise ConfigError(f"train seed must be non-negative, got {self.seed}")
+            raise ConfigError(_must_be("train seed", "non-negative", self.seed))
         if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
+            raise ConfigError(_must_be("batch_size", "positive", self.batch_size))
 
 
 def _check_class_labels(class_labels: Sequence[int]) -> tuple[int, ...]:

@@ -8,7 +8,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import RSS_SENTINEL, Dataset, RpMap
+from .data import RSS_SENTINEL, Dataset, RpMap, _check_fields, _must_be
 from .errors import CapacityError, ConfigError, ValidationError
 
 
@@ -34,13 +34,14 @@ class NoiseSpec:
     """
 
     mode: NoiseMode
-    delta: float | np.ndarray
-    stochastic_sigma: float | np.ndarray = 0.0
+    delta: float | list[float] | np.ndarray
+    stochastic_sigma: float | list[float] | np.ndarray = 0.0
     seed: int = 0
 
     def __post_init__(self):
+        _check_fields(self)
         if self.seed < 0:
-            raise ConfigError(f"noise seed must be non-negative, got {self.seed}")
+            raise ConfigError(_must_be("noise seed", "non-negative", self.seed))
         if self.mode is NoiseMode.ED:
             if np.ndim(self.delta) != 0:
                 raise ValidationError("ED mode carries exactly one delta")
@@ -79,6 +80,7 @@ class TemporalSchedule:
     entries: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
+        _check_fields(self)
         entries = tuple((int(ci), float(m)) for ci, m in self.entries)
         if not entries:
             raise ValidationError("schedule must have at least one entry")
@@ -138,12 +140,13 @@ class SynthSpec:
     device_id: str = "synth"
 
     def __post_init__(self):
+        _check_fields(self)
         if self.num_rps < 2 or self.num_aps < 2:
             raise ConfigError("need at least 2 RPs and 2 APs")
         if self.fingerprints_per_rp < 1:
             raise ConfigError("fingerprints_per_rp must be positive")
         if self.seed < 0:
-            raise ConfigError(f"synth seed must be non-negative, got {self.seed}")
+            raise ConfigError(_must_be("synth seed", "non-negative", self.seed))
         if self.base_pattern not in ("window", "random", "beacon-tint"):
             raise ConfigError(f"unknown base_pattern '{self.base_pattern}'")
         if self.geometry not in ("path", "grid"):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import numbers
 import re
 from dataclasses import dataclass
 
@@ -13,6 +12,8 @@ from .data import (
     DEFAULT_RSS_HI,
     DEFAULT_RSS_LO,
     Dataset,
+    _has_type,
+    _must_be,
     _readonly,
     binarize_matrix,
     check_rss_range,
@@ -246,7 +247,7 @@ def load_model(path: str):
     """
     doc = read_json(path)
     if not isinstance(doc, dict):
-        raise ParseError("model document must be a JSON object", path=path)
+        raise ParseError(_must_be("model document", dict, doc), path=path)
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema_version {version!r}", path=path)
@@ -254,15 +255,13 @@ def load_model(path: str):
     if family not in ("lognet", "dnn"):
         raise ParseError(f"unknown model family {family!r}", path=path)
     try:
-        rss_range = _field(doc, "rss_lo", numbers.Real), _field(doc, "rss_hi", numbers.Real)
-        labels = _field(doc, "class_labels", list)
-        if any(isinstance(c, bool) or not isinstance(c, int) for c in labels):
-            raise ValidationError("class_labels must be a sequence of integers")
+        rss_range = _field(doc, "rss_lo", float), _field(doc, "rss_hi", float)
+        labels = _field(doc, "class_labels", list[int])
         if family == "lognet":
             enc = _field(doc, "encoder", dict)
             encoder = LogicEncoderConfig(
                 gate=GateType.from_name(_field(enc, "gate", str, "encoder")),
-                threshold=_field(enc, "threshold", numbers.Real, "encoder"),
+                threshold=_field(enc, "threshold", float, "encoder"),
                 hidden_layers=_field(enc, "hidden_layers", int, "encoder"),
             )
             head = DenseStack(((_field(doc, "weights"), _field(doc, "biases")),), labels)
@@ -280,16 +279,11 @@ def load_model(path: str):
         raise ParseError(str(exc), path=path) from None
 
 
-_KIND_NAMES = {numbers.Real: "a number", int: "an integer", str: "a string", list: "a JSON array",
-               dict: "a JSON object"}
-
-
 def _field(obj, key: str, kind=object, where: str = ""):
-    """`obj[key]` of a model document, checked to be a `kind`; a bool is no number."""
+    """`obj[key]` of a model document, checked to have type hint `kind` by `_has_type`."""
     if not isinstance(obj, dict):
-        raise ValidationError(f"{where or 'model document'} must be a JSON object")
+        raise ValidationError(_must_be(where or "model document", dict, obj))
     value = obj[key]
-    if kind is not object and (isinstance(value, bool) or not isinstance(value, kind)):
-        name = f"{where}.{key}" if where else key
-        raise ValidationError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r:.60}")
+    if kind is not object and not _has_type(value, kind):
+        raise ValidationError(_must_be(f"{where}.{key}" if where else key, kind, value))
     return value

@@ -334,7 +334,7 @@ class TestColumnarDataset:
 
 BAD_RANGES = [
     (float("nan"), 0.0), (-100.0, float("nan")), (-float("inf"), 0.0), (-100.0, float("inf")),
-    (0.0, -100.0), (-50.0, -50.0),
+    (0.0, -100.0), (-50.0, -50.0), ("a", 0.0), (-100.0, None), (False, True), (0, True),
 ]
 
 
@@ -367,3 +367,24 @@ class TestRssRangeCheck:
                                     lo, hi)
             else:
                 pipeline.fit_dnn(tiny_dataset, 1, cfg, lo, hi)
+
+
+# Past Python's 4300-digit limit on converting an int to str.
+HUGE = 10**5000
+
+
+class TestHugeIntsInMessages:
+    """A rejected int too long for str() still gets its error, not a ValueError from str()."""
+
+    def test_rp_map_key(self):
+        with pytest.raises(ValidationError,
+                           match=r"^rp_id must be below 2\*\*63, got <int too long to show>$"):
+            RpMap({HUGE: (0.0, 0.0)})
+
+    def test_dataset_column(self):
+        with pytest.raises(ValidationError, match=r"^row 0: rp_id must be below 2\*\*63, got <int"):
+            Dataset.from_columns([HUGE], ["d"], [0], [[-50.0]])
+
+    def test_rss_range(self):
+        with pytest.raises(ConfigError, match="rss range must be finite with lo < hi, got <list"):
+            normalize_values(np.zeros(2), -HUGE, 0.0)

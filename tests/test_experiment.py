@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import math
+import types
+import typing
 from pathlib import Path
 
 import pytest
@@ -8,10 +11,12 @@ from lognet import (
     ConfigError,
     ExperimentConfig,
     GateType,
+    LogicEncoderConfig,
     NoiseMode,
     NoiseSpec,
     StageError,
     SynthSpec,
+    TemporalSchedule,
     TrainConfig,
     ValidationError,
     compare_models,
@@ -255,7 +260,7 @@ class TestConfigKeys:
             ExperimentConfig.from_dict({"synth": {"num_rps": 4}})
 
     def test_section_must_be_an_object(self):
-        with pytest.raises(ConfigError, match="'train' must hold a JSON object"):
+        with pytest.raises(ConfigError, match="'train' must be a JSON object"):
             ExperimentConfig.from_dict({"train": 5})
 
     def test_every_report_config_loads_back(self, tmp_path, fixture_dir):
@@ -274,3 +279,74 @@ class TestConfigKeys:
             run_experiment(cfg)
             echo = json.loads((Path(cfg.out_dir) / "report.json").read_text())["config"]
             assert ExperimentConfig.from_dict(echo).to_dict() == echo
+
+
+def _wrong_values(obj):
+    """(field, value) for each field of dataclass `obj` and each value of the wrong type for it.
+
+    A field that takes no str gets a str and one that takes a str an int; a number gets a
+    bool; a float gets 10**400 and NaN, and an int that takes no float gets 2.5.
+    """
+    for field, kind in typing.get_type_hints(type(obj)).items():
+        kinds = typing.get_args(kind) if typing.get_origin(kind) is types.UnionType else (kind,)
+        wrong = [1] if str in kinds else ["a"]
+        if float in kinds:
+            wrong += [True, 10**400, math.nan]
+        elif int in kinds:
+            wrong += [True, 2.5]
+        yield from ((field, value) for value in wrong)
+
+
+SETTINGS = (SynthSpec(4, 8), TrainConfig(), NoiseSpec(NoiseMode.ED, -4.0, 1.0),
+            TemporalSchedule.default(), LogicEncoderConfig(GateType.NOR))
+
+
+class TestFieldTypes:
+    """Every settings dataclass checks its fields' types by the rule config files use."""
+
+    @pytest.mark.parametrize("obj,field,value", [
+        pytest.param(obj, field, value, id=f"{type(obj).__name__}.{field}={value!r:.8}")
+        for obj in SETTINGS for field, value in _wrong_values(obj)
+    ])
+    def test_constructor_names_class_and_field(self, obj, field, value):
+        with pytest.raises(ConfigError, match=rf"^{type(obj).__name__}\.{field} must be "):
+            dataclasses.replace(obj, **{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        pytest.param(field, value, id=f"{field}={value!r:.8}")
+        for field, value in _wrong_values(ExperimentConfig())
+    ])
+    def test_validate_names_the_config_key(self, tmp_path, field, value):
+        cfg = dataclasses.replace(_synth_cfg(tmp_path), **{field: value})
+        with pytest.raises(ConfigError, match=rf"^config key '[a-z_.]+': {field} must be "):
+            cfg.validate()
+
+    @pytest.mark.parametrize("make,name", [
+        (lambda: TrainConfig("a"), "TrainConfig.learning_rate"),
+        (lambda: TrainConfig(epochs=2.5), "TrainConfig.epochs"),
+        (lambda: SynthSpec("a", 4), "SynthSpec.num_rps"),
+        (lambda: SynthSpec(4, 8, seed=1.5), "SynthSpec.seed"),
+        (lambda: LogicEncoderConfig(GateType.NOR, 0.5, 1.5), "LogicEncoderConfig.hidden_layers"),
+        (lambda: LogicEncoderConfig(GateType.NOR, 0.5, "a"), "LogicEncoderConfig.hidden_layers"),
+        (lambda: NoiseSpec(NoiseMode.ED, "a"), "NoiseSpec.delta"),
+        (lambda: NoiseSpec(NoiseMode.NON_ED, [1.0, math.inf]), "NoiseSpec.delta"),
+        (lambda: TemporalSchedule(((0, 0.0), (1, "x"))), "TemporalSchedule.entries"),
+        (lambda: TemporalSchedule(((0, 0.0), (1.7, 1.0))), "TemporalSchedule.entries"),
+    ])
+    def test_values_that_passed_or_raised_raw_errors(self, make, name):
+        with pytest.raises(ConfigError, match=rf"^{name} must be "):
+            make()
+
+    @pytest.mark.parametrize("change,message", [
+        ({"rss_lo": math.nan}, "config key 'rss_range': rss_lo must be a number, got nan"),
+        ({"rss_hi": "0"}, "config key 'rss_range': rss_hi must be a number, got '0'"),
+        ({"hidden_layers": "2"}, "config key 'model.hidden_layers': hidden_layers must be an integer"),
+        ({"gate": "nor"}, "config key 'model.gate': gate must be a GateType, got 'nor'"),
+        ({"data_path": 3}, "config key 'data.fingerprints': data_path must be a string or null"),
+        ({"schedule": None}, "config key 'schedule': schedule must be a TemporalSchedule, got None"),
+    ])
+    def test_validate_message_names_the_key_path(self, tmp_path, change, message):
+        cfg = dataclasses.replace(_synth_cfg(tmp_path), **change)
+        with pytest.raises(ConfigError) as err:
+            cfg.validate()
+        assert str(err.value).startswith(message)

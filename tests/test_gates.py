@@ -142,6 +142,10 @@ class TestEncode:
         with pytest.raises(ValidationError):
             LatentCode(np.array([0, 1, 0]), depth=1, input_len=164)
 
+    def test_width_message_survives_an_input_len_too_long_for_str(self):
+        with pytest.raises(ValidationError, match="over <int too long to show> inputs"):
+            LatentCode(np.zeros(2, np.uint8), 1, 10**5000)
+
     def test_code_bits_must_form_a_non_empty_vector(self):
         with pytest.raises(ValidationError):
             LatentCode(np.zeros((1, 2), np.uint8), 1, 4)
@@ -205,6 +209,11 @@ class TestCeilChain:
         for n in (1, 2, 3, 17, 164, 1000):
             for h in range(7):
                 assert ceil_chain(n, h) == -(-n // (1 << h))
+
+    @pytest.mark.parametrize("length,depth", [(3.5, 1), (3, 1.0), (True, 1), (3, True), ("3", 1)])
+    def test_rejects_a_non_integer(self, length, depth):
+        with pytest.raises(ValidationError, match="must be a (positive|non-negative) integer, got "):
+            ceil_chain(length, depth)
 
 
 class TestTrace:

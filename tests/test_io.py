@@ -346,15 +346,15 @@ class TestModelDocumentValidation:
         ("lognet", ("encoder", "hidden_layers"), 1.5, "encoder.hidden_layers must be an integer"),
         ("lognet", ("encoder", "ap_count"), 12, "head takes 3 latent bits but 12 APs encode to 6"),
         ("lognet", ("encoder",), [1], "encoder must be a JSON object"),
-        ("lognet", ("class_labels",), [0, 1, 2, 3.5], "class_labels must be a sequence of integers"),
-        ("lognet", ("class_labels",), [False, 1, 2, 3], "class_labels must be a sequence of integers"),
+        ("lognet", ("class_labels",), [0, 1, 2, 3.5], "class_labels must be list[int]"),
+        ("lognet", ("class_labels",), [False, 1, 2, 3], "class_labels must be list[int]"),
         ("lognet", ("rss_lo",), 0.0, "rss range must be finite with lo < hi"),
         ("lognet", ("rss_hi",), True, "rss_hi must be a number"),
         ("dnn", ("layers", 0, "weights"), "x", "layer 0 weights and biases must be numeric arrays"),
         ("dnn", ("layers", 1, "biases"), [[0.0]], "layer 1 has inconsistent weight/bias shapes"),
         ("dnn", ("layers", 1), 7, "layers[1] must be a JSON object"),
         ("dnn", ("layers",), [], "at least one layer"),
-        ("dnn", ("class_labels",), "abcd", "class_labels must be a JSON array"),
+        ("dnn", ("class_labels",), "abcd", "class_labels must be list[int]"),
     ])
     def test_invalid_document_is_a_parse_error_naming_the_file(self, tmp_path, docs, family, path,
                                                                value, message):
