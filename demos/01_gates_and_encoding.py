@@ -13,13 +13,13 @@ import lognet as ln
 def main():
     # A toy fingerprint over 10 APs: three strong, the rest weak or missing.
     raw = np.array([-38.0, -42.0, -91.0, -88.0, -100.0, -45.0, -83.0, -79.0, -100.0, -95.0])
-    fp = ln.Fingerprint(rp_id=0, device_id="demo", ci=0, rss=raw)
     print("raw dBm:       ", raw)
 
-    norm = ln.normalize_values(fp.rss)
+    norm = ln.normalize_values(raw)
     print("normalized:    ", np.round(norm, 2))
 
-    bits = ln.binarize(ln.Fingerprint(0, "demo", 0, norm), threshold=0.5)
+    # The activity bits are the depth-0 code over the 10 APs.
+    bits = ln.LatentCode(ln.binarize_matrix(norm, threshold=0.5), 0, raw.size)
     print("activity bits: ", bits.bits)
 
     print("\ntruth tables (x y -> z):")

@@ -18,7 +18,7 @@ def main():
     encoder = ln.LogicEncoderConfig(ln.GateType.NOR, threshold=0.5, hidden_layers=1)
 
     # One latent row per fingerprint, then one majority row per RP (sorted by id).
-    rp_ids, majorities = ln.majority_by_rp(ds.labels(), encode_rss(ds.rss_matrix(), encoder))
+    rp_ids, majorities = ln.majority_by_rp(ds.rp_id, encode_rss(ds.rss_matrix(), encoder))
     codes = {rp: ln.LatentCode(row, encoder.hidden_layers, ds.ap_count)
              for rp, row in zip(rp_ids, majorities)}
 

@@ -65,7 +65,6 @@ from .gates import (
     LatentCode,
     LogicEncoderConfig,
     apply_gate,
-    binarize,
     ceil_chain,
     encode,
     encode_matrix,

@@ -185,7 +185,7 @@ def cmd_encode(args) -> int:
     encoder = ExperimentConfig.from_dict(_flag_overrides(args)).encoder_config()
     latents = encode_rss(ds.rss_matrix(), encoder)
     out = _out_dir(args)
-    write_latents_csv(ds.labels(), latents, out / "latents.csv")
+    write_latents_csv(ds.rp_id, latents, out / "latents.csv")
     print(f"encoded {len(ds)} fingerprints into {latents.shape[1]}-bit latents at {out / 'latents.csv'}")
     return 0
 

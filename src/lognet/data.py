@@ -81,6 +81,16 @@ def _must_be(name: str, kind, value) -> str:
     return f"{name} must be {what}, got {_shown(value)}"
 
 
+def _enum_named(cls, what: str, name):
+    """The member of enum `cls` whose value is str `name`, trimmed and lower-cased, else a
+    ConfigError."""
+    try:
+        return cls(name.strip().lower())
+    except (AttributeError, ValueError):  # no str, or no member's value
+        valid = ", ".join(m.value for m in cls)
+        raise ConfigError(_must_be(what, f"one of ({valid})", name)) from None
+
+
 def _check_fields(obj, name=None) -> None:
     """Raise ConfigError unless each field of dataclass `obj` has its hint's type by `_has_type`,
     naming the field as `name(field)` does, by default as `Class.field`."""
@@ -217,13 +227,6 @@ class Dataset:
         return ds
 
     @classmethod
-    def from_fingerprints(cls, fingerprints: Iterable[Fingerprint]) -> "Dataset":
-        fps = tuple(fingerprints)
-        if not fps:
-            raise ValidationError("cannot infer ap_count from an empty fingerprint list")
-        return cls(fps, fps[0].ap_count)
-
-    @classmethod
     def from_columns(cls, rp_id, device_id: Sequence[str], ci, rss) -> "Dataset":
         """Build a dataset from per-row columns and an (n, ap_count) RSS matrix.
 
@@ -231,8 +234,11 @@ class Dataset:
         and they become read-only. Raises ValidationError on mismatched
         lengths or on a row that `Fingerprint` would reject.
         """
-        rss = np.asarray(rss, dtype=np.float64)
-        if rss.ndim != 2 or rss.shape[1] == 0:
+        try:
+            rss = np.asarray(rss, dtype=np.float64)
+        except (TypeError, ValueError):  # ragged rows, or an entry that is no number
+            rss = None
+        if rss is None or rss.ndim != 2 or rss.shape[1] == 0:
             raise ValidationError("rss must be an (n, ap_count) matrix with ap_count >= 1")
         n = rss.shape[0]
         ids, cis = (np.asarray(col) for col in (rp_id, ci))
@@ -282,12 +288,6 @@ class Dataset:
         return f"Dataset({len(self)} fingerprints, ap_count={self.ap_count})"
 
     @property
-    def fingerprints(self) -> tuple[Fingerprint, ...]:
-        """One Fingerprint per row, built afresh on each read; its `rss` is a read-only
-        view of `rss_matrix()`."""
-        return tuple(self)
-
-    @property
     def rp_ids(self) -> frozenset[int]:
         return frozenset(self.rp_id.tolist())
 
@@ -298,10 +298,6 @@ class Dataset:
     def rss_matrix(self) -> np.ndarray:
         """The read-only (num_fingerprints, ap_count) RSS matrix, without a copy."""
         return self.rss
-
-    def labels(self) -> np.ndarray:
-        """The read-only rp_id of every row."""
-        return self.rp_id
 
     def _take(self, rows) -> "Dataset":
         """Sub-dataset of the rows selected by a boolean mask or index array."""
@@ -411,9 +407,13 @@ def binarize_matrix(values: np.ndarray, threshold: float = DEFAULT_THRESHOLD) ->
 
 
 def check_threshold(threshold: float) -> None:
-    """Raise ConfigError unless the binarization threshold lies in (0, 1)."""
-    if not 0.0 < threshold < 1.0:
-        raise ConfigError(f"threshold must lie in (0, 1), got {threshold}")
+    """Raise ConfigError unless the binarization threshold is a number in (0, 1)."""
+    try:  # `predict` runs this on every call, so only a failed comparison costs more
+        inside = 0.0 < threshold < 1.0
+    except (TypeError, ValueError):  # no number, or an array of several
+        inside = False
+    if not inside:
+        raise ConfigError(_must_be("threshold", "in (0, 1)", threshold))
 
 
 def split_train_test(ds: Dataset, per_rp_holdout: int, seed: int) -> tuple[Dataset, Dataset]:

@@ -103,15 +103,14 @@ def evaluate(classifier, test: Dataset, rp_map: RpMap, config: dict | None = Non
     for ci in test.cis:
         subset = test.with_ci(ci)
         preds = classifier.predict(subset)
-        truth = subset.labels()
-        errors = sample_errors(preds, truth, rp_map)
+        errors = sample_errors(preds, subset.rp_id, rp_map)
         lo, hi = float(errors.min()), float(errors.max())
         per_ci[ci] = CiStats(
             # A float mean of equal samples can round just outside [lo, hi].
             mean_error_m=min(max(float(errors.mean()), lo), hi),
             min_error_m=lo,
             max_error_m=hi,
-            accuracy=float((preds == truth).mean()),
+            accuracy=float((preds == subset.rp_id).mean()),
             samples=int(len(subset)),
         )
     meta = {

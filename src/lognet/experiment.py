@@ -286,7 +286,7 @@ def _check_keys(doc, allowed: dict, prefix: str = "") -> None:
 
 
 def _write_lognet_artifacts(clf: LogNetClassifier, train_ds: Dataset, out: Path) -> None:
-    rp_ids, rows = majority_by_rp(train_ds.labels(), clf.latent_matrix(train_ds))
+    rp_ids, rows = majority_by_rp(train_ds.rp_id, clf.latent_matrix(train_ds))
     write_latents_csv(rp_ids, rows, out / "latents.csv")
     write_latent_bitmap(rows, out / "latent_bitmap.pgm")
     codes = [LatentCode(row, clf.encoder.hidden_layers, clf.ap_count) for row in rows]
@@ -299,12 +299,11 @@ def _write_dnn_artifacts(clf: DnnClassifier, train_ds: Dataset, out: Path) -> No
     hidden = dnn_hidden_activations(
         clf.model, normalize_values(train_ds.rss_matrix(), clf.rss_lo, clf.rss_hi)
     )
-    labels = train_ds.labels()
     # One block of row indices per RP, ascending; the stable sort keeps each
     # block in row order, so every mean adds the same rows in the same order
     # as a per-RP mask would.
-    order = np.argsort(labels, kind="stable")
-    _, starts = np.unique(labels[order], return_index=True)
+    order = np.argsort(train_ds.rp_id, kind="stable")
+    _, starts = np.unique(train_ds.rp_id[order], return_index=True)
     rows = np.stack([hidden[block].mean(axis=0) for block in np.split(order, starts[1:])])
     export_gray_bitmap(rows, out / "latent_gray.pgm")
 

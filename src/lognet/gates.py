@@ -7,8 +7,8 @@ from enum import Enum
 
 import numpy as np
 
-from .data import (DEFAULT_THRESHOLD, Fingerprint, _check_fields, _has_type, _must_be, _shown,
-                   binarize_matrix, check_threshold)
+from .data import (DEFAULT_THRESHOLD, _check_fields, _enum_named, _has_type, _must_be, _shown,
+                   check_threshold)
 from .errors import BoundsError, ConfigError, ValidationError
 
 
@@ -22,11 +22,7 @@ class GateType(Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "GateType":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            valid = ", ".join(g.value for g in cls)
-            raise ConfigError(f"unknown gate '{name}'; expected one of: {valid}") from None
+        return _enum_named(cls, "gate", name)
 
 
 # Four-row truth tables indexed by 2*x + y, i.e. rows (0,0), (0,1), (1,0), (1,1).
@@ -146,7 +142,7 @@ class LogicEncoderConfig:
 class LatentCode:
     """Bit vector after `depth` logic layers over `input_len` input bits.
 
-    Depth 0 is a fingerprint's AP activity bits, as `binarize` returns them.
+    Depth 0 is a fingerprint's AP activity bits, one row of `binarize_matrix`.
     """
 
     bits: np.ndarray
@@ -181,11 +177,6 @@ class LatentCode:
         )
 
 
-def binarize(fp: Fingerprint, threshold: float = DEFAULT_THRESHOLD) -> LatentCode:
-    """Threshold a normalized fingerprint into its depth-0 code, as `binarize_matrix` does."""
-    return LatentCode(binarize_matrix(fp.rss, threshold), 0, fp.ap_count)
-
-
 def encode(code: LatentCode, cfg: LogicEncoderConfig) -> LatentCode:
     """Run cfg's logic layers over a code; the result is `cfg.hidden_layers` deeper."""
     bits = encode_matrix(code.bits[None, :], cfg.gate, cfg.hidden_layers)[0]
@@ -200,8 +191,9 @@ def encode_matrix(bits: np.ndarray, gate: GateType, hidden_layers: int) -> np.nd
     parity). The layers past that point are therefore skipped in pairs, and
     the work stops growing with the depth once the width is 1.
     """
-    if hidden_layers < 1:
-        raise ConfigError(f"hidden_layers must be >= 1, got {hidden_layers}")
+    # `_has_type`'s rule for an int, skipped for an int itself: `predict` runs this on every call.
+    if not (type(hidden_layers) is int or _has_type(hidden_layers, int)) or hidden_layers < 1:
+        raise ConfigError(_must_be("hidden_layers", "an integer >= 1", hidden_layers))
     out = encode_layer_matrix(bits, gate)  # validates the input
     rest = hidden_layers - 1
     to_one = (out.shape[1] - 1).bit_length()  # layers until the width is 1

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, _check_fields, _must_be, _readonly
+from .data import Dataset, _check_fields, _has_type, _must_be, _readonly
 from .errors import ConfigError, ShapeError, TrainingError, ValidationError
 from .gates import ceil_chain
 
@@ -45,7 +45,10 @@ class TrainConfig:
 
 
 def _check_class_labels(class_labels: Sequence[int]) -> tuple[int, ...]:
-    labels = tuple(int(c) for c in class_labels)
+    labels = tuple(class_labels)
+    if not _has_type(labels, tuple[int, ...]):  # a fraction or a bool is no label to truncate
+        raise ValidationError(_must_be("class_labels", "integers", class_labels))
+    labels = tuple(map(int, labels))
     if len(set(labels)) != len(labels) or list(labels) != sorted(labels):
         raise ValidationError("class_labels must be distinct and sorted")
     return labels
@@ -206,9 +209,9 @@ def _activations(layers, X: np.ndarray) -> list[np.ndarray]:
 
 def dnn_hidden_widths(input_dim: int, hidden_layers: int) -> list[int]:
     """Widths [input, h1, ..., hH] under the ceil-halving rule."""
-    if hidden_layers < 1:
-        raise ConfigError(f"hidden_layers must be >= 1, got {hidden_layers}")
-    return [ceil_chain(int(input_dim), k) for k in range(hidden_layers + 1)]
+    if not (_has_type(hidden_layers, int) and hidden_layers >= 1):
+        raise ConfigError(_must_be("hidden_layers", "an integer >= 1", hidden_layers))
+    return [int(ceil_chain(input_dim, k)) for k in range(hidden_layers + 1)]
 
 
 class Adam:
@@ -264,13 +267,15 @@ def _training_targets(X: np.ndarray, labels, class_labels) -> tuple[tuple[int, .
 
     The classes are `class_labels` when given, else the sorted distinct labels.
     """
-    y = np.asarray(labels, dtype=np.int64)
+    y = np.asarray(labels)
     if X.shape[0] == 0:
         raise TrainingError("training set is empty")
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise ShapeError(f"training inputs of shape {X.shape} do not match {y.shape[0]} labels")
+    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size:
+        raise ShapeError(f"training inputs of shape {X.shape} do not match {y.size} labels")
+    if y.dtype.kind not in "iu":  # a fraction or a bool is no label to truncate
+        raise ValidationError(_must_be("labels", "integers", labels))
     if class_labels is None:
-        classes = tuple(sorted({int(l) for l in y}))
+        classes = tuple(sorted(set(y.tolist())))
     else:
         classes = _check_class_labels(class_labels)
     return classes, _class_index(y, classes)
@@ -352,7 +357,7 @@ def train_dnn(ds: Dataset, hidden_layers: int, cfg: TrainConfig,
     TrainingError, naming the epoch, once that loss is not finite.
     """
     X = ds.rss_matrix()
-    classes, y_idx = _training_targets(X, ds.labels(), class_labels)
+    classes, y_idx = _training_targets(X, ds.rp_id, class_labels)
     if X.size and (X.min() < 0.0 or X.max() > 1.0):
         raise ValidationError("train_dnn expects a normalized dataset (values in [0, 1])")
 

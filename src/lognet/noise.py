@@ -8,7 +8,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import RSS_SENTINEL, Dataset, RpMap, _check_fields, _must_be
+from .data import RSS_SENTINEL, Dataset, RpMap, _check_fields, _enum_named, _field_hints, _must_be
 from .errors import CapacityError, ConfigError, ValidationError
 
 
@@ -18,10 +18,7 @@ class NoiseMode(Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "NoiseMode":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            raise ConfigError(f"unknown noise mode '{name}'; expected 'ed' or 'non-ed'") from None
+        return _enum_named(cls, "noise mode", name)
 
 
 @dataclass(frozen=True)
@@ -42,6 +39,11 @@ class NoiseSpec:
         _check_fields(self)
         if self.seed < 0:
             raise ConfigError(_must_be("noise seed", "non-negative", self.seed))
+        for field in ("delta", "stochastic_sigma"):  # an array's entries, as for a list
+            value = getattr(self, field)
+            if not np.isfinite(np.asarray(value, dtype=np.float64)).all():
+                hint = _field_hints(NoiseSpec)[field]
+                raise ConfigError(_must_be(f"NoiseSpec.{field}", hint, value))
         if self.mode is NoiseMode.ED:
             if np.ndim(self.delta) != 0:
                 raise ValidationError("ED mode carries exactly one delta")

@@ -148,7 +148,7 @@ def fit_lognet(
 ) -> tuple[LogNetClassifier, list[float]]:
     """Encode a raw training dataset and fit the softmax head on the latents."""
     latents = encode_rss(train_ds.rss_matrix(), encoder, rss_lo, rss_hi)
-    head, history = train_softmax(latents, train_ds.labels(), cfg)
+    head, history = train_softmax(latents, train_ds.rp_id, cfg)
     clf = LogNetClassifier(encoder, head, train_ds.ap_count, rss_lo, rss_hi)
     return clf, history
 

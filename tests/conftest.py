@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from lognet import Dataset, Fingerprint, RpMap
+from lognet import Dataset, RpMap
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -16,11 +16,10 @@ def fixture_dir() -> str:
 @pytest.fixture
 def tiny_dataset() -> Dataset:
     """Two RPs over 3 APs, six fingerprints each, all at CI:0."""
-    fps = []
-    for rp, rss in ((0, [-40.0, -42.0, -85.0]), (1, [-85.0, -84.0, -40.0])):
-        for k in range(6):
-            fps.append(Fingerprint(rp, f"dev{k % 2}", 0, np.asarray(rss) - 0.1 * k))
-    return Dataset.from_fingerprints(fps)
+    centers = np.array([[-40.0, -42.0, -85.0], [-85.0, -84.0, -40.0]])
+    k = np.tile(np.arange(6), 2)  # each RP's rows step down from its center by 0.1 dB
+    rss = np.repeat(centers, 6, axis=0) - 0.1 * k[:, None]
+    return Dataset.from_columns(np.repeat([0, 1], 6), [f"dev{i % 2}" for i in k], [0] * 12, rss)
 
 
 @pytest.fixture

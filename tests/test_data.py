@@ -13,13 +13,15 @@ from lognet import (
     GateType,
     LatentCode,
     LogicEncoderConfig,
+    NoiseMode,
     RpMap,
     SplitError,
     TrainConfig,
     UnknownRpError,
     ValidationError,
-    binarize,
     binarize_matrix,
+    dnn_hidden_widths,
+    encode_matrix,
     normalize,
     normalize_values,
     split_train_test,
@@ -65,9 +67,8 @@ class TestFingerprint:
 
 class TestDataset:
     def test_rejects_mixed_ap_counts(self):
-        fps = [Fingerprint(0, "d", 0, [-50.0, -60.0]), Fingerprint(1, "d", 0, [-50.0])]
-        with pytest.raises(ValidationError):
-            Dataset.from_fingerprints(fps)
+        with pytest.raises(ValidationError, match=r"rss must be an \(n, ap_count\) matrix"):
+            Dataset.from_columns([0, 1], ["d", "d"], [0, 0], [[-50.0, -60.0], [-50.0]])
 
     def test_rp_ids_and_cis(self, tiny_dataset):
         assert tiny_dataset.rp_ids == frozenset({0, 1})
@@ -143,32 +144,28 @@ class TestNormalize:
 
 class TestBinarize:
     def test_direct_threshold(self):
-        fp = Fingerprint(0, "d", 0, [0.7, 0.3])
-        assert binarize(fp, 0.5).bits.tolist() == [1, 0]
+        assert binarize_matrix([0.7, 0.3], 0.5).tolist() == [1, 0]
 
     def test_boundary_is_inclusive(self):
-        fp = Fingerprint(0, "d", 0, [0.5, 0.5])
-        assert binarize(fp, 0.5).bits.tolist() == [1, 1]
+        assert binarize_matrix([0.5, 0.5], 0.5).tolist() == [1, 1]
 
     def test_strict_sides_of_boundary(self):
-        fp = Fingerprint(0, "d", 0, [0.49999, 0.50001])
-        assert binarize(fp, 0.5).bits.tolist() == [0, 1]
+        assert binarize_matrix([0.49999, 0.50001], 0.5).tolist() == [0, 1]
 
     def test_unnormalized_input_rejected(self):
         with pytest.raises(ValidationError):
-            binarize(Fingerprint(0, "d", 0, [-40.0, 0.5]), 0.5)
+            binarize_matrix([-40.0, 0.5], 0.5)
 
-    def test_binarize_is_the_depth_0_code_of_binarize_matrix(self):
+    def test_a_binarized_row_is_the_depth_0_code(self):
         rng = np.random.default_rng(12)
         for n in (1, 7, 164):
-            fp = Fingerprint(0, "d", 0, rng.uniform(0.0, 1.0, n))
-            assert binarize(fp) == LatentCode(binarize_matrix(fp.rss), 0, n)
+            bits = binarize_matrix(rng.uniform(0.0, 1.0, n))
+            assert LatentCode(bits, 0, n).bits.tolist() == bits.tolist()
 
     def test_threshold_out_of_range(self):
-        fp = Fingerprint(0, "d", 0, [0.5])
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ConfigError):
-                binarize(fp, bad)
+                binarize_matrix([0.5], bad)
 
     def test_sub_threshold_jitter_keeps_bits(self):
         # Jitter that never moves a normalized value across the threshold
@@ -210,18 +207,15 @@ class TestSplit:
         assert sorted(contents(train) + contents(test)) == sorted(rows)
 
     def test_too_small_group_names_offender(self):
-        fps = [Fingerprint(3, "d", 1, [-50.0]), Fingerprint(3, "d", 1, [-60.0])]
-        ds = Dataset.from_fingerprints(fps)
+        ds = Dataset.from_columns([3, 3], ["d", "d"], [1, 1], [[-50.0], [-60.0]])
         with pytest.raises(SplitError, match=r"rp_id=3 ci=1"):
             split_train_test(ds, 2, seed=0)
 
     def test_stratified_per_ci(self):
-        fps = []
-        for ci in (0, 1):
-            for rp in (0, 1):
-                for k in range(4):
-                    fps.append(Fingerprint(rp, "d", ci, [-40.0 - k, -80.0]))
-        ds = Dataset.from_fingerprints(fps)
+        # Four rows for each (ci, rp) pair, with ci outermost.
+        ci, rp, k = (col.ravel() for col in np.indices((2, 2, 4)))
+        rss = np.column_stack([-40.0 - k, np.full(16, -80.0)])
+        ds = Dataset.from_columns(rp, ["d"] * 16, ci, rss)
         train, test = split_train_test(ds, 1, seed=2)
         for ci in (0, 1):
             for rp in (0, 1):
@@ -239,7 +233,7 @@ def _split_by_row(ds, per_rp_holdout, seed):
         members = groups[key]
         order = rng.permutation(len(members))
         test_idx.update(members[i] for i in order[:per_rp_holdout])
-    fps = ds.fingerprints
+    fps = tuple(ds)
     train = [fp for i, fp in enumerate(fps) if i not in test_idx]
     test = [fp for i, fp in enumerate(fps) if i in test_idx]
     return Dataset(train, ds.ap_count), Dataset(test, ds.ap_count)
@@ -251,7 +245,7 @@ class TestColumnarDataset:
         assert X is tiny_dataset.rss_matrix() and X.shape == (12, 3)
         with pytest.raises(ValueError):
             X[0, 0] = 0.0
-        assert not tiny_dataset.labels().flags.writeable
+        assert not tiny_dataset.rp_id.flags.writeable
 
     def test_iterated_rows_are_views_and_not_validated_again(self, monkeypatch):
         import lognet.data
@@ -266,7 +260,6 @@ class TestColumnarDataset:
         rows = list(ds)
         assert rows == expected
         assert all(np.shares_memory(fp.rss, ds.rss_matrix()) for fp in rows)
-        assert list(ds.fingerprints) == expected
 
     def test_an_iterated_row_is_freed_once_the_caller_drops_it(self, tiny_dataset):
         row = next(iter(tiny_dataset))
@@ -313,7 +306,7 @@ class TestColumnarDataset:
             assert clone == tiny_dataset and not clone.rss_matrix().flags.writeable
 
     def test_equality_compares_every_column(self, tiny_dataset):
-        assert tiny_dataset == Dataset(tiny_dataset.fingerprints, 3)
+        assert tiny_dataset == Dataset(tuple(tiny_dataset), 3)
         other = Dataset.from_columns(
             tiny_dataset.rp_id, ["x"] * len(tiny_dataset), tiny_dataset.ci, tiny_dataset.rss
         )
@@ -322,13 +315,13 @@ class TestColumnarDataset:
     @pytest.mark.parametrize("holdout,seed", [(0, 1), (1, 0), (2, 9), (3, 4)])
     def test_split_matches_the_per_row_reference(self, holdout, seed):
         rng = np.random.default_rng(seed)
-        fps = [
-            Fingerprint(int(rp), f"d{k}", int(ci), rng.uniform(-90.0, -30.0, 5))
-            for k, (rp, ci) in enumerate(rng.integers(0, 3, (80, 2)))
-        ]
-        fps += [Fingerprint(rp, "pad", ci, [-50.0] * 5) for rp in range(3) for ci in range(3)
-                for _ in range(4)]
-        ds = Dataset.from_fingerprints(fps)
+        ids = rng.integers(0, 3, (80, 2))
+        pad = np.repeat(np.arange(9), 4)  # four padding rows for each (rp, ci) in range(3)**2
+        ds = Dataset.from_columns(
+            np.concatenate([ids[:, 0], pad // 3]), [f"d{k}" for k in range(80)] + ["pad"] * 36,
+            np.concatenate([ids[:, 1], pad % 3]),
+            np.vstack([rng.uniform(-90.0, -30.0, (80, 5)), np.full((36, 5), -50.0)]),
+        )
         assert split_train_test(ds, holdout, seed) == _split_by_row(ds, holdout, seed)
 
 
@@ -388,3 +381,30 @@ class TestHugeIntsInMessages:
     def test_rss_range(self):
         with pytest.raises(ConfigError, match="rss range must be finite with lo < hi, got <list"):
             normalize_values(np.zeros(2), -HUGE, 0.0)
+
+
+class TestScalarArguments:
+    """A free function's scalar argument of the wrong type is a ConfigError, not a raw error."""
+
+    @pytest.mark.parametrize("bad", ["a", None, np.array([0.4, 0.6]), HUGE],
+                             ids=["str", "None", "array", "huge"])
+    def test_threshold_that_is_no_number_in_range(self, bad):
+        with pytest.raises(ConfigError, match=r"^threshold must be in \(0, 1\), got "):
+            binarize_matrix(np.zeros(2), bad)
+
+    @pytest.mark.parametrize("bad", ["a", None, 1.5, 1.0, True, -HUGE],
+                             ids=["str", "None", "1.5", "1.0", "True", "-huge"])
+    def test_hidden_layers_that_is_no_integer(self, bad):
+        with pytest.raises(ConfigError, match="^hidden_layers must be an integer >= 1, got "):
+            encode_matrix(np.zeros((1, 2), np.uint8), GateType.NOR, bad)
+        with pytest.raises(ConfigError, match="^hidden_layers must be an integer >= 1, got "):
+            dnn_hidden_widths(4, bad)
+
+    @pytest.mark.parametrize("parse,what", [(GateType.from_name, "gate"),
+                                            (NoiseMode.from_name, "noise mode")])
+    def test_enum_names(self, parse, what):
+        valid = ", ".join(member.value for member in parse.__self__)
+        for bad, shown in ((3, "3"), ("x", "'x'"), (None, "None")):
+            message = rf"^{what} must be one of \({valid}\), got {shown}$"
+            with pytest.raises(ConfigError, match=message):
+                parse(bad)

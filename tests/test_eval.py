@@ -7,7 +7,6 @@ from lognet import (
     Dataset,
     DenseStack,
     EvalReport,
-    Fingerprint,
     GateType,
     LatentCode,
     LatentDiff,
@@ -101,18 +100,15 @@ class TestEvaluate:
         assert report.per_ci[0].accuracy == 1.0
 
     def test_single_rp_map_always_zero(self):
-        fps = [Fingerprint(3, "d", 0, [-40.0, -80.0])] * 4
-        ds = Dataset.from_fingerprints(fps)
+        ds = Dataset.from_columns([3] * 4, ["d"] * 4, [0] * 4, [[-40.0, -80.0]] * 4)
         clf, _ = fit_lognet(ds, LogicEncoderConfig(GateType.NOR, 0.5, 1), TrainConfig(epochs=10))
         report = evaluate(clf, ds, RpMap({3: (2.0, 5.0)}))
         assert report.per_ci[0].mean_error_m == 0.0
 
     def test_report_has_one_entry_per_ci(self):
-        fps = []
-        for ci in range(10):
-            fps.append(Fingerprint(0, "d", ci, [-40.0, -80.0]))
-            fps.append(Fingerprint(1, "d", ci, [-80.0, -40.0]))
-        test = Dataset.from_fingerprints(fps)
+        # Rows alternate between RP 0 and RP 1, two rows per CI.
+        test = Dataset.from_columns([0, 1] * 10, ["d"] * 20, np.repeat(range(10), 2),
+                                    [[-40.0, -80.0], [-80.0, -40.0]] * 10)
         train = test.with_ci(0)
         clf, _ = fit_lognet(train, LogicEncoderConfig(GateType.NOR, 0.5, 1), TrainConfig(epochs=100))
         report = evaluate(clf, test, RpMap({0: (0.0, 0.0), 1: (1.0, 0.0)}))
@@ -173,8 +169,11 @@ class TestLatency:
         # glibc's 32 MB mmap threshold, so both page-fault alike on every call.
         spec = SynthSpec(num_rps=16, num_aps=164, fingerprints_per_rp=4096, seed=0)
         double, _ = synth_dataset(spec)  # 65536 rows
-        base = Dataset(double.fingerprints[:32768], double.ap_count)
-        small = Dataset(double.fingerprints[:512], double.ap_count)
+        def first(n):
+            return Dataset.from_columns(double.rp_id[:n], double.device_id[:n], double.ci[:n],
+                                        double.rss[:n])
+
+        base, small = first(32768), first(512)
         clf, _ = fit_dnn(small, 1, TrainConfig(epochs=2))
         # BLAS threads run slow for about a second after the host idles, so
         # the two sizes alternate and each keeps its fastest round: a slow
@@ -413,7 +412,7 @@ class TestCiStatsRounding:
         # The float mean of three 0.1 m errors is 0.10000000000000002 > max.
         head = DenseStack(((np.zeros((1, 2)), np.array([0.0, 1.0])),), (0, 1))
         clf = LogNetClassifier(LogicEncoderConfig(GateType.NOR), head, ap_count=2)
-        test = Dataset.from_fingerprints(Fingerprint(0, "d", 0, [-40.0, -80.0]) for _ in range(3))
+        test = Dataset.from_columns([0] * 3, ["d"] * 3, [0] * 3, [[-40.0, -80.0]] * 3)
         report = evaluate(clf, test, RpMap({0: (0.0, 0.0), 1: (0.1, 0.0)}))
         stats = report.per_ci[0]
         assert stats.samples == 3 and stats.accuracy == 0.0

@@ -5,10 +5,12 @@ import types
 import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lognet import (
     ConfigError,
+    Dataset,
     ExperimentConfig,
     GateType,
     LogicEncoderConfig,
@@ -142,13 +144,11 @@ class TestRunExperiment:
 
     def test_multi_ci_input_fails_in_load_stage(self, tmp_path, fixture_dir, tiny_dataset):
         from lognet import write_fingerprints_csv
-        from dataclasses import replace
 
-        bad = tiny_dataset.fingerprints[:6] + tuple(
-            replace(fp, ci=1) for fp in tiny_dataset.fingerprints[6:]
-        )
+        ds = tiny_dataset  # its last six rows move to CI:1
+        bad = Dataset.from_columns(ds.rp_id, ds.device_id, np.repeat([0, 1], 6), ds.rss)
         data = tmp_path / "multi.csv"
-        write_fingerprints_csv(type(tiny_dataset)(bad, tiny_dataset.ap_count), data)
+        write_fingerprints_csv(bad, data)
         cfg = ExperimentConfig(
             out_dir=str(tmp_path / "out"),
             data_path=str(data),

@@ -517,3 +517,16 @@ def test_only_fileio_touches_files():
         else:
             offenders += [f"{path.name}:{c.lineno}" for c in _file_access_calls(tree)]
     assert offenders == []
+
+
+def test_only_data_names_the_row_type():
+    """`Fingerprint` lives in data.py and is exported; no other module names it."""
+    offenders = []
+    for path in sorted(Path(lognet.__file__).parent.glob("*.py")):
+        if path.name in ("data.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            # The name of a Name, an Attribute, an imported alias or a definition.
+            if "Fingerprint" in (getattr(node, key, None) for key in ("id", "attr", "name")):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

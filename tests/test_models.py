@@ -5,7 +5,6 @@ from lognet import (
     ConfigError,
     Dataset,
     DenseStack,
-    Fingerprint,
     ShapeError,
     TrainConfig,
     TrainingError,
@@ -89,6 +88,15 @@ class TestTrainSoftmax:
         with pytest.raises(TrainingError):
             train_softmax(np.empty((0, 4)), [], TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("labels", [[0.5, 1.7], [False, True], np.array([0.0, 1.0])])
+    def test_labels_that_are_no_integers_are_rejected(self, labels):
+        with pytest.raises(ValidationError, match="^labels must be integers, got "):
+            train_softmax(np.eye(2), labels, TrainConfig(epochs=1))
+        with pytest.raises(ValidationError, match="^class_labels must be integers, got "):
+            train_softmax(np.eye(2), [0, 1], TrainConfig(epochs=1), class_labels=labels)
+        with pytest.raises(ValidationError, match="^class_labels must be integers, got "):
+            DenseStack(((np.zeros((2, 2)), np.zeros(2)),), labels)
+
     def test_label_missing_from_class_set(self):
         with pytest.raises(ValidationError):
             train_softmax([np.array([1.0])], [5], TrainConfig(epochs=1), class_labels=(0, 1))
@@ -139,12 +147,14 @@ class TestDnnModel:
             forward(m, np.zeros(5))
 
 
+def _ci0(labels, rows) -> Dataset:
+    """A dataset of one row per label, all from one device at CI:0."""
+    return Dataset.from_columns(labels, ["d"] * len(labels), [0] * len(labels), rows)
+
+
 def _xor_dataset():
-    fps = []
-    for xy, label in ((0.0, 0.0), 0), ((1.0, 1.0), 0), ((0.0, 1.0), 1), ((1.0, 0.0), 1):
-        for _ in range(3):
-            fps.append(Fingerprint(label, "d", 0, np.asarray(xy)))
-    return Dataset.from_fingerprints(fps)
+    xy = [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]]
+    return _ci0(np.repeat([0, 0, 1, 1], 3), np.repeat(xy, 3, axis=0))
 
 
 class TestTrainDnn:
@@ -157,20 +167,18 @@ class TestTrainDnn:
             m, _ = train_dnn(ds, 1, TrainConfig(epochs=400, seed=seed))
             probs = forward(m, ds.rss_matrix())
             preds = np.asarray(m.class_labels)[np.argmax(probs, axis=1)]
-            best = max(best, (preds == ds.labels()).mean())
+            best = max(best, (preds == ds.rp_id).mean())
         assert best < 1.0
 
     def test_separable_blobs_reach_99_percent(self):
         rng = np.random.default_rng(7)
-        fps = []
-        for label, center in ((0, 0.25), (1, 0.75)):
-            for _ in range(40):
-                fps.append(Fingerprint(label, "d", 0, np.clip(rng.normal(center, 0.08, 4), 0, 1)))
-        ds = Dataset.from_fingerprints(fps)
+        labels = np.repeat([0, 1], 40)
+        centers = np.where(labels == 0, 0.25, 0.75)[:, None]
+        ds = _ci0(labels, np.clip(rng.normal(centers, 0.08, (80, 4)), 0, 1))
         m, history = train_dnn(ds, 1, TrainConfig(epochs=300, seed=0))
         probs = forward(m, ds.rss_matrix())
         preds = np.asarray(m.class_labels)[np.argmax(probs, axis=1)]
-        assert (preds == ds.labels()).mean() >= 0.99
+        assert (preds == ds.rp_id).mean() >= 0.99
         # Smoothed loss trend is non-increasing on separable data.
         smooth = np.convolve(history, np.ones(25) / 25, mode="valid")
         assert smooth[-1] < smooth[0]
@@ -184,17 +192,14 @@ class TestTrainDnn:
         assert history == []
 
     def test_unnormalized_dataset_rejected(self):
-        ds = Dataset.from_fingerprints([Fingerprint(0, "d", 0, [-40.0, -60.0])] * 2)
+        ds = _ci0([0, 0], [[-40.0, -60.0]] * 2)
         with pytest.raises(ValidationError):
             train_dnn(ds, 1, TrainConfig(epochs=1))
 
     def test_bit_reproducible(self):
         rng = np.random.default_rng(3)
-        fps = [
-            Fingerprint(int(l), "d", 0, rng.uniform(0, 1, 6))
-            for l in rng.integers(0, 3, 24)
-        ]
-        ds = Dataset.from_fingerprints(fps)
+        labels = rng.integers(0, 3, 24)
+        ds = _ci0(labels, rng.uniform(0, 1, (24, 6)))
         a, _ = train_dnn(ds, 2, TrainConfig(epochs=25, seed=4, batch_size=7))
         b, _ = train_dnn(ds, 2, TrainConfig(epochs=25, seed=4, batch_size=7))
         for (Wa, ba), (Wb, bb) in zip(a.layers, b.layers):
@@ -285,9 +290,8 @@ class TestDivergence:
             train_softmax(X, [0, 1] * 3, TrainConfig(learning_rate=1e308, epochs=5))
 
     def test_dnn_divergence_names_the_epoch(self):
-        ds = Dataset.from_fingerprints(
-            Fingerprint(i % 2, "d", 0, [float(i % 2), 1.0 - i % 2]) for i in range(6)
-        )
+        labels = np.arange(6) % 2
+        ds = _ci0(labels, np.column_stack([labels, 1 - labels]))
         with np.errstate(all="ignore"), pytest.raises(TrainingError, match="epoch 1 of 5"):
             train_dnn(ds, 1, TrainConfig(learning_rate=1e308, epochs=5))
 

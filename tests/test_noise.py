@@ -4,8 +4,8 @@ import pytest
 from lognet import (
     RSS_SENTINEL,
     CapacityError,
+    ConfigError,
     Dataset,
-    Fingerprint,
     GateType,
     LogicEncoderConfig,
     NoiseMode,
@@ -35,6 +35,18 @@ class TestNoiseSpec:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValidationError):
             NoiseSpec(NoiseMode.ED, -3.0, stochastic_sigma=-1.0)
+
+    @pytest.mark.parametrize("field,args", [
+        ("delta", (NoiseMode.NON_ED, [np.nan, 0.0])),
+        ("delta", (NoiseMode.ED, np.nan)),
+        ("stochastic_sigma", (NoiseMode.ED, 0.0, [1.0, np.inf])),
+    ])
+    def test_an_array_with_a_non_finite_entry_fails_as_its_list_does(self, field, args):
+        message = f"^NoiseSpec.{field} must be a number or list\\[float\\] or an array, got "
+        with pytest.raises(ConfigError, match=message):
+            NoiseSpec(*args)
+        with pytest.raises(ConfigError, match=message + "array"):
+            NoiseSpec(*args[:-1], np.array(args[-1]))
 
     def test_scaled_preserves_structure(self):
         spec = NoiseSpec(NoiseMode.NON_ED, np.array([-2.0, 4.0]), 1.0, seed=3)
@@ -129,11 +141,9 @@ class TestSynth:
 
 class TestInjectNoise:
     def _ds(self):
-        fps = [
-            Fingerprint(0, "d", 0, [-40.0, -60.0, RSS_SENTINEL]),
-            Fingerprint(1, "d", 0, [-70.0, RSS_SENTINEL, -55.0]),
-        ]
-        return Dataset.from_fingerprints(fps)
+        return Dataset.from_columns(
+            [0, 1], ["d", "d"], [0, 0], [[-40.0, -60.0, RSS_SENTINEL], [-70.0, RSS_SENTINEL, -55.0]]
+        )
 
     def test_zero_noise_is_identity(self):
         ds = self._ds()
@@ -142,20 +152,20 @@ class TestInjectNoise:
     def test_ed_shifts_all_detected_by_delta(self):
         ds = self._ds()
         noisy = inject_noise(ds, NoiseSpec(NoiseMode.ED, -5.0, 0.0))
-        np.testing.assert_allclose(noisy.fingerprints[0].rss, [-45.0, -65.0, RSS_SENTINEL])
-        np.testing.assert_allclose(noisy.fingerprints[1].rss, [-75.0, RSS_SENTINEL, -60.0])
+        np.testing.assert_allclose(noisy.rss[0], [-45.0, -65.0, RSS_SENTINEL])
+        np.testing.assert_allclose(noisy.rss[1], [-75.0, RSS_SENTINEL, -60.0])
 
     def test_non_ed_is_component_wise(self):
         ds = self._ds()
         delta = np.array([-5.0, 0.0, 0.0])
         noisy = inject_noise(ds, NoiseSpec(NoiseMode.NON_ED, delta, 0.0))
-        np.testing.assert_allclose(noisy.fingerprints[0].rss, [-45.0, -60.0, RSS_SENTINEL])
+        np.testing.assert_allclose(noisy.rss[0], [-45.0, -60.0, RSS_SENTINEL])
 
     def test_sentinel_never_resurrected(self):
         ds = self._ds()
         noisy = inject_noise(ds, NoiseSpec(NoiseMode.ED, 30.0, 5.0, seed=1))
-        assert noisy.fingerprints[0].rss[2] == RSS_SENTINEL
-        assert noisy.fingerprints[1].rss[1] == RSS_SENTINEL
+        assert noisy.rss[0][2] == RSS_SENTINEL
+        assert noisy.rss[1][1] == RSS_SENTINEL
 
     def test_delta_length_mismatch(self):
         with pytest.raises(ValidationError):
@@ -173,14 +183,14 @@ class TestInjectNoise:
         sigma = np.array([0.0, 2.0, 1.0])
         noisy = inject_noise(ds, NoiseSpec(NoiseMode.ED, 0.0, sigma, seed=5))
         # sigma 0 on AP 0 leaves it at the pure deterministic value
-        assert noisy.fingerprints[0].rss[0] == -40.0
-        assert noisy.fingerprints[0].rss[1] != -60.0
+        assert noisy.rss[0][0] == -40.0
+        assert noisy.rss[0][1] != -60.0
 
 
 class TestSimulateCis:
     def _clean(self):
-        fps = [Fingerprint(rp, "d", 0, [-40.0 - rp, -70.0, -60.0]) for rp in range(3)]
-        return Dataset.from_fingerprints(fps)
+        rss = [[-40.0 - rp, -70.0, -60.0] for rp in range(3)]
+        return Dataset.from_columns(range(3), ["d"] * 3, [0] * 3, rss)
 
     def test_identity_schedule(self):
         ds = self._clean()
@@ -204,9 +214,9 @@ class TestSimulateCis:
         assert devs == sorted(devs) and devs[0] == 0.0
 
     def test_rejects_multi_ci_input(self):
-        fps = [Fingerprint(0, "d", 1, [-40.0])] * 2
+        ds = Dataset.from_columns([0, 0], ["d", "d"], [1, 1], [[-40.0], [-40.0]])
         with pytest.raises(ValidationError):
-            simulate_cis(Dataset.from_fingerprints(fps), NoiseSpec(NoiseMode.ED, 0.0), TemporalSchedule.default())
+            simulate_cis(ds, NoiseSpec(NoiseMode.ED, 0.0), TemporalSchedule.default())
 
     def test_schedule_order_independent_seeds(self):
         ds = self._clean()
@@ -242,7 +252,7 @@ class TestColumnarNoiseMatchesPerRowReference:
         base = np.where(_random_patterns(spec, rng), spec.strong_dbm, spec.weak_dbm)
         rows = [base[rp] + rng.normal(0.0, 2.0, 11) for rp in range(6) for _ in range(3)]
         assert ds.rss_matrix().tobytes() == np.stack(rows).tobytes()
-        assert ds.labels().tolist() == [rp for rp in range(6) for _ in range(3)]
+        assert ds.rp_id.tolist() == [rp for rp in range(6) for _ in range(3)]
 
     def test_integer_dbm_levels_take_jitter(self):
         ints = SynthSpec(num_rps=4, num_aps=8, seed=1, strong_dbm=-40, weak_dbm=-85,
@@ -256,9 +266,8 @@ class TestColumnarNoiseMatchesPerRowReference:
         NoiseSpec(NoiseMode.ED, 4.0, 0.0),
     ])
     def test_inject_noise(self, spec):
-        ds = Dataset.from_fingerprints(
-            Fingerprint(rp, "d", 0, [-40.0 - rp, RSS_SENTINEL, -60.0 + rp]) for rp in range(5)
-        )
+        rss = [[-40.0 - rp, RSS_SENTINEL, -60.0 + rp] for rp in range(5)]
+        ds = Dataset.from_columns(range(5), ["d"] * 5, [0] * 5, rss)
         rng = np.random.default_rng(spec.seed)
         sigma = np.broadcast_to(np.asarray(spec.stochastic_sigma, dtype=np.float64), (3,))
         rows = []
@@ -270,6 +279,6 @@ class TestColumnarNoiseMatchesPerRowReference:
         assert inject_noise(ds, spec).rss_matrix().tobytes() == np.stack(rows).tobytes()
 
     def test_overflowing_noise_is_rejected(self):
-        ds = Dataset.from_fingerprints([Fingerprint(0, "d", 0, [-1e308])])
+        ds = Dataset.from_columns([0], ["d"], [0], [[-1e308]])
         with np.errstate(over="ignore"), pytest.raises(ValidationError, match="finite"):
             inject_noise(ds, NoiseSpec(NoiseMode.ED, -1e308, 0.0))

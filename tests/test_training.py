@@ -16,7 +16,6 @@ from hypothesis.extra.numpy import arrays
 
 from lognet import (
     Dataset,
-    Fingerprint,
     TrainConfig,
     TrainingError,
     train_dnn,
@@ -138,9 +137,7 @@ def trained(X, labels, depth, cfg, class_labels=None):
     if depth == 0:
         model, history = train_softmax(X, labels, cfg, class_labels)
     else:
-        ds = Dataset.from_fingerprints(
-            Fingerprint(int(l), "d", 0, row) for l, row in zip(labels, X)
-        )
+        ds = Dataset.from_columns(labels, ["d"] * len(labels), [0] * len(labels), X)
         model, history = train_dnn(ds, depth, cfg, class_labels)
     return _flat_params(model.layers), history
 
