@@ -191,8 +191,11 @@ def encode_matrix(bits: np.ndarray, gate: GateType, hidden_layers: int) -> np.nd
     parity). The layers past that point are therefore skipped in pairs, and
     the work stops growing with the depth once the width is 1.
     """
-    # `_has_type`'s rule for an int, skipped for an int itself: `predict` runs this on every call.
-    if not (type(hidden_layers) is int or _has_type(hidden_layers, int)) or hidden_layers < 1:
+    try:  # `predict` runs this on every call, so only a failed comparison costs more
+        too_few = hidden_layers < 1
+    except TypeError:  # no number
+        too_few = True
+    if too_few:
         raise ConfigError(_must_be("hidden_layers", "an integer >= 1", hidden_layers))
     out = encode_layer_matrix(bits, gate)  # validates the input
     rest = hidden_layers - 1

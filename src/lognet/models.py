@@ -211,7 +211,7 @@ def dnn_hidden_widths(input_dim: int, hidden_layers: int) -> list[int]:
     """Widths [input, h1, ..., hH] under the ceil-halving rule."""
     if not (_has_type(hidden_layers, int) and hidden_layers >= 1):
         raise ConfigError(_must_be("hidden_layers", "an integer >= 1", hidden_layers))
-    return [int(ceil_chain(input_dim, k)) for k in range(hidden_layers + 1)]
+    return [ceil_chain(int(input_dim), k) for k in range(hidden_layers + 1)]
 
 
 class Adam:

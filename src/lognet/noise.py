@@ -8,7 +8,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import RSS_SENTINEL, Dataset, RpMap, _check_fields, _enum_named, _field_hints, _must_be
+from .data import RSS_SENTINEL, Dataset, RpMap, _check_fields, _enum_named, _must_be
 from .errors import CapacityError, ConfigError, ValidationError
 
 
@@ -39,21 +39,15 @@ class NoiseSpec:
         _check_fields(self)
         if self.seed < 0:
             raise ConfigError(_must_be("noise seed", "non-negative", self.seed))
-        for field in ("delta", "stochastic_sigma"):  # an array's entries, as for a list
-            value = getattr(self, field)
-            if not np.isfinite(np.asarray(value, dtype=np.float64)).all():
-                hint = _field_hints(NoiseSpec)[field]
-                raise ConfigError(_must_be(f"NoiseSpec.{field}", hint, value))
         if self.mode is NoiseMode.ED:
             if np.ndim(self.delta) != 0:
                 raise ValidationError("ED mode carries exactly one delta")
-            object.__setattr__(self, "delta", float(self.delta))
+            delta = float(self.delta)
         else:
             delta = np.asarray(self.delta, dtype=np.float64)
             if delta.ndim != 1 or delta.size == 0:
                 raise ValidationError("non-ED mode carries one delta per AP")
             delta.setflags(write=False)
-            object.__setattr__(self, "delta", delta)
         if np.ndim(self.stochastic_sigma) == 0:
             sigma = float(self.stochastic_sigma)
             if sigma < 0:
@@ -63,6 +57,11 @@ class NoiseSpec:
             if sigma.ndim != 1 or np.any(sigma < 0):
                 raise ValidationError("per-AP sigma must be a non-negative vector")
             sigma.setflags(write=False)
+        for field, value in (("delta", delta), ("stochastic_sigma", sigma)):
+            if not np.isfinite(value).all():  # an array's entries, as `_check_fields` checks a list's
+                raise ConfigError(_must_be(f"NoiseSpec.{field}", "a number or list[float] or an array",
+                                           getattr(self, field)))
+        object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "stochastic_sigma", sigma)
 
     def scaled(self, multiplier: float, seed: int | None = None) -> "NoiseSpec":

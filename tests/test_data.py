@@ -11,7 +11,6 @@ from lognet import (
     Dataset,
     Fingerprint,
     GateType,
-    LatentCode,
     LogicEncoderConfig,
     NoiseMode,
     RpMap,
@@ -67,6 +66,11 @@ class TestFingerprint:
 
 class TestDataset:
     def test_rejects_mixed_ap_counts(self):
+        fps = [Fingerprint(0, "d", 0, [-50.0, -60.0]), Fingerprint(1, "d", 0, [-50.0])]
+        with pytest.raises(ValidationError, match="has 1 APs, expected 2"):
+            Dataset(fps, 2)
+
+    def test_from_columns_rejects_ragged_rows(self):
         with pytest.raises(ValidationError, match=r"rss must be an \(n, ap_count\) matrix"):
             Dataset.from_columns([0, 1], ["d", "d"], [0, 0], [[-50.0, -60.0], [-50.0]])
 
@@ -155,12 +159,6 @@ class TestBinarize:
     def test_unnormalized_input_rejected(self):
         with pytest.raises(ValidationError):
             binarize_matrix([-40.0, 0.5], 0.5)
-
-    def test_a_binarized_row_is_the_depth_0_code(self):
-        rng = np.random.default_rng(12)
-        for n in (1, 7, 164):
-            bits = binarize_matrix(rng.uniform(0.0, 1.0, n))
-            assert LatentCode(bits, 0, n).bits.tolist() == bits.tolist()
 
     def test_threshold_out_of_range(self):
         for bad in (0.0, 1.0, -0.2, 1.5):
@@ -392,11 +390,14 @@ class TestScalarArguments:
         with pytest.raises(ConfigError, match=r"^threshold must be in \(0, 1\), got "):
             binarize_matrix(np.zeros(2), bad)
 
-    @pytest.mark.parametrize("bad", ["a", None, 1.5, 1.0, True, -HUGE],
-                             ids=["str", "None", "1.5", "1.0", "True", "-huge"])
-    def test_hidden_layers_that_is_no_integer(self, bad):
+    @pytest.mark.parametrize("bad", ["a", None, 0, -HUGE], ids=["str", "None", "0", "-huge"])
+    def test_encoder_hidden_layers_that_is_no_number_from_1(self, bad):
         with pytest.raises(ConfigError, match="^hidden_layers must be an integer >= 1, got "):
             encode_matrix(np.zeros((1, 2), np.uint8), GateType.NOR, bad)
+
+    @pytest.mark.parametrize("bad", ["a", None, 1.5, 1.0, True, 0, -HUGE],
+                             ids=["str", "None", "1.5", "1.0", "True", "0", "-huge"])
+    def test_dnn_hidden_layers_that_is_no_integer_from_1(self, bad):
         with pytest.raises(ConfigError, match="^hidden_layers must be an integer >= 1, got "):
             dnn_hidden_widths(4, bad)
 
