@@ -81,6 +81,14 @@ def _must_be(name: str, kind, value) -> str:
     return f"{name} must be {what}, got {_shown(value)}"
 
 
+def _same(a, b, names) -> bool:
+    """Value equality: NotImplemented unless `b` is an instance of `a`'s type, else whether
+    every field in `names` is equal in both by `np.array_equal`."""
+    if not isinstance(b, type(a)):
+        return NotImplemented
+    return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in names)
+
+
 def _enum_named(cls, what: str, name):
     """The member of enum `cls` whose value is str `name`, trimmed and lower-cased, else a
     ConfigError."""
@@ -171,14 +179,7 @@ class Fingerprint:
         return int(self.rss.size)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Fingerprint):
-            return NotImplemented
-        return (
-            self.rp_id == other.rp_id
-            and self.device_id == other.device_id
-            and self.ci == other.ci
-            and np.array_equal(self.rss, other.rss)
-        )
+        return _same(self, other, ("rp_id", "device_id", "ci", "rss"))
 
 
 class Dataset:
@@ -272,17 +273,7 @@ class Dataset:
         return Dataset._of, (self.ap_count, self.rss, self.rp_id, self.ci, self.device_id)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return (
-            self.ap_count == other.ap_count
-            and np.array_equal(self.rss, other.rss)
-            and np.array_equal(self.rp_id, other.rp_id)
-            and np.array_equal(self.ci, other.ci)
-            and self.device_id.tolist() == other.device_id.tolist()
-        )
-
-    __hash__ = None
+        return _same(self, other, ("ap_count", "rss", "rp_id", "ci", "device_id"))
 
     def __repr__(self) -> str:
         return f"Dataset({len(self)} fingerprints, ap_count={self.ap_count})"

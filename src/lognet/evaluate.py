@@ -15,6 +15,7 @@ from .errors import ShapeError, ValidationError
 from .fileio import atomic_open, read_pgm, write_pgm
 from .gates import LatentCode, ap_window, check_bits
 from .models import count_params, model_size_bytes
+from .pipeline import _check_aps
 
 
 def sample_errors(preds, truth, rp_map: RpMap) -> np.ndarray:
@@ -94,10 +95,7 @@ class EvalReport:
 
 def evaluate(classifier, test: Dataset, rp_map: RpMap, config: dict | None = None) -> EvalReport:
     """Score a classifier per collection instance on a (possibly multi-CI) test set."""
-    if test.ap_count != classifier.input_dim:
-        raise ShapeError(
-            f"test set has {test.ap_count} APs but the model expects {classifier.input_dim}"
-        )
+    _check_aps(classifier, test)
     rp_map.require_covers(test)
     per_ci = {}
     for ci in test.cis:

@@ -37,7 +37,7 @@ from .fileio import (
     write_latents_csv,
     write_rp_map_csv,
 )
-from .gates import GateType, LatentCode, LogicEncoderConfig
+from .gates import GateType, LatentCode, LogicEncoderConfig, check_depth
 from .models import TrainConfig, dnn_hidden_activations
 from .noise import (
     NoiseMode,
@@ -191,8 +191,7 @@ class ExperimentConfig:
             raise ConfigError(f"model family must be 'lognet' or 'dnn', got '{self.model_family}'")
         if self.per_rp_holdout < 1:
             raise ConfigError("the pipeline needs per_rp_holdout >= 1 to form a test split")
-        if self.hidden_layers < 1:
-            raise ConfigError(_must_be("hidden_layers", ">= 1", self.hidden_layers))
+        _naming_key("model.hidden_layers", check_depth, self.hidden_layers)
         if self.latency_repetitions < 3:
             raise ConfigError("latency_repetitions must be >= 3")
         if self.model_family == "lognet":  # a dnn binarizes nothing, so takes any threshold

@@ -244,8 +244,7 @@ def read_latents_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
 
     def add_row(row):
         rp_id, bits = int(row[0]), [int(v) for v in row[1:]]
-        if any(b not in (0, 1) for b in bits):
-            raise ValidationError("latent bits must be 0 or 1")
+        check_bits(bits)
         _check_id("rp_id", rp_id)
         rp_ids.append(rp_id)
         rows.append(bits)

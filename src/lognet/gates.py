@@ -7,8 +7,8 @@ from enum import Enum
 
 import numpy as np
 
-from .data import (DEFAULT_THRESHOLD, _check_fields, _enum_named, _has_type, _must_be, _shown,
-                   check_threshold)
+from .data import (DEFAULT_THRESHOLD, _check_fields, _enum_named, _has_type, _must_be, _same,
+                   _shown, check_threshold)
 from .errors import BoundsError, ConfigError, ValidationError
 
 
@@ -123,6 +123,14 @@ def ceil_chain(length: int, depth: int) -> int:
     return -(-length // (1 << min(depth, int(length).bit_length())))
 
 
+def check_depth(hidden_layers) -> None:
+    """Raise ConfigError unless `hidden_layers` is an integer >= 1 by `_has_type`: a bool or a
+    float is none, a numpy integer is one."""
+    # An exact int takes the short path: `predict` runs this on every call.
+    if not (type(hidden_layers) is int or _has_type(hidden_layers, int)) or hidden_layers < 1:
+        raise ConfigError(_must_be("hidden_layers", "an integer >= 1", hidden_layers))
+
+
 @dataclass(frozen=True)
 class LogicEncoderConfig:
     """Fixed gate type, binarization threshold and number of logic layers."""
@@ -134,8 +142,7 @@ class LogicEncoderConfig:
     def __post_init__(self):
         _check_fields(self)
         check_threshold(self.threshold)
-        if self.hidden_layers < 1:
-            raise ConfigError(_must_be("hidden_layers", ">= 1", self.hidden_layers))
+        check_depth(self.hidden_layers)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,13 +175,7 @@ class LatentCode:
         return int(self.bits.size)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, LatentCode):
-            return NotImplemented
-        return (
-            self.depth == other.depth
-            and self.input_len == other.input_len
-            and np.array_equal(self.bits, other.bits)
-        )
+        return _same(self, other, ("depth", "input_len", "bits"))
 
 
 def encode(code: LatentCode, cfg: LogicEncoderConfig) -> LatentCode:
@@ -191,12 +192,7 @@ def encode_matrix(bits: np.ndarray, gate: GateType, hidden_layers: int) -> np.nd
     parity). The layers past that point are therefore skipped in pairs, and
     the work stops growing with the depth once the width is 1.
     """
-    try:  # `predict` runs this on every call, so only a failed comparison costs more
-        too_few = hidden_layers < 1
-    except TypeError:  # no number
-        too_few = True
-    if too_few:
-        raise ConfigError(_must_be("hidden_layers", "an integer >= 1", hidden_layers))
+    check_depth(hidden_layers)
     out = encode_layer_matrix(bits, gate)  # validates the input
     rest = hidden_layers - 1
     to_one = (out.shape[1] - 1).bit_length()  # layers until the width is 1

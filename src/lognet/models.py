@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import Dataset, _check_fields, _has_type, _must_be, _readonly
 from .errors import ConfigError, ShapeError, TrainingError, ValidationError
-from .gates import ceil_chain
+from .gates import ceil_chain, check_depth
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -209,8 +209,7 @@ def _activations(layers, X: np.ndarray) -> list[np.ndarray]:
 
 def dnn_hidden_widths(input_dim: int, hidden_layers: int) -> list[int]:
     """Widths [input, h1, ..., hH] under the ceil-halving rule."""
-    if not (_has_type(hidden_layers, int) and hidden_layers >= 1):
-        raise ConfigError(_must_be("hidden_layers", "an integer >= 1", hidden_layers))
+    check_depth(hidden_layers)
     return [ceil_chain(int(input_dim), k) for k in range(hidden_layers + 1)]
 
 

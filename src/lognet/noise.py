@@ -8,7 +8,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import RSS_SENTINEL, Dataset, RpMap, _check_fields, _enum_named, _must_be
+from .data import RSS_SENTINEL, Dataset, RpMap, _check_fields, _enum_named, _must_be, _same
 from .errors import CapacityError, ConfigError, ValidationError
 
 
@@ -21,7 +21,7 @@ class NoiseMode(Enum):
         return _enum_named(cls, "noise mode", name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseSpec:
     """Deterministic dB offset(s) plus optional zero-mean Gaussian jitter.
 
@@ -63,6 +63,9 @@ class NoiseSpec:
                                            getattr(self, field)))
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "stochastic_sigma", sigma)
+
+    def __eq__(self, other) -> bool:
+        return _same(self, other, ("mode", "delta", "stochastic_sigma", "seed"))
 
     def scaled(self, multiplier: float, seed: int | None = None) -> "NoiseSpec":
         """Same structure with delta and sigma scaled by `multiplier`."""
