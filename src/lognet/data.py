@@ -99,6 +99,14 @@ def _enum_named(cls, what: str, name):
         raise ConfigError(_must_be(what, f"one of ({valid})", name)) from None
 
 
+def _check_seed(name: str, seed) -> None:
+    """Raise ConfigError unless `seed` is a non-negative integer by `_has_type`, naming it `name`."""
+    if not _has_type(seed, int):
+        raise ConfigError(_must_be(name, int, seed))
+    if seed < 0:
+        raise ConfigError(_must_be(name, "non-negative", seed))
+
+
 def _check_fields(obj, name=None) -> None:
     """Raise ConfigError unless each field of dataclass `obj` has its hint's type by `_has_type`,
     naming the field as `name(field)` does, by default as `Class.field`."""
@@ -141,11 +149,14 @@ def _id_column_ok(col: np.ndarray) -> np.ndarray:
 def check_fingerprint(rp_id: int, ci: int, rss) -> np.ndarray:
     """Validate one fingerprint's fields; return its RSS as a float64 vector.
 
-    Raises ValidationError for an empty or non-1-D RSS vector, a non-finite
-    RSS value, or an rp_id or ci that is not an integer in [0, 2**63),
-    checked in that order.
+    Raises ValidationError for RSS entries that are no numbers, an empty or
+    non-1-D RSS vector, a non-finite RSS value, or an rp_id or ci that is not
+    an integer in [0, 2**63), checked in that order.
     """
-    rss = np.asarray(rss, dtype=np.float64)
+    try:
+        rss = np.asarray(rss, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged, or an entry that is no number
+        raise ValidationError(_must_be("rss", "a vector of numbers", rss)) from None
     if rss.ndim != 1 or rss.size == 0:
         raise ValidationError("rss must be a non-empty 1-D vector")
     if not np.isfinite(rss).all():
@@ -195,8 +206,9 @@ class Dataset:
 
     def __init__(self, fingerprints: Iterable[Fingerprint], ap_count: int):
         fps = tuple(fingerprints)
-        if ap_count <= 0:
-            raise ValidationError(f"ap_count must be positive, got {ap_count}")
+        # An exact int takes the short path: localize builds one dataset per query.
+        if not (type(ap_count) is int or _has_type(ap_count, int)) or ap_count <= 0:
+            raise ValidationError(_must_be("ap_count", "a positive integer", ap_count))
         for fp in fps:
             if fp.rss.size != ap_count:
                 raise ValidationError(
@@ -414,8 +426,9 @@ def split_train_test(ds: Dataset, per_rp_holdout: int, seed: int) -> tuple[Datas
     and collection instance, so the same seed always produces the same split.
     Train and test partition the dataset exactly.
     """
-    if per_rp_holdout < 0:
-        raise ConfigError(f"per_rp_holdout must be non-negative, got {per_rp_holdout}")
+    if not (_has_type(per_rp_holdout, int) and per_rp_holdout >= 0):
+        raise ConfigError(_must_be("per_rp_holdout", "a non-negative integer", per_rp_holdout))
+    _check_seed("seed", seed)
 
     # Rows sorted by (rp_id, ci); the sort is stable, so each group keeps row order.
     order = np.lexsort((ds.ci, ds.rp_id))

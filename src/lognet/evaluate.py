@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import Dataset, RpMap
+from .data import Dataset, RpMap, _has_type, _must_be
 from .errors import ShapeError, ValidationError
 from .fileio import atomic_open, read_pgm, write_pgm
 from .gates import LatentCode, ap_window, check_bits
@@ -138,8 +138,8 @@ def environment_descriptor() -> dict:
 
 def measure_latency(classifier, test: Dataset, repetitions: int) -> LatencyResult:
     """Median wall-clock time of full-test-set inference, preprocessing included."""
-    if repetitions < 3:
-        raise ValidationError(f"need at least 3 repetitions, got {repetitions}")
+    if not (_has_type(repetitions, int) and repetitions >= 3):
+        raise ValidationError(_must_be("repetitions", "an integer >= 3", repetitions))
     classifier.predict(test)  # warm-up outside the timed region
     times = []
     for _ in range(repetitions):

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, _check_fields, _has_type, _must_be, _readonly
+from .data import Dataset, _check_fields, _check_seed, _has_type, _must_be, _readonly
 from .errors import ConfigError, ShapeError, TrainingError, ValidationError
 from .gates import ceil_chain, check_depth
 
@@ -38,8 +38,7 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 0:
             raise ConfigError(_must_be("epochs", "non-negative", self.epochs))
-        if self.seed < 0:
-            raise ConfigError(_must_be("train seed", "non-negative", self.seed))
+        _check_seed("train seed", self.seed)
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigError(_must_be("batch_size", "positive", self.batch_size))
 
@@ -439,8 +438,8 @@ def gradient_check(model, sample, epsilon: float = 1e-5) -> float:
     that array; the maximum over arrays is returned. Arrays whose gradients
     vanish on both sides contribute zero.
     """
-    if not 1e-7 <= epsilon <= 1e-3:
-        raise ConfigError(f"epsilon must lie in [1e-7, 1e-3], got {epsilon}")
+    if not (_has_type(epsilon, float) and 1e-7 <= epsilon <= 1e-3):
+        raise ConfigError(_must_be("epsilon", "a number in [1e-7, 1e-3]", epsilon))
     try:
         layers, classes = model.layers, model.class_labels
     except AttributeError:

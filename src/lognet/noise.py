@@ -8,7 +8,8 @@ from enum import Enum
 
 import numpy as np
 
-from .data import RSS_SENTINEL, Dataset, RpMap, _check_fields, _enum_named, _must_be, _same
+from .data import (RSS_SENTINEL, Dataset, RpMap, _check_fields, _check_seed, _enum_named,
+                   _field_hints, _must_be, _same)
 from .errors import CapacityError, ConfigError, ValidationError
 
 
@@ -37,32 +38,38 @@ class NoiseSpec:
 
     def __post_init__(self):
         _check_fields(self)
-        if self.seed < 0:
-            raise ConfigError(_must_be("noise seed", "non-negative", self.seed))
+        _check_seed("noise seed", self.seed)
+        delta, sigma = (self._floats(field) for field in ("delta", "stochastic_sigma"))
         if self.mode is NoiseMode.ED:
-            if np.ndim(self.delta) != 0:
+            if delta.ndim != 0:
                 raise ValidationError("ED mode carries exactly one delta")
-            delta = float(self.delta)
+            delta = float(delta)
         else:
-            delta = np.asarray(self.delta, dtype=np.float64)
             if delta.ndim != 1 or delta.size == 0:
                 raise ValidationError("non-ED mode carries one delta per AP")
             delta.setflags(write=False)
-        if np.ndim(self.stochastic_sigma) == 0:
-            sigma = float(self.stochastic_sigma)
+        if sigma.ndim == 0:
+            sigma = float(sigma)
             if sigma < 0:
                 raise ValidationError("stochastic_sigma must be non-negative")
         else:
-            sigma = np.asarray(self.stochastic_sigma, dtype=np.float64)
             if sigma.ndim != 1 or np.any(sigma < 0):
                 raise ValidationError("per-AP sigma must be a non-negative vector")
             sigma.setflags(write=False)
-        for field, value in (("delta", delta), ("stochastic_sigma", sigma)):
-            if not np.isfinite(value).all():  # an array's entries, as `_check_fields` checks a list's
-                raise ConfigError(_must_be(f"NoiseSpec.{field}", "a number or list[float] or an array",
-                                           getattr(self, field)))
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "stochastic_sigma", sigma)
+
+    def _floats(self, field: str) -> np.ndarray:
+        """Field `field` as a float64 array, else the ConfigError naming it: an array's entries
+        are checked as `_check_fields` checks a list's."""
+        value = getattr(self, field)
+        try:
+            floats = np.asarray(value, dtype=np.float64)
+        except (TypeError, ValueError):  # an entry that is no number
+            floats = None
+        if floats is None or not np.isfinite(floats).all():
+            raise ConfigError(_must_be(f"NoiseSpec.{field}", _field_hints(NoiseSpec)[field], value))
+        return floats
 
     def __eq__(self, other) -> bool:
         return _same(self, other, ("mode", "delta", "stochastic_sigma", "seed"))
@@ -149,8 +156,7 @@ class SynthSpec:
             raise ConfigError("need at least 2 RPs and 2 APs")
         if self.fingerprints_per_rp < 1:
             raise ConfigError("fingerprints_per_rp must be positive")
-        if self.seed < 0:
-            raise ConfigError(_must_be("synth seed", "non-negative", self.seed))
+        _check_seed("synth seed", self.seed)
         if self.base_pattern not in ("window", "random", "beacon-tint"):
             raise ConfigError(f"unknown base_pattern '{self.base_pattern}'")
         if self.geometry not in ("path", "grid"):
