@@ -52,6 +52,11 @@ class TestFingerprint:
         with pytest.raises(ValidationError, match=f"^{field} must be an integer, got "):
             Fingerprint(ids["rp_id"], "d", ids["ci"], [-50.0])
 
+    @pytest.mark.parametrize("rss", [["a"], [[-50.0], [-60.0, -70.0]]], ids=["str", "ragged"])
+    def test_rss_that_is_no_vector_of_numbers_names_rss(self, rss):
+        with pytest.raises(ValidationError, match="^rss must be a vector of numbers, got "):
+            Fingerprint(0, "d", 0, rss)
+
     def test_rss_is_immutable(self):
         fp = Fingerprint(0, "d", 0, [-50.0, -60.0])
         with pytest.raises(ValueError):
@@ -400,6 +405,24 @@ class TestScalarArguments:
     def test_dnn_hidden_layers_that_is_no_integer_from_1(self, bad):
         with pytest.raises(ConfigError, match="^hidden_layers must be an integer >= 1, got "):
             dnn_hidden_widths(4, bad)
+
+    @pytest.mark.parametrize("bad", ["a", -HUGE, -1, 0.5, 1.5, True],
+                             ids=["str", "-huge", "-1", "0.5", "1.5", "True"])
+    def test_split_holdout_that_is_no_non_negative_integer(self, tiny_dataset, bad):
+        with pytest.raises(ConfigError, match="^per_rp_holdout must be a non-negative integer, got "):
+            split_train_test(tiny_dataset, bad, 0)
+
+    @pytest.mark.parametrize("bad,rule", [(-1, "non-negative"), ("a", "an integer"),
+                                          (1.5, "an integer"), (True, "an integer")],
+                             ids=["-1", "str", "1.5", "True"])
+    def test_split_seed_takes_the_settings_seed_rule(self, tiny_dataset, bad, rule):
+        with pytest.raises(ConfigError, match=f"^seed must be {rule}, got {bad!r}$"):
+            split_train_test(tiny_dataset, 1, bad)
+
+    @pytest.mark.parametrize("bad", ["a", 2.0, True, 0, -HUGE], ids=["str", "2.0", "True", "0", "-huge"])
+    def test_dataset_ap_count_that_is_no_positive_integer(self, bad):
+        with pytest.raises(ValidationError, match="^ap_count must be a positive integer, got "):
+            Dataset((), bad)
 
     @pytest.mark.parametrize("parse,what", [(GateType.from_name, "gate"),
                                             (NoiseMode.from_name, "noise mode")])

@@ -124,6 +124,13 @@ class TestEvaluate:
         assert clone.per_ci == report.per_ci
         assert clone.config == report.config
 
+    def test_ap_mismatch_reads_as_the_classifiers_and_comes_first(self):
+        ds, _ = synth_dataset(SynthSpec(num_rps=4, num_aps=8, fingerprints_per_rp=2, seed=1))
+        other, _ = synth_dataset(SynthSpec(num_rps=4, num_aps=6, fingerprints_per_rp=2, seed=1))
+        clf, _ = fit_lognet(ds, LogicEncoderConfig(GateType.AND, 0.5, 1), TrainConfig(epochs=5))
+        with pytest.raises(ShapeError, match="^dataset has 6 APs but the model expects 8$"):
+            evaluate(clf, other, RpMap({}))  # before the RP map's coverage is checked
+
     def test_shape_mismatch(self):
         ds, rp_map = synth_dataset(SynthSpec(num_rps=4, num_aps=8, fingerprints_per_rp=2, seed=1))
         other, _ = synth_dataset(SynthSpec(num_rps=4, num_aps=6, fingerprints_per_rp=2, seed=1))
@@ -148,6 +155,12 @@ class TestLatency:
         clf, _ = fit_lognet(tiny_dataset, LogicEncoderConfig(GateType.NOR, 0.5, 1), TrainConfig(epochs=5))
         with pytest.raises(ValidationError):
             measure_latency(clf, tiny_dataset, repetitions=2)
+
+    @pytest.mark.parametrize("bad", ["a", 3.5, 3.0, True, 2], ids=["str", "3.5", "3.0", "True", "2"])
+    def test_repetitions_must_be_an_integer_from_3(self, tiny_dataset, bad):
+        clf, _ = fit_lognet(tiny_dataset, LogicEncoderConfig(GateType.NOR, 0.5, 1), TrainConfig(epochs=5))
+        with pytest.raises(ValidationError, match=f"^repetitions must be an integer >= 3, got {bad!r}$"):
+            measure_latency(clf, tiny_dataset, bad)
 
     def test_deeper_encoder_is_not_twice_slower(self):
         # Extra gate layers shrink the softmax head, so a 4-layer encoder

@@ -350,3 +350,14 @@ class TestFieldTypes:
         with pytest.raises(ConfigError) as err:
             cfg.validate()
         assert str(err.value).startswith(message)
+
+
+class TestConfigEquality:
+    def test_configs_with_per_ap_noise_compare_by_value(self, tmp_path):
+        noise = NoiseSpec(NoiseMode.NON_ED, [-4.0, -2.0], [1.0, 0.5], seed=3)
+        cfg = dataclasses.replace(_synth_cfg(tmp_path), noise=noise)
+        same = dataclasses.replace(cfg, noise=NoiseSpec(NoiseMode.NON_ED, np.array([-4.0, -2.0]),
+                                                        np.array([1.0, 0.5]), seed=3))
+        assert cfg == same
+        assert cfg != dataclasses.replace(cfg, noise=noise.scaled(0.5))
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg

@@ -4,15 +4,18 @@ import pytest
 from lognet import (
     BoundsError,
     ConfigError,
+    ExperimentConfig,
     GateType,
     TRUTH_TABLES,
     LatentCode,
     LatentDiff,
     LogicEncoderConfig,
+    SynthSpec,
     ValidationError,
     apply_gate,
     binarize_matrix,
     ceil_chain,
+    dnn_hidden_widths,
     encode,
     encode_matrix,
     gate_arithmetic,
@@ -196,6 +199,30 @@ class TestEncoderDepth:
                 assert np.array_equal(
                     encode_matrix(B, gate, huge), self.layer_by_layer(B, gate, small)
                 ), (gate, huge)
+
+
+# Every entry that takes an encoder or dense-baseline depth, each with its own call.
+DEPTH_ENTRIES = {
+    "encode_matrix": lambda h: encode_matrix(np.ones((1, 4), np.uint8), GateType.NOR, h),
+    "LogicEncoderConfig": lambda h: LogicEncoderConfig(GateType.NOR, 0.5, h),
+    "dnn_hidden_widths": lambda h: dnn_hidden_widths(4, h),
+    "validate": lambda h: ExperimentConfig(synth=SynthSpec(4, 8), hidden_layers=h).validate(),
+}
+
+
+class TestOneDepthRule:
+    """`check_depth` is the one `hidden_layers` rule: each entry fails alike, a numpy int passes."""
+
+    @pytest.mark.parametrize("bad", [0, 1.5, 1.0, True], ids=["0", "1.5", "1.0", "True"])
+    @pytest.mark.parametrize("entry", DEPTH_ENTRIES)
+    def test_every_entry_keeps_the_rule(self, entry, bad):
+        # A float or a bool fails the settings classes' type rule first, which says the same.
+        message = rf"hidden_layers must be an integer( >= 1)?, got {bad!r}$"
+        with pytest.raises(ConfigError, match=message) as err:
+            DEPTH_ENTRIES[entry](bad)
+        if entry == "validate":
+            assert str(err.value).startswith("config key 'model.hidden_layers': ")
+        DEPTH_ENTRIES[entry](np.int64(2))
 
 
 class TestCeilChain:

@@ -161,6 +161,13 @@ class TestLatentsCsv:
             read_latents_csv(path)
         assert err.value.line == 2
 
+    def test_a_non_bit_fails_the_bit_rule_at_its_line(self, tmp_path):
+        path = tmp_path / "lat.csv"
+        path.write_text("rp_id,bit_000,bit_001\n0,1,0\n1,0,2\n")
+        with pytest.raises(ParseError, match="bits must contain only 0 and 1") as err:
+            read_latents_csv(path)
+        assert err.value.path == path and err.value.line == 3
+
     @pytest.mark.parametrize("rp_id", ["-5", str(2**63)])
     def test_rp_id_outside_the_id_range_rejected(self, tmp_path, rp_id):
         path = tmp_path / "lat.csv"

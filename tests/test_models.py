@@ -273,6 +273,12 @@ class TestGradientCheck:
         with pytest.raises(ConfigError):
             gradient_check(m, (np.ones(2), 0), epsilon=1e-2)
 
+    @pytest.mark.parametrize("bad", ["a", True, None, 10**400], ids=["str", "True", "None", "huge"])
+    def test_epsilon_that_is_no_number_names_it(self, bad):
+        m = DenseStack(((np.zeros((2, 2)), np.zeros(2)),), (0, 1))
+        with pytest.raises(ConfigError, match=r"^epsilon must be a number in \[1e-7, 1e-3\], got "):
+            gradient_check(m, (np.ones(2), 0), epsilon=bad)
+
     def test_object_without_layers_is_rejected(self):
         with pytest.raises(ConfigError, match="does not support object"):
             gradient_check(object(), (np.ones(2), 0))

@@ -48,6 +48,31 @@ class TestNoiseSpec:
         with pytest.raises(ConfigError, match=message + "array"):
             NoiseSpec(*args[:-1], np.array(args[-1]))
 
+    @pytest.mark.parametrize("args", [(NoiseMode.NON_ED, np.array(["a"])),
+                                      (NoiseMode.ED, np.array("a")),
+                                      (NoiseMode.ED, 0.0, np.array(["a", "b"]))],
+                             ids=["non-ed-delta", "ed-delta", "sigma"])
+    def test_an_array_of_non_numbers_fails_as_its_list_does(self, args):
+        field = "delta" if len(args) == 2 else "stochastic_sigma"
+        message = f"^NoiseSpec.{field} must be a number or list\\[float\\] or an array, got array"
+        with pytest.raises(ConfigError, match=message):
+            NoiseSpec(*args)
+
+    @pytest.mark.parametrize("field", ["delta", "stochastic_sigma"])
+    def test_per_ap_arrays_compare_by_value(self, field):
+        def spec(values, seed=0):
+            return NoiseSpec(NoiseMode.NON_ED, **{"delta": [1.0, 2.0], field: values}, seed=seed)
+
+        assert spec([1.0, 2.0]) == spec(np.array([1.0, 2.0]))
+        assert spec([1.0, 2.0]) != spec([1.0, 3.0])
+        assert spec([1.0, 2.0]) != spec([1.0, 2.0, 2.0])
+        assert spec([1.0, 2.0]) != spec([1.0, 2.0], seed=1)
+        assert spec([1.0, 2.0]) != 1 and not spec([1.0, 2.0]) == 1
+
+    def test_a_spec_holds_arrays_so_is_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(NoiseSpec(NoiseMode.ED, -4.0, 1.0))
+
     def test_scaled_preserves_structure(self):
         spec = NoiseSpec(NoiseMode.NON_ED, np.array([-2.0, 4.0]), 1.0, seed=3)
         half = spec.scaled(0.5)
