@@ -155,7 +155,7 @@ def check_fingerprint(rp_id: int, ci: int, rss) -> np.ndarray:
     """
     try:
         rss = np.asarray(rss, dtype=np.float64)
-    except (TypeError, ValueError):  # ragged, or an entry that is no number
+    except (TypeError, ValueError, OverflowError):  # ragged, or an entry that is no float
         raise ValidationError(_must_be("rss", "a vector of numbers", rss)) from None
     if rss.ndim != 1 or rss.size == 0:
         raise ValidationError("rss must be a non-empty 1-D vector")
@@ -249,7 +249,7 @@ class Dataset:
         """
         try:
             rss = np.asarray(rss, dtype=np.float64)
-        except (TypeError, ValueError):  # ragged rows, or an entry that is no number
+        except (TypeError, ValueError, OverflowError):  # ragged rows, or an entry that is no float
             rss = None
         if rss is None or rss.ndim != 2 or rss.shape[1] == 0:
             raise ValidationError("rss must be an (n, ap_count) matrix with ap_count >= 1")

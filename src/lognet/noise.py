@@ -65,7 +65,7 @@ class NoiseSpec:
         value = getattr(self, field)
         try:
             floats = np.asarray(value, dtype=np.float64)
-        except (TypeError, ValueError):  # an entry that is no number
+        except (TypeError, ValueError, OverflowError):  # an entry that is no float
             floats = None
         if floats is None or not np.isfinite(floats).all():
             raise ConfigError(_must_be(f"NoiseSpec.{field}", _field_hints(NoiseSpec)[field], value))

@@ -52,7 +52,8 @@ class TestFingerprint:
         with pytest.raises(ValidationError, match=f"^{field} must be an integer, got "):
             Fingerprint(ids["rp_id"], "d", ids["ci"], [-50.0])
 
-    @pytest.mark.parametrize("rss", [["a"], [[-50.0], [-60.0, -70.0]]], ids=["str", "ragged"])
+    @pytest.mark.parametrize("rss", [["a"], [[-50.0], [-60.0, -70.0]], [10**400]],
+                             ids=["str", "ragged", "int-beyond-float64"])
     def test_rss_that_is_no_vector_of_numbers_names_rss(self, rss):
         with pytest.raises(ValidationError, match="^rss must be a vector of numbers, got "):
             Fingerprint(0, "d", 0, rss)
@@ -74,6 +75,10 @@ class TestDataset:
         fps = [Fingerprint(0, "d", 0, [-50.0, -60.0]), Fingerprint(1, "d", 0, [-50.0])]
         with pytest.raises(ValidationError, match="has 1 APs, expected 2"):
             Dataset(fps, 2)
+
+    def test_from_columns_rejects_an_int_beyond_float64(self):
+        with pytest.raises(ValidationError, match=r"rss must be an \(n, ap_count\) matrix"):
+            Dataset.from_columns([0], ["d"], [0], [[10**400]])
 
     def test_from_columns_rejects_ragged_rows(self):
         with pytest.raises(ValidationError, match=r"rss must be an \(n, ap_count\) matrix"):

@@ -50,8 +50,9 @@ class TestNoiseSpec:
 
     @pytest.mark.parametrize("args", [(NoiseMode.NON_ED, np.array(["a"])),
                                       (NoiseMode.ED, np.array("a")),
-                                      (NoiseMode.ED, 0.0, np.array(["a", "b"]))],
-                             ids=["non-ed-delta", "ed-delta", "sigma"])
+                                      (NoiseMode.ED, 0.0, np.array(["a", "b"])),
+                                      (NoiseMode.NON_ED, np.array([10**400], dtype=object))],
+                             ids=["non-ed-delta", "ed-delta", "sigma", "int-beyond-float64"])
     def test_an_array_of_non_numbers_fails_as_its_list_does(self, args):
         field = "delta" if len(args) == 2 else "stochastic_sigma"
         message = f"^NoiseSpec.{field} must be a number or list\\[float\\] or an array, got array"
