@@ -211,9 +211,9 @@ def trace_bit_to_aps(bit_index: int, depth: int, input_len: int) -> range:
     positions beyond n are zero padding.
     """
     latent_len = ceil_chain(input_len, depth)
-    if not 0 <= bit_index < latent_len:
+    if not (_has_type(bit_index, int) and 0 <= bit_index < latent_len):
         raise BoundsError(
-            f"bit_index {bit_index} out of range for latent length {latent_len}"
+            f"bit_index {_shown(bit_index)} out of range for latent length {latent_len}"
         )
     return ap_window(bit_index, depth, input_len)
 

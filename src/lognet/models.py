@@ -341,6 +341,7 @@ def init_dnn(input_dim: int, hidden_layers: int, class_labels: Sequence[int],
              seed: int) -> DenseStack:
     """Seeded random initialization following the halving-width rule."""
     classes = _check_class_labels(class_labels)
+    _check_seed("seed", seed)
     widths = dnn_hidden_widths(input_dim, hidden_layers) + [len(classes)]
     rng = np.random.default_rng(seed)
     layers = [_init_linear(rng, widths[i], widths[i + 1]) for i in range(len(widths) - 1)]

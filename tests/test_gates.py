@@ -256,6 +256,12 @@ class TestTrace:
         with pytest.raises(BoundsError):
             trace_bit_to_aps(82, 1, 164)
 
+    @pytest.mark.parametrize("bad", ["a", 1.5, True, None, -10**5000],
+                             ids=["str", "1.5", "True", "None", "-huge"])
+    def test_bit_index_that_is_no_integer_is_out_of_range(self, bad):
+        with pytest.raises(BoundsError, match="^bit_index .* out of range for latent length 82$"):
+            trace_bit_to_aps(bad, 1, 164)
+
     @pytest.mark.parametrize("depth", [70, 10**21])
     def test_depth_past_the_input_bit_length(self, depth):
         # Windows are clipped at the input length, so a deep latent's one

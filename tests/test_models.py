@@ -117,6 +117,13 @@ class TestDnnModel:
         assert dnn_hidden_widths(164, 2) == [164, 82, 41]
         assert dnn_hidden_widths(5, 3) == [5, 3, 2, 1]
 
+    @pytest.mark.parametrize("bad,rule", [(-1, "non-negative"), ("a", "an integer"),
+                                          (1.5, "an integer"), (True, "an integer")],
+                             ids=["-1", "str", "1.5", "True"])
+    def test_init_seed_takes_the_settings_seed_rule(self, bad, rule):
+        with pytest.raises(ConfigError, match=f"^seed must be {rule}, got {bad!r}$"):
+            init_dnn(4, 1, (0, 1), bad)
+
     def test_halving_rule_enforced(self):
         layers = ((np.zeros((8, 3)), np.zeros(3)), (np.zeros((3, 2)), np.zeros(2)))
         with pytest.raises(ValidationError):
