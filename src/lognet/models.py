@@ -209,6 +209,8 @@ def _activations(layers, X: np.ndarray) -> list[np.ndarray]:
 def dnn_hidden_widths(input_dim: int, hidden_layers: int) -> list[int]:
     """Widths [input, h1, ..., hH] under the ceil-halving rule."""
     check_depth(hidden_layers)
+    if not (_has_type(input_dim, int) and input_dim >= 1):
+        raise ValidationError(_must_be("input_dim", "a positive integer", input_dim))
     return [ceil_chain(int(input_dim), k) for k in range(hidden_layers + 1)]
 
 

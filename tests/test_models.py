@@ -124,6 +124,11 @@ class TestDnnModel:
         with pytest.raises(ConfigError, match=f"^seed must be {rule}, got {bad!r}$"):
             init_dnn(4, 1, (0, 1), bad)
 
+    @pytest.mark.parametrize("bad", ["a", 2.5, True, 0], ids=["str", "2.5", "True", "0"])
+    def test_input_dim_that_is_no_positive_integer_names_it(self, bad):
+        with pytest.raises(ValidationError, match="^input_dim must be a positive integer, got "):
+            dnn_hidden_widths(bad, 1)
+
     def test_halving_rule_enforced(self):
         layers = ((np.zeros((8, 3)), np.zeros(3)), (np.zeros((3, 2)), np.zeros(2)))
         with pytest.raises(ValidationError):
