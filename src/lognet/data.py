@@ -38,6 +38,8 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 def _has_type(value, kind) -> bool:
     """Whether `value` has type hint `kind`, by the one field-type rule: a bool is no number, a
     float is finite (an int counts), and a `list[...]` or `tuple[...]` takes a list or a tuple."""
+    if type(value) is kind and (kind is int or kind is float):  # the short path
+        return kind is int or math.isfinite(value)
     origin, args = typing.get_origin(kind), typing.get_args(kind)
     if origin is types.UnionType:
         return any(_has_type(value, k) for k in args)
@@ -122,7 +124,7 @@ def _id_error(name: str, value) -> str | None:
 
     An id is a non-bool integer in [0, 2**63).
     """
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral):
+    if not _has_type(value, int):
         return _must_be(name, int, value)
     if value < 0:
         return _must_be(name, "non-negative", value)
@@ -146,6 +148,14 @@ def _id_column_ok(col: np.ndarray) -> np.ndarray:
     return np.array([_id_error("", v) is None for v in col.tolist()], dtype=bool)
 
 
+def _floats(name: str, value, kind="an array of numbers", error=ValidationError) -> np.ndarray:
+    """`value` as a float64 array, else `error` saying that `name` must be `kind`."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):  # ragged, or an entry that is no float
+        raise error(_must_be(name, kind, value)) from None
+
+
 def check_fingerprint(rp_id: int, ci: int, rss) -> np.ndarray:
     """Validate one fingerprint's fields; return its RSS as a float64 vector.
 
@@ -153,10 +163,7 @@ def check_fingerprint(rp_id: int, ci: int, rss) -> np.ndarray:
     non-1-D RSS vector, a non-finite RSS value, or an rp_id or ci that is not
     an integer in [0, 2**63), checked in that order.
     """
-    try:
-        rss = np.asarray(rss, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):  # ragged, or an entry that is no float
-        raise ValidationError(_must_be("rss", "a vector of numbers", rss)) from None
+    rss = _floats("rss", rss, "a vector of numbers")
     if rss.ndim != 1 or rss.size == 0:
         raise ValidationError("rss must be a non-empty 1-D vector")
     if not np.isfinite(rss).all():
@@ -206,8 +213,7 @@ class Dataset:
 
     def __init__(self, fingerprints: Iterable[Fingerprint], ap_count: int):
         fps = tuple(fingerprints)
-        # An exact int takes the short path: localize builds one dataset per query.
-        if not (type(ap_count) is int or _has_type(ap_count, int)) or ap_count <= 0:
+        if not (_has_type(ap_count, int) and ap_count > 0):
             raise ValidationError(_must_be("ap_count", "a positive integer", ap_count))
         for fp in fps:
             if fp.rss.size != ap_count:
@@ -247,12 +253,10 @@ class Dataset:
         and they become read-only. Raises ValidationError on mismatched
         lengths or on a row that `Fingerprint` would reject.
         """
-        try:
-            rss = np.asarray(rss, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):  # ragged rows, or an entry that is no float
-            rss = None
-        if rss is None or rss.ndim != 2 or rss.shape[1] == 0:
-            raise ValidationError("rss must be an (n, ap_count) matrix with ap_count >= 1")
+        shape = "an (n, ap_count) matrix with ap_count >= 1"
+        rss = _floats("rss", rss, shape)
+        if rss.ndim != 2 or rss.shape[1] == 0:
+            raise ValidationError(_must_be("rss", shape, rss))
         n = rss.shape[0]
         ids, cis = (np.asarray(col) for col in (rp_id, ci))
         device_id = np.asarray(device_id, dtype=object)
@@ -359,13 +363,8 @@ class RpMap:
 
 
 def check_rss_range(lo, hi) -> None:
-    """Raise ConfigError unless [lo, hi] is a finite dBm range with lo < hi; a bool is no bound."""
-    # `_has_type`'s rule for a float, by a shorter path: `predict` runs this on every call.
-    try:
-        finite = math.isfinite(lo) and math.isfinite(hi)
-    except (TypeError, OverflowError):  # no number, or an int beyond float64's range
-        finite = False
-    if not (finite and lo < hi) or isinstance(lo, bool) or isinstance(hi, bool):
+    """Raise ConfigError unless [lo, hi] is a dBm range of two floats by `_has_type` with lo < hi."""
+    if not (_has_type(lo, float) and _has_type(hi, float) and lo < hi):
         raise ConfigError(_must_be("rss range", "finite with lo < hi", [lo, hi]))
 
 
@@ -378,7 +377,7 @@ def normalize_values(
     `(np.clip(values, lo, hi) - lo) / (hi - lo)`, computed in that one array.
     """
     check_rss_range(lo, hi)
-    values = np.asarray(values, dtype=np.float64)
+    values = _floats("values", values)
     out = np.empty(values.shape)
     # maximum(lo, x), not maximum(x, lo): on a tie of signed zeros it keeps x, as np.clip does.
     np.maximum(lo, values, out=out)
@@ -400,7 +399,7 @@ def binarize_matrix(values: np.ndarray, threshold: float = DEFAULT_THRESHOLD) ->
     active (1).
     """
     check_threshold(threshold)
-    values = np.asarray(values, dtype=np.float64)
+    values = _floats("values", values)
     # Written so that a NaN, which fails every comparison, is rejected too.
     if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
         raise ValidationError(
@@ -410,12 +409,8 @@ def binarize_matrix(values: np.ndarray, threshold: float = DEFAULT_THRESHOLD) ->
 
 
 def check_threshold(threshold: float) -> None:
-    """Raise ConfigError unless the binarization threshold is a number in (0, 1)."""
-    try:  # `predict` runs this on every call, so only a failed comparison costs more
-        inside = 0.0 < threshold < 1.0
-    except (TypeError, ValueError):  # no number, or an array of several
-        inside = False
-    if not inside:
+    """Raise ConfigError unless the binarization threshold is a float in (0, 1) by `_has_type`."""
+    if not (_has_type(threshold, float) and 0.0 < threshold < 1.0):
         raise ConfigError(_must_be("threshold", "in (0, 1)", threshold))
 
 

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import Dataset, RpMap, _has_type, _must_be
+from .data import Dataset, RpMap, _floats, _has_type, _must_be
 from .errors import ShapeError, ValidationError
 from .fileio import atomic_open, read_pgm, write_pgm
 from .gates import LatentCode, ap_window, check_bits
@@ -215,7 +215,7 @@ def write_latent_bitmap(rows: np.ndarray, path: str) -> None:
 
 def export_gray_bitmap(matrix: np.ndarray, path: str) -> None:
     """Write a real-valued matrix as a grayscale PGM with linear scaling."""
-    arr = np.asarray(matrix, dtype=np.float64)
+    arr = _floats("matrix", matrix)
     if arr.ndim != 2 or arr.size == 0:
         raise ValidationError("grayscale export requires a non-empty 2-D matrix")
     if not np.isfinite(arr).all():

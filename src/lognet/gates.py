@@ -92,7 +92,9 @@ def encode_layer_matrix(bits: np.ndarray, gate: GateType) -> np.ndarray:
     width gets a single 0 appended before pairing, so the output width is
     always ceil(width/2).
     """
-    arr = np.asarray(bits, dtype=np.uint8)
+    arr = np.asarray(bits)
+    if arr.dtype != np.uint8:  # the encoder's own layers pass uint8; anything else is checked
+        arr = check_bits(arr).astype(np.uint8)
     if arr.ndim != 2 or arr.shape[1] == 0:
         raise ValidationError("encode_layer_matrix requires a non-empty 2-D bit matrix")
     if arr.shape[1] % 2 != 0:
@@ -126,8 +128,7 @@ def ceil_chain(length: int, depth: int) -> int:
 def check_depth(hidden_layers) -> None:
     """Raise ConfigError unless `hidden_layers` is an integer >= 1 by `_has_type`: a bool or a
     float is none, a numpy integer is one."""
-    # An exact int takes the short path: `predict` runs this on every call.
-    if not (type(hidden_layers) is int or _has_type(hidden_layers, int)) or hidden_layers < 1:
+    if not (_has_type(hidden_layers, int) and hidden_layers >= 1):
         raise ConfigError(_must_be("hidden_layers", "an integer >= 1", hidden_layers))
 
 

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, _check_fields, _check_seed, _has_type, _must_be, _readonly
+from .data import Dataset, _check_fields, _check_seed, _floats, _has_type, _must_be, _readonly
 from .errors import ConfigError, ShapeError, TrainingError, ValidationError
 from .gates import ceil_chain, check_depth
 
@@ -63,11 +63,7 @@ def _check_stack(layers, class_labels) -> tuple[tuple, tuple[int, ...]]:
     clean = []
     prev_out = None
     for i, (W, b) in enumerate(layers):
-        try:
-            W = np.asarray(W, dtype=np.float64)
-            b = np.asarray(b, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError(f"layer {i} weights and biases must be numeric arrays") from None
+        W, b = (_floats(f"layer {i} weights and biases", a, "numeric arrays") for a in (W, b))
         if W.ndim != 2 or b.shape != (W.shape[1],):
             raise ShapeError(f"layer {i} has inconsistent weight/bias shapes")
         if not (np.isfinite(W).all() and np.isfinite(b).all()):
@@ -136,7 +132,7 @@ class DenseStack:
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax via max-shifted exponentiation, computed in one fresh array."""
-    logits = np.asarray(logits, dtype=np.float64)
+    logits = _floats("logits", logits)
     return _softmax_into(logits, np.empty_like(logits))
 
 
@@ -157,7 +153,7 @@ def forward(model: DenseStack, x) -> np.ndarray:
     adjacent layers at once; CPython >= 3.11 gives the callee the only
     reference to such an argument.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _floats("x", x)
     shape = x.shape
     if x.ndim == 1:
         x = x.reshape(1, -1)
@@ -180,7 +176,7 @@ def dnn_hidden_activations(model: DenseStack, X: np.ndarray) -> np.ndarray:
     """
     if len(model.layers) < 2:
         raise ShapeError("model has no hidden layer")
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = np.atleast_2d(_floats("X", X))
     for W, b in model.layers[:-1]:
         X = _hidden_layer(X, W, b)
     return X
@@ -329,7 +325,7 @@ def train_softmax(latents, labels, cfg: TrainConfig,
     after each epoch's updates). Deterministic for a fixed config. Raises
     TrainingError, naming the epoch, once that loss is not finite.
     """
-    X = np.asarray(latents, dtype=np.float64)
+    X = _floats("latents", latents)
     classes, y_idx = _training_targets(X, labels, class_labels)
 
     # Batch order continues the stream that drew the initial weights.
@@ -448,7 +444,7 @@ def gradient_check(model, sample, epsilon: float = 1e-5) -> float:
     except AttributeError:
         raise ConfigError(f"gradient check does not support {type(model).__name__}") from None
     x, y = sample
-    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    X = np.atleast_2d(_floats("sample input", x))
     y_idx = _class_index(np.atleast_1d(np.asarray(y, dtype=np.int64)), classes)
     params = _flat_params(layers)
     _, analytic = _loss_and_grads(params, X, y_idx)

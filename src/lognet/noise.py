@@ -9,7 +9,7 @@ from enum import Enum
 import numpy as np
 
 from .data import (RSS_SENTINEL, Dataset, RpMap, _check_fields, _check_seed, _enum_named,
-                   _field_hints, _must_be, _same)
+                   _field_hints, _floats, _must_be, _same)
 from .errors import CapacityError, ConfigError, ValidationError
 
 
@@ -62,13 +62,10 @@ class NoiseSpec:
     def _floats(self, field: str) -> np.ndarray:
         """Field `field` as a float64 array, else the ConfigError naming it: an array's entries
         are checked as `_check_fields` checks a list's."""
-        value = getattr(self, field)
-        try:
-            floats = np.asarray(value, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):  # an entry that is no float
-            floats = None
-        if floats is None or not np.isfinite(floats).all():
-            raise ConfigError(_must_be(f"NoiseSpec.{field}", _field_hints(NoiseSpec)[field], value))
+        name, kind = f"NoiseSpec.{field}", _field_hints(NoiseSpec)[field]
+        floats = _floats(name, getattr(self, field), kind, ConfigError)
+        if not np.isfinite(floats).all():
+            raise ConfigError(_must_be(name, kind, getattr(self, field)))
         return floats
 
     def __eq__(self, other) -> bool:

@@ -2,6 +2,7 @@ import copy
 import gc
 import pickle
 import weakref
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -21,11 +22,18 @@ from lognet import (
     binarize_matrix,
     dnn_hidden_widths,
     encode_matrix,
+    export_gray_bitmap,
+    forward,
+    gradient_check,
+    init_dnn,
     normalize,
     normalize_values,
     split_train_test,
+    train_softmax,
 )
 from lognet import pipeline
+from lognet.gates import encode_layer_matrix
+from lognet.models import dnn_hidden_activations, softmax
 
 
 # Columns of two ids, each first entry no id: a fraction, which int64 would
@@ -437,3 +445,55 @@ class TestScalarArguments:
             message = rf"^{what} must be one of \({valid}\), got {shown}$"
             with pytest.raises(ConfigError, match=message):
                 parse(bad)
+
+
+class TestNonNumericArrays:
+    """Each stage function converts its array once, and a non-number in it fails as a
+    ValidationError naming the argument, not as a raw ValueError from numpy."""
+
+    @pytest.mark.parametrize("call,name", [
+        (lambda bad, path: normalize_values(bad), "values"),
+        (lambda bad, path: binarize_matrix(bad), "values"),
+        (lambda bad, path: softmax(bad), "logits"),
+        (lambda bad, path: forward(init_dnn(2, 1, (0, 1), 0), bad), "x"),
+        (lambda bad, path: dnn_hidden_activations(init_dnn(2, 1, (0, 1), 0), bad), "X"),
+        (lambda bad, path: train_softmax(bad, [0], TrainConfig(epochs=1)), "latents"),
+        (lambda bad, path: gradient_check(init_dnn(2, 1, (0, 1), 0), (bad[0], 0)), "sample input"),
+        (lambda bad, path: export_gray_bitmap(bad, path), "matrix"),
+    ], ids=["normalize_values", "binarize_matrix", "softmax", "forward", "dnn_hidden_activations",
+            "train_softmax", "gradient_check", "export_gray_bitmap"])
+    def test_stage_function_names_its_argument(self, call, name, tmp_path):
+        path = tmp_path / "gray.pgm"
+        with pytest.raises(ValidationError, match=f"^{name} must be an array of numbers, got "):
+            call(np.array([["a", "b"]]), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("encode", [
+        lambda bits: encode_layer_matrix(bits, GateType.NOR),
+        lambda bits: encode_matrix(bits, GateType.NOR, 2),
+    ], ids=["encode_layer_matrix", "encode_matrix"])
+    def test_encoder_takes_only_bits(self, encode):
+        with pytest.raises(ValidationError, match="^bits must contain only 0 and 1$"):
+            encode(np.array([["a", "b"]]))
+
+    def test_from_columns_shows_the_rss_it_rejects(self):
+        with pytest.raises(ValidationError, match=r"^rss must be an \(n, ap_count\) matrix with "
+                                                  r"ap_count >= 1, got array\(\[-50\.\]\)$"):
+            Dataset.from_columns([0], ["d"], [0], [-50.0])
+
+
+class TestOneScalarRule:
+    """The RSS range and the threshold take their numbers by the one type rule for a float."""
+
+    @pytest.mark.parametrize("bad", [np.array([0.5]), np.array(0.5), Decimal("0.5")],
+                             ids=["1-element", "0-d", "decimal"])
+    def test_threshold_that_is_no_float(self, bad):
+        with pytest.raises(ConfigError, match=r"^threshold must be in \(0, 1\), got "):
+            binarize_matrix(np.zeros(2), bad)
+
+    @pytest.mark.parametrize("lo,hi", [(np.False_, np.True_), (-1.0, np.True_),
+                                       (Decimal(-100), 0.0), (-100.0, Decimal(0))],
+                             ids=["np-bools", "np-true", "decimal-lo", "decimal-hi"])
+    def test_rss_range_bound_that_is_no_float(self, lo, hi):
+        with pytest.raises(ConfigError, match="^rss range must be finite with lo < hi, got "):
+            normalize_values(np.zeros(2), lo, hi)

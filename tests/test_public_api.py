@@ -1,8 +1,11 @@
-"""The names `lognet` exports stay put when modules are merged or split."""
+"""The names `lognet` exports stay put when modules are merged or split, and the value rule
+and the float conversion each keep their one implementation."""
 
+import ast
 import inspect
 import os
 import types
+from pathlib import Path
 
 import lognet
 
@@ -26,3 +29,38 @@ def test_no_public_class_or_function_has_two_names():
         if inspect.isclass(obj) or inspect.isfunction(obj):
             names_by_object.setdefault(id(obj), []).append(name)
     assert [names for names in names_by_object.values() if len(names) > 1] == []
+
+
+def _owned_nodes():
+    """(owner, node) for every AST node of every module in `src/lognet`, where the owner is
+    `module.qualname` of the innermost enclosing function or class, or the module's name."""
+    for path in sorted(Path(lognet.__file__).parent.glob("*.py")):
+        stack = [(path.stem, ast.parse(path.read_text(), str(path)))]
+        while stack:
+            owner, node = stack.pop()
+            yield owner, node
+            for child in ast.iter_child_nodes(node):
+                named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                stack.append((f"{owner}.{child.name}" if named else owner, child))
+
+
+def _converts_to_float64(node) -> bool:
+    return any(isinstance(n, ast.keyword) and n.arg == "dtype"
+               and ast.unparse(n.value) == "np.float64" for n in ast.walk(node))
+
+
+def test_one_guarded_float64_conversion():
+    # A try around a float64 conversion is `data._floats`; everywhere else calls it.
+    owners = {owner for owner, node in _owned_nodes()
+              if isinstance(node, ast.Try) and any(map(_converts_to_float64, node.body))}
+    assert owners == {"data._floats"}
+
+
+def test_one_scalar_short_path():
+    # `type(x) is int` (or float) skips the type rule; only the rule itself may take that path.
+    owners = {owner for owner, node in _owned_nodes()
+              if isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
+              and ast.unparse(node.left.func) == "type"
+              and any(isinstance(op, ast.Is) for op in node.ops)
+              and any(ast.unparse(c) in ("int", "float") for c in node.comparators)}
+    assert owners <= {"data._has_type"}
