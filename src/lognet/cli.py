@@ -93,11 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("encode", help="emit per-fingerprint latent codes as CSV")
-    _add_config_flags(p, "data.fingerprints")
-    p.add_argument("--gate", choices=CONFIG_KEYS["model.gate"].choices)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--threshold", type=float)
-    _add_config_flags(p, "out_dir")
+    _add_config_flags(p, "data.fingerprints", "model.gate", "model.hidden_layers",
+                      "model.threshold", "out_dir")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("bitmap", help="render latent codes as a binary-pixel PGM")

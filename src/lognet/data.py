@@ -38,7 +38,7 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 def _has_type(value, kind) -> bool:
     """Whether `value` has type hint `kind`, by the one field-type rule: a bool is no number, a
     float is finite (an int counts), and a `list[...]` or `tuple[...]` takes a list or a tuple."""
-    if type(value) is kind and (kind is int or kind is float):  # the short path
+    if type(value) is kind and (kind is int or kind is float):  # `predict` checks these per call
         return kind is int or math.isfinite(value)
     origin, args = typing.get_origin(kind), typing.get_args(kind)
     if origin is types.UnionType:
@@ -363,8 +363,10 @@ class RpMap:
 
 
 def check_rss_range(lo, hi) -> None:
-    """Raise ConfigError unless [lo, hi] is a dBm range of two floats by `_has_type` with lo < hi."""
-    if not (_has_type(lo, float) and _has_type(hi, float) and lo < hi):
+    """Raise ConfigError unless [lo, hi] is a dBm range of two floats by `_has_type` with lo < hi
+    and a width hi - lo that float64 holds, so no scaled value overflows."""
+    if not (_has_type(lo, float) and _has_type(hi, float) and lo < hi
+            and math.isfinite(float(hi) - float(lo))):
         raise ConfigError(_must_be("rss range", "finite with lo < hi", [lo, hi]))
 
 

@@ -20,14 +20,16 @@ from .pipeline import _check_aps
 
 def sample_errors(preds, truth, rp_map: RpMap) -> np.ndarray:
     """Per-sample Euclidean distance in meters between predicted and true RPs."""
-    preds = np.asarray(preds, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
+    preds, truth = np.asarray(preds), np.asarray(truth)
     if preds.shape != truth.shape:
         raise ShapeError(f"{preds.size} predictions for {truth.size} ground-truth labels")
     if preds.size == 0:
         raise ValidationError("cannot score an empty prediction list")
     if preds.ndim != 1:
         raise ShapeError(f"predictions and labels must be 1-D, got shape {preds.shape}")
+    for name, ids in (("predictions", preds), ("labels", truth)):
+        if ids.dtype.kind not in "iu":  # a fraction or a bool is no RP id to truncate
+            raise ValidationError(_must_be(name, "integers", ids))
     ids, first, index = np.unique(np.concatenate((preds, truth)), return_index=True,
                                   return_inverse=True)
     xy = np.empty((ids.size, 2))

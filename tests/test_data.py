@@ -497,3 +497,16 @@ class TestOneScalarRule:
     def test_rss_range_bound_that_is_no_float(self, lo, hi):
         with pytest.raises(ConfigError, match="^rss range must be finite with lo < hi, got "):
             normalize_values(np.zeros(2), lo, hi)
+
+    @pytest.mark.parametrize("lo,hi", [(-1e308, 1e308), (-10**308, 10**308),
+                                       (np.float64(-1e308), np.float64(1e308))],
+                             ids=["float", "int", "float64"])
+    def test_rss_range_whose_width_overflows(self, lo, hi):
+        with pytest.raises(ConfigError, match="^rss range must be finite with lo < hi, got "):
+            normalize_values(np.array([1e308, -1e308, 0.0]), lo, hi)
+        with pytest.raises(ConfigError, match="^rss range"):
+            pipeline.DnnClassifier(init_dnn(3, 1, (0, 1), 0), lo, hi)
+
+    def test_widest_range_float64_holds_still_scales(self):
+        hi = np.finfo(np.float64).max / 2
+        assert normalize_values(np.array([hi, -hi, 0.0]), -hi, hi).tolist() == [1.0, 0.0, 0.5]

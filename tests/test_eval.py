@@ -78,6 +78,16 @@ class TestMeanError:
         with pytest.raises(ValidationError):
             sample_errors([], [], RpMap({}))
 
+    @pytest.mark.parametrize("preds,truth,name", [
+        ([1.5, 0.9], [1, 0], "predictions"),  # int64 would truncate both to known RPs
+        (["a"], [0], "predictions"),
+        ([1, 0], [True, False], "labels"),
+        ([1, 0], [1.0, 0.0], "labels"),
+    ], ids=["fractions", "str", "bool-labels", "float-labels"])
+    def test_ids_that_are_no_integers(self, preds, truth, name):
+        with pytest.raises(ValidationError, match=f"^{name} must be integers, got "):
+            sample_errors(preds, truth, PATH_MAP)
+
     def test_non_vector_input_is_a_shape_error(self):
         with pytest.raises(ShapeError):
             sample_errors([[0, 1]], [[1, 0]], PATH_MAP)

@@ -204,6 +204,11 @@ class TestInjectNoise:
         assert a == b
         assert all(np.isfinite(fp.rss).all() for fp in a)
 
+    @pytest.mark.parametrize("bad", ["a", None, NoiseMode.ED], ids=["str", "None", "mode"])
+    def test_spec_that_is_no_noise_spec(self, bad):
+        with pytest.raises(ConfigError, match=f"^spec must be a NoiseSpec, got {bad!r}$"):
+            inject_noise(self._ds(), bad)
+
     def test_per_ap_sigma_vector(self):
         ds = self._ds()
         sigma = np.array([0.0, 2.0, 1.0])
@@ -250,6 +255,15 @@ class TestSimulateCis:
         full = simulate_cis(ds, base, TemporalSchedule(((0, 0.0), (1, 0.5), (2, 1.0))))
         short = simulate_cis(ds, base, TemporalSchedule(((0, 0.0), (2, 1.0))))
         assert full.with_ci(2) == short.with_ci(2)
+
+
+    @pytest.mark.parametrize("bad", ["a", None], ids=["str", "None"])
+    def test_arguments_of_the_wrong_type_are_named(self, bad):
+        base, sched = NoiseSpec(NoiseMode.ED, -5.0, 0.0), TemporalSchedule.default()
+        with pytest.raises(ConfigError, match=f"^base must be a NoiseSpec, got {bad!r}$"):
+            simulate_cis(self._clean(), bad, sched)
+        with pytest.raises(ConfigError, match=f"^sched must be a TemporalSchedule, got {bad!r}$"):
+            simulate_cis(self._clean(), base, bad)
 
 
 class TestSubThresholdInvariance:
