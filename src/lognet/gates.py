@@ -92,8 +92,8 @@ def encode_layer_matrix(bits: np.ndarray, gate: GateType) -> np.ndarray:
     width gets a single 0 appended before pairing, so the output width is
     always ceil(width/2).
     """
-    arr = np.asarray(bits)
-    if arr.dtype != np.uint8:  # the encoder's own layers pass uint8; anything else is checked
+    arr = bits  # the encoder's own layers pass uint8 arrays; anything else is checked
+    if not (isinstance(arr, np.ndarray) and arr.dtype == np.uint8):
         arr = check_bits(arr).astype(np.uint8)
     if arr.ndim != 2 or arr.shape[1] == 0:
         raise ValidationError("encode_layer_matrix requires a non-empty 2-D bit matrix")
@@ -105,8 +105,11 @@ def encode_layer_matrix(bits: np.ndarray, gate: GateType) -> np.ndarray:
 
 
 def check_bits(bits) -> np.ndarray:
-    """`bits` as an array, checked to hold only 0 and 1."""
-    bits = np.asarray(bits)
+    """`bits` as an array, checked to be rectangular and to hold only 0 and 1."""
+    try:
+        bits = np.asarray(bits)
+    except ValueError:  # ragged rows
+        raise ValidationError(_must_be("bits", "a rectangular array", bits)) from None
     if not ((bits == 0) | (bits == 1)).all():
         raise ValidationError("bits must contain only 0 and 1")
     return bits
@@ -158,10 +161,9 @@ class LatentCode:
     input_len: int
 
     def __post_init__(self):
-        bits = np.asarray(self.bits)
+        bits = check_bits(self.bits)
         if bits.ndim != 1 or bits.size == 0:
             raise ValidationError("bits must form a non-empty 1-D vector")
-        check_bits(bits)
         expected = ceil_chain(self.input_len, self.depth)
         if bits.size != expected:
             raise ValidationError(

@@ -13,10 +13,12 @@ from .data import (
     DEFAULT_RSS_LO,
     Dataset,
     _has_type,
+    _floats,
     _must_be,
     _readonly,
     binarize_matrix,
     check_rss_range,
+    check_threshold,
     normalize,
     normalize_values,
 )
@@ -41,9 +43,29 @@ def encode_rss(
     rss_lo: float = DEFAULT_RSS_LO,
     rss_hi: float = DEFAULT_RSS_HI,
 ) -> np.ndarray:
-    """Normalize, binarize and gate-encode a raw dBm matrix into uint8 latents."""
-    bits = binarize_matrix(normalize_values(rss, rss_lo, rss_hi), encoder.threshold)
-    return encode_matrix(bits, encoder.gate, encoder.hidden_layers)
+    """Gate-encode a raw dBm matrix, NaN-free, into uint8 latents; its bits are `rss >= cut`."""
+    cut = _raw_cut(encoder.threshold, rss_lo, rss_hi)
+    rss = _floats("rss", rss)
+    if np.isnan(rss).any():
+        raise ValidationError(_must_be("rss", "free of NaN", rss))
+    return encode_matrix((rss >= cut).view(np.uint8), encoder.gate, encoder.hidden_layers)
+
+
+def _raw_cut(threshold: float, lo: float, hi: float) -> float:
+    """The smallest float64 x that `binarize_matrix(normalize_values(x, lo, hi), threshold)`
+    makes active (NaN if none), so `rss >= x` gives that rule's bits exactly. The rule is
+    monotone in float64 and inactive at lo, so bisection over the float64 ordering (a float's
+    bit pattern as an integer, negated below zero) finds its step in (lo, hi] in 64 probes."""
+    check_rss_range(lo, hi)
+    check_threshold(threshold)
+    place = lambda x: int(np.float64(abs(x)).view(np.int64)) * (-1 if x < 0 else 1)
+    value = lambda n: float(np.int64(abs(n)).view(np.float64)) * (-1 if n < 0 else 1)
+    active = lambda n: binarize_matrix(normalize_values(value(n), lo, hi), threshold)
+    a, b = place(lo), place(hi)
+    while b - a > 1:
+        m = (a + b) // 2
+        a, b = (a, m) if active(m) else (m, b)
+    return value(b) if active(b) else np.nan  # an int bound past 2**53 can scale hi below 1
 
 
 def _setup(clf, stack: DenseStack) -> None:
@@ -85,6 +107,7 @@ class LogNetClassifier:
                 f"head takes {self.head.input_dim} latent bits but {self.ap_count} APs "
                 f"encode to {self.latent_dim} at depth {self.encoder.hidden_layers}"
             )
+        object.__setattr__(self, "_cut", _raw_cut(self.encoder.threshold, self.rss_lo, self.rss_hi))
 
     @property
     def input_dim(self) -> int:
@@ -100,9 +123,10 @@ class LogNetClassifier:
         return self.head.layers
 
     def latent_matrix(self, ds: Dataset) -> np.ndarray:
-        """Binary latent codes for every fingerprint, as a uint8 matrix."""
+        """Binary latent codes for every fingerprint, as a uint8 matrix (a Dataset has no NaN)."""
         _check_aps(self, ds)
-        return encode_rss(ds.rss_matrix(), self.encoder, self.rss_lo, self.rss_hi)
+        bits = (ds.rss_matrix() >= self._cut).view(np.uint8)
+        return encode_matrix(bits, self.encoder.gate, self.encoder.hidden_layers)
 
     def predict_proba(self, ds: Dataset) -> np.ndarray:
         return softmax_forward(self.head, self.latent_matrix(ds))

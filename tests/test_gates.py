@@ -20,9 +20,11 @@ from lognet import (
     encode_matrix,
     gate_arithmetic,
     normalize_values,
+    majority_by_rp,
     trace_bit_to_aps,
+    write_latent_bitmap,
 )
-from lognet.gates import ap_window, encode_layer_matrix
+from lognet.gates import ap_window, check_bits, encode_layer_matrix
 
 ALL_GATES = list(GateType)
 ALL_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -79,6 +81,27 @@ class TestGateTables:
         assert GateType.from_name("NOR") is GateType.NOR
         with pytest.raises(ConfigError):
             GateType.from_name("nandor")
+
+
+class TestRaggedBits:
+    """A ragged row list fails as the bit check's own ValidationError at every caller, not as
+    numpy's inhomogeneous-shape ValueError."""
+
+    RAGGED = [[0, 1], [1]]
+
+    @pytest.mark.parametrize("call", [
+        lambda bits, path: check_bits(bits),
+        lambda bits, path: LatentCode(bits, 0, 2),
+        lambda bits, path: majority_by_rp([0, 1], bits),
+        lambda bits, path: write_latent_bitmap(bits, path),
+        lambda bits, path: encode_matrix(bits, GateType.NOR, 1),
+    ], ids=["check_bits", "LatentCode", "majority_by_rp", "write_latent_bitmap", "encode_matrix"])
+    def test_ragged_rows_are_a_validation_error(self, tmp_path, call):
+        path = tmp_path / "bits.pgm"
+        message = r"^bits must be a rectangular array, got \[\[0, 1\], \[1\]\]$"
+        with pytest.raises(ValidationError, match=message):
+            call(self.RAGGED, path)
+        assert not path.exists()
 
 
 class TestEncodeLayer:

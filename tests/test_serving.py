@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -17,6 +17,7 @@ from lognet import (
     LogicEncoderConfig,
     NoiseMode,
     NoiseSpec,
+    ConfigError,
     ShapeError,
     SynthSpec,
     TemporalSchedule,
@@ -27,8 +28,11 @@ from lognet import (
     simulate_cis,
     synth_dataset,
 )
-from lognet.models import dnn_hidden_activations, dnn_hidden_widths, forward, init_dnn, softmax
-from lognet.pipeline import DnnClassifier, fit_dnn, fit_lognet
+from lognet import pipeline
+from lognet.gates import encode_matrix
+from lognet.models import (DenseStack, dnn_hidden_activations, dnn_hidden_widths, forward,
+                           init_dnn, softmax, train_softmax)
+from lognet.pipeline import DnnClassifier, LogNetClassifier, _raw_cut, encode_rss, fit_dnn, fit_lognet
 
 SETTINGS = settings(max_examples=200, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -115,6 +119,118 @@ class TestBitIdentity:
             binarize_matrix(values)
 
 
+def rule_bits(values, threshold, lo, hi):
+    """The activity bits by their definition: normalize, then binarize."""
+    return binarize_matrix(normalize_values(values, lo, hi), threshold)
+
+
+def paired(values):
+    """`values` with each entry twice in a row: AND over each pair returns the entry's bit, so a
+    depth-1 AND code is the pipeline's own activity bits."""
+    return np.repeat(np.asarray(values, dtype=np.float64).reshape(1, -1), 2, axis=1)
+
+
+def and_classifier(aps, threshold, lo, hi):
+    encoder = LogicEncoderConfig(GateType.AND, threshold, 1)
+    head = DenseStack(((np.zeros((aps, 2)), np.zeros(2)),), (0, 1))
+    return LogNetClassifier(encoder, head, 2 * aps, lo, hi)
+
+
+@st.composite
+def cut_cases(draw):
+    """A valid rss range, a threshold in (0, 1), and values around the range's raw cut: the cut
+    and its neighbours a few ulps away, both zeros, both infinities, the bounds and any float."""
+    lo, hi = sorted(draw(st.lists(BOUNDS, min_size=2, max_size=2, unique=True)))
+    assume(np.isfinite(float(hi) - float(lo)))
+    # An int bound beyond 2**53 can scale hi above 1; binarize rejects that, so no cut serves.
+    assume(normalize_values(float(hi), lo, hi) <= 1.0)
+    threshold = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    cut = _raw_cut(threshold, lo, hi)
+    near, down, up = [cut], cut, cut
+    for _ in range(3):
+        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        near += [down, up]
+    special = st.sampled_from(near + [lo, hi, -0.0, 0.0, -np.inf, np.inf])
+    values = draw(st.lists(st.floats(allow_nan=False) | special, min_size=1, max_size=30))
+    return np.array(values + near, dtype=np.float64), threshold, lo, hi
+
+
+class TestRawCut:
+    """lognet's activity bits are one raw compare against a cut derived from the normalize and
+    binarize rule; they equal that rule's bits bit for bit."""
+
+    @pytest.mark.parametrize("threshold,cut", [(0.5, -50.0), (0.4, -60.0), (0.35, -65.0)])
+    def test_default_range_cuts(self, threshold, cut):
+        assert _raw_cut(threshold, -100.0, 0.0) == cut
+        assert and_classifier(1, threshold, -100.0, 0.0)._cut == cut
+
+    @SETTINGS
+    @given(case=cut_cases())
+    @example(case=(np.array([-50.0, -50.00000000000001, -0.0, 0.0, np.inf, -np.inf]),
+                   0.5, -100.0, 0.0))
+    @example(case=(np.array([-1e300, 0.0, 1e300, 5e-324, -5e-324]), 0.3, -1e300, 1e300))
+    @example(case=(np.array([-0.0, 0.0, 5e-324, 1e-323, np.inf]), 0.5, -0.0, 1e-323))
+    @example(case=(np.array([-0.0, 0.0, -1.0, -0.5]), 0.999, -1.0, -0.0))
+    @example(case=(np.array([0.0, 2.0**53, np.inf]), 0.9999999999999999, -1, 2**53 + 1))
+    def test_raw_compare_equals_normalize_then_binarize(self, case):
+        values, threshold, lo, hi = case
+        expected = rule_bits(values, threshold, lo, hi)
+        encoder = LogicEncoderConfig(GateType.AND, threshold, 1)
+        assert_bit_equal(encode_rss(paired(values), encoder, lo, hi)[0], expected)
+        finite = values[np.isfinite(values)]
+        if finite.size:
+            ds = Dataset.from_columns([0], ["d"], [0], paired(finite))
+            latents = and_classifier(finite.size, threshold, lo, hi).latent_matrix(ds)
+            assert_bit_equal(latents[0], rule_bits(finite, threshold, lo, hi))
+
+    @pytest.mark.parametrize("lo,hi,threshold", [
+        (0.0, -100.0, 0.5), (-100.0, float("nan"), 0.5), ("a", 0.0, 0.5),
+        (-100.0, 0.0, 0.0), (-100.0, 0.0, 1.0), (-100.0, 0.0, "a"),
+        (-5e-324, -0.0, 1.5),  # adjacent bounds: no probe would test the threshold
+    ])
+    def test_bad_range_or_threshold_fails_before_any_probe(self, monkeypatch, lo, hi, threshold):
+        def no_probe(*args, **kwargs):
+            raise AssertionError("probed with a bad range or threshold")
+
+        monkeypatch.setattr(pipeline, "normalize_values", no_probe)
+        monkeypatch.setattr(pipeline, "binarize_matrix", no_probe)
+        with pytest.raises(ConfigError):
+            _raw_cut(threshold, lo, hi)
+
+    def test_encode_rss_rejects_nan_and_names_rss(self):
+        encoder = LogicEncoderConfig(GateType.NOR, 0.5, 1)
+        for rss in ([[np.nan, -50.0]], np.array([-50.0, -20.0, np.nan, -90.0]).reshape(2, 2)):
+            with pytest.raises(ValidationError, match="^rss must be free of NaN, got"):
+                encode_rss(rss, encoder)
+        with pytest.raises(ValidationError, match="^rss must be an array of numbers, got"):
+            encode_rss([["a", "b"]], encoder)
+
+    @pytest.mark.parametrize("value,bit", [(np.inf, 1), (-np.inf, 0)])
+    def test_encode_rss_keeps_the_bits_of_an_infinity(self, value, bit):
+        encoder = LogicEncoderConfig(GateType.AND, 0.5, 1)
+        assert encode_rss(paired([value]), encoder).tolist() == [[bit]]
+        assert rule_bits(np.array([value]), 0.5, -100.0, 0.0).tolist() == [bit]
+
+    @pytest.mark.parametrize("pattern", ["window", "random", "beacon-tint"])
+    @pytest.mark.parametrize("threshold,lo,hi", [
+        (0.5, -100.0, 0.0), (0.4, -100.0, 0.0), (0.35, -100.0, 0.0), (0.45, -110.0, -20.0),
+    ])
+    def test_fit_and_serve_equal_the_normalize_then_binarize_reference(self, pattern, threshold,
+                                                                       lo, hi):
+        spec = SynthSpec(num_rps=6, num_aps=20, fingerprints_per_rp=3, seed=2,
+                         base_pattern=pattern, jitter_sigma_db=3.0)
+        train, _ = synth_dataset(spec)
+        encoder = LogicEncoderConfig(GateType.NOR, threshold, 1)
+        cfg = TrainConfig(epochs=20, seed=1)
+        clf, history = fit_lognet(train, encoder, cfg, lo, hi)
+        reference = encode_matrix(rule_bits(train.rss, threshold, lo, hi), GateType.NOR, 1)
+        head, expected_history = train_softmax(reference, train.rp_id, cfg)
+        assert history == expected_history
+        assert_bit_equal(clf.head.weights, head.weights)
+        assert_bit_equal(clf.latent_matrix(train), reference)
+        assert_bit_equal(clf.predict_proba(train), forward(head, reference))
+
+
 @pytest.fixture(scope="module")
 def served():
     """A trained lognet and dnn and a drifted pool of held-out fingerprints."""
@@ -175,6 +291,26 @@ class TestServingInvariants:
             out = stage(x)
             assert np.array_equal(x, before)
             assert out.flags.writeable and not np.shares_memory(out, x)
+
+
+class TestLognetServesFromRawDbm:
+    def test_lognet_serving_never_normalizes_or_binarizes(self, served, monkeypatch):
+        lognet, dnn, pool = served
+        expected = lognet.predict(pool), lognet.predict_proba(pool), lognet.latent_matrix(pool)
+
+        class Called(Exception):
+            pass
+
+        def forbidden(*args, **kwargs):
+            raise Called
+
+        monkeypatch.setattr(pipeline, "normalize_values", forbidden)
+        monkeypatch.setattr(pipeline, "binarize_matrix", forbidden)
+        got = lognet.predict(pool), lognet.predict_proba(pool), lognet.latent_matrix(pool)
+        for g, e in zip(got, expected):
+            assert_bit_equal(g, e)
+        with pytest.raises(Called):  # the dnn's input stage still scales the dBm values
+            dnn.predict(pool)
 
 
 class TestWrongApCount:
