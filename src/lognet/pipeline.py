@@ -54,8 +54,8 @@ def encode_rss(
 def _raw_cut(threshold: float, lo: float, hi: float) -> float:
     """The smallest float64 x that `binarize_matrix(normalize_values(x, lo, hi), threshold)`
     makes active (NaN if none), so `rss >= x` gives that rule's bits exactly. The rule is
-    monotone in float64 and inactive at lo, so bisection over the float64 ordering (a float's
-    bit pattern as an integer, negated below zero) finds its step in (lo, hi] in 64 probes."""
+    monotone in float64 and inactive at lo, so bisection over the float64 ordering (|x|'s bit
+    pattern as an integer, negated for a negative x) finds its step in (lo, hi] in <= 65 probes."""
     check_rss_range(lo, hi)
     check_threshold(threshold)
     place = lambda x: int(np.float64(abs(x)).view(np.int64)) * (-1 if x < 0 else 1)
