@@ -30,7 +30,7 @@ from .fileio import (
     write_latents_csv,
     write_rp_map_csv,
 )
-from .gates import LatentCode, ceil_chain
+from .gates import LatentCode
 from .noise import SynthSpec, synth_dataset
 from .pipeline import encode_rss, load_model, save_model
 
@@ -198,12 +198,6 @@ def cmd_bitmap(args) -> int:
 
 def cmd_trace(args) -> int:
     rp_ids, bits = read_latents_csv(args.latents)
-    expected = ceil_chain(args.ap_count, args.hidden)
-    if bits.shape[1] != expected:
-        raise ConfigError(
-            f"latents have {bits.shape[1]} bits but depth {args.hidden} over "
-            f"{args.ap_count} APs implies {expected}"
-        )
     ids, rows = majority_by_rp(rp_ids, bits)
 
     def code_for(rp: int) -> LatentCode:

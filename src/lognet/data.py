@@ -362,12 +362,13 @@ class RpMap:
             raise UnknownRpError(f"rp map lacks coordinates for rp_ids {missing}")
 
 
-def check_rss_range(lo, hi) -> None:
-    """Raise ConfigError unless [lo, hi] is a dBm range of two floats by `_has_type` with lo < hi
-    and a width hi - lo that float64 holds, so no scaled value overflows."""
-    if not (_has_type(lo, float) and _has_type(hi, float) and lo < hi
+def check_rss_range(lo, hi) -> tuple[float, float]:
+    """[lo, hi] as two float64 bounds; ConfigError unless they are two floats by `_has_type`,
+    still lo < hi in float64, with a width hi - lo that float64 holds, so hi scales to 1.0."""
+    if not (_has_type(lo, float) and _has_type(hi, float) and float(lo) < float(hi)
             and math.isfinite(float(hi) - float(lo))):
         raise ConfigError(_must_be("rss range", "finite with lo < hi", [lo, hi]))
+    return float(lo), float(hi)
 
 
 def normalize_values(
@@ -376,9 +377,10 @@ def normalize_values(
     """Clamp dBm values into [lo, hi] and scale linearly onto [0, 1].
 
     Returns a fresh float64 array equal bit for bit to
-    `(np.clip(values, lo, hi) - lo) / (hi - lo)`, computed in that one array.
+    `(np.clip(values, lo, hi) - lo) / (hi - lo)` over the float64 bounds that
+    `check_rss_range` returns, computed in that one array.
     """
-    check_rss_range(lo, hi)
+    lo, hi = check_rss_range(lo, hi)
     values = _floats("values", values)
     out = np.empty(values.shape)
     # maximum(lo, x), not maximum(x, lo): on a tie of signed zeros it keeps x, as np.clip does.

@@ -90,11 +90,13 @@ def encode_layer_matrix(bits: np.ndarray, gate: GateType) -> np.ndarray:
 
     The gate runs over adjacent, non-overlapping bit pairs. A row of odd
     width gets a single 0 appended before pairing, so the output width is
-    always ceil(width/2).
+    always ceil(width/2). A bool ndarray is bits by its type; any other input,
+    a uint8 one too, is checked by `check_bits`.
     """
-    arr = bits  # the encoder's own layers pass uint8 arrays; anything else is checked
-    if not (isinstance(arr, np.ndarray) and arr.dtype == np.uint8):
-        arr = check_bits(arr).astype(np.uint8)
+    if isinstance(bits, np.ndarray) and bits.dtype == np.bool_:
+        arr = bits.view(np.uint8)
+    else:
+        arr = check_bits(bits).astype(np.uint8, copy=False)
     if arr.ndim != 2 or arr.shape[1] == 0:
         raise ValidationError("encode_layer_matrix requires a non-empty 2-D bit matrix")
     if arr.shape[1] % 2 != 0:
@@ -202,7 +204,7 @@ def encode_matrix(bits: np.ndarray, gate: GateType, hidden_layers: int) -> np.nd
     if rest > to_one + 2:
         rest = to_one + 2 - (rest - to_one) % 2
     for _ in range(rest):
-        out = encode_layer_matrix(out, gate)
+        out = encode_layer_matrix(out.view(np.bool_), gate)  # a layer's output is bits
     return out
 
 

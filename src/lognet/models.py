@@ -56,8 +56,9 @@ def _check_class_labels(class_labels: Sequence[int]) -> tuple[int, ...]:
 def _check_stack(layers, class_labels) -> tuple[tuple, tuple[int, ...]]:
     """Read-only float64 (weights, biases) pairs and labels of a dense stack.
 
-    Shapes must chain layer to layer, hidden widths must halve (ceil
-    division) and there must be one class label per output.
+    There must be at least one layer, shapes must chain layer to layer,
+    hidden widths must halve (ceil division) and there must be one class label
+    per output.
     """
     labels = _check_class_labels(class_labels)
     clean = []
@@ -74,20 +75,21 @@ def _check_stack(layers, class_labels) -> tuple[tuple, tuple[int, ...]]:
             )
         prev_out = W.shape[1]
         clean.append((_readonly(W), _readonly(b)))
-    if clean:
-        # The final (classifier) width is free.
-        widths = [clean[0][0].shape[0]] + [W.shape[1] for W, _ in clean]
-        for k in range(1, len(widths) - 1):
-            expected = ceil_chain(widths[k - 1], 1)
-            if widths[k] != expected:
-                raise ValidationError(
-                    f"hidden width {widths[k]} at layer {k} violates the halving "
-                    f"rule (expected ceil({widths[k - 1]}/2) = {expected})"
-                )
-        if widths[-1] == 0:
-            raise ShapeError("the last layer has no outputs")
-        if len(labels) != widths[-1]:
-            raise ShapeError(f"{len(labels)} class labels for {widths[-1]} outputs")
+    if not clean:
+        raise ShapeError("a dense stack needs at least one layer")
+    # The final (classifier) width is free.
+    widths = [clean[0][0].shape[0]] + [W.shape[1] for W, _ in clean]
+    for k in range(1, len(widths) - 1):
+        expected = ceil_chain(widths[k - 1], 1)
+        if widths[k] != expected:
+            raise ValidationError(
+                f"hidden width {widths[k]} at layer {k} violates the halving "
+                f"rule (expected ceil({widths[k - 1]}/2) = {expected})"
+            )
+    if widths[-1] == 0:
+        raise ShapeError("the last layer has no outputs")
+    if len(labels) != widths[-1]:
+        raise ShapeError(f"{len(labels)} class labels for {widths[-1]} outputs")
     return tuple(clean), labels
 
 
@@ -109,14 +111,10 @@ class DenseStack:
 
     @property
     def widths(self) -> tuple[int, ...]:
-        if not self.layers:
-            return ()
         return (self.layers[0][0].shape[0],) + tuple(W.shape[1] for W, _ in self.layers)
 
     @property
     def input_dim(self) -> int:
-        if not self.layers:
-            raise ShapeError("empty model has no input dimension")
         return int(self.layers[0][0].shape[0])
 
     @property
@@ -431,11 +429,12 @@ def gradient_check(model, sample, epsilon: float = 1e-5) -> float:
     """Compare the training loss's analytic gradients against its central finite differences.
 
     `sample` is an (input, label) pair; the input is a latent vector for a
-    softmax head or a normalized fingerprint vector for an MLP (batches work
-    too). The deviation of each parameter array is the largest absolute
-    analytic/numeric difference relative to the largest gradient magnitude in
-    that array; the maximum over arrays is returned. Arrays whose gradients
-    vanish on both sides contribute zero.
+    softmax head or a normalized fingerprint vector for an MLP. A batch takes
+    one label per row, and labels follow the trainer's rule. The deviation of
+    each parameter array is the largest absolute analytic/numeric difference
+    relative to the largest gradient magnitude in that array; the maximum over
+    arrays is returned. Arrays whose gradients vanish on both sides contribute
+    zero.
     """
     if not (_has_type(epsilon, float) and 1e-7 <= epsilon <= 1e-3):
         raise ConfigError(_must_be("epsilon", "a number in [1e-7, 1e-3]", epsilon))
@@ -445,7 +444,7 @@ def gradient_check(model, sample, epsilon: float = 1e-5) -> float:
         raise ConfigError(f"gradient check does not support {type(model).__name__}") from None
     x, y = sample
     X = np.atleast_2d(_floats("sample input", x))
-    y_idx = _class_index(np.atleast_1d(np.asarray(y, dtype=np.int64)), classes)
+    _, y_idx = _training_targets(X, np.atleast_1d(y), classes)
     params = _flat_params(layers)
     _, analytic = _loss_and_grads(params, X, y_idx)
 

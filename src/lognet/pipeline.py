@@ -48,15 +48,16 @@ def encode_rss(
     rss = _floats("rss", rss)
     if np.isnan(rss).any():
         raise ValidationError(_must_be("rss", "free of NaN", rss))
-    return encode_matrix((rss >= cut).view(np.uint8), encoder.gate, encoder.hidden_layers)
+    return encode_matrix(rss >= cut, encoder.gate, encoder.hidden_layers)
 
 
 def _raw_cut(threshold: float, lo: float, hi: float) -> float:
     """The smallest float64 x that `binarize_matrix(normalize_values(x, lo, hi), threshold)`
-    makes active (NaN if none), so `rss >= x` gives that rule's bits exactly. The rule is
-    monotone in float64 and inactive at lo, so bisection over the float64 ordering (|x|'s bit
-    pattern as an integer, negated for a negative x) finds its step in (lo, hi] in <= 65 probes."""
-    check_rss_range(lo, hi)
+    makes active, so `rss >= x` gives that rule's bits exactly. The rule is monotone in
+    float64, inactive at lo and active at hi, which scales to exactly 1.0, so bisection over
+    the float64 ordering (|x|'s bit pattern as an integer, negated for a negative x) finds its
+    step in (lo, hi] in <= 64 probes."""
+    lo, hi = check_rss_range(lo, hi)
     check_threshold(threshold)
     place = lambda x: int(np.float64(abs(x)).view(np.int64)) * (-1 if x < 0 else 1)
     value = lambda n: float(np.int64(abs(n)).view(np.float64)) * (-1 if n < 0 else 1)
@@ -65,7 +66,7 @@ def _raw_cut(threshold: float, lo: float, hi: float) -> float:
     while b - a > 1:
         m = (a + b) // 2
         a, b = (a, m) if active(m) else (m, b)
-    return value(b) if active(b) else np.nan  # an int bound past 2**53 can scale hi below 1
+    return value(b)
 
 
 def _setup(clf, stack: DenseStack) -> None:
@@ -125,8 +126,8 @@ class LogNetClassifier:
     def latent_matrix(self, ds: Dataset) -> np.ndarray:
         """Binary latent codes for every fingerprint, as a uint8 matrix (a Dataset has no NaN)."""
         _check_aps(self, ds)
-        bits = (ds.rss_matrix() >= self._cut).view(np.uint8)
-        return encode_matrix(bits, self.encoder.gate, self.encoder.hidden_layers)
+        return encode_matrix(ds.rss_matrix() >= self._cut, self.encoder.gate,
+                             self.encoder.hidden_layers)
 
     def predict_proba(self, ds: Dataset) -> np.ndarray:
         return softmax_forward(self.head, self.latent_matrix(ds))
@@ -144,8 +145,6 @@ class DnnClassifier:
 
     def __post_init__(self):
         _setup(self, self.model)
-        if not self.model.layers:
-            raise ShapeError("a dnn classifier needs at least one layer")
 
     @property
     def input_dim(self) -> int:

@@ -54,6 +54,14 @@ def test_trace_takes_a_depth_past_the_ap_count_bit_length(tmp_path, capsys):
         assert "[0, 5)" in capsys.readouterr().out
 
 
+def test_trace_rejects_latents_whose_width_the_depth_does_not_give(tmp_path, capsys):
+    write_latents_csv([0, 1], np.array([[0, 1], [1, 1]], dtype=np.uint8), tmp_path / "latents.csv")
+    assert main(["trace", "--latents", str(tmp_path / "latents.csv"), "--rp-a", "0",
+                 "--rp-b", "1", "--hidden", "1", "--ap-count", "5"]) == 1
+    assert capsys.readouterr().err == (
+        "error: latent of depth 1 over 5 inputs must have 3 bits, got 2\n")
+
+
 def test_encode_takes_a_depth_past_width_1(tmp_path, fixture_dir):
     # The fixture's 3 APs reach width 1 after 2 layers; NOR then negates the
     # bit at every layer, so depth 10**12 encodes like depth 4.

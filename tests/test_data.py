@@ -344,6 +344,7 @@ class TestColumnarDataset:
 BAD_RANGES = [
     (float("nan"), 0.0), (-100.0, float("nan")), (-float("inf"), 0.0), (-100.0, float("inf")),
     (0.0, -100.0), (-50.0, -50.0), ("a", 0.0), (-100.0, None), (False, True), (0, True),
+    (2**53, 2**53 + 1),  # distinct ints, one float64
 ]
 
 
@@ -510,3 +511,28 @@ class TestOneScalarRule:
     def test_widest_range_float64_holds_still_scales(self):
         hi = np.finfo(np.float64).max / 2
         assert normalize_values(np.array([hi, -hi, 0.0]), -hi, hi).tolist() == [1.0, 0.0, 0.5]
+
+
+class TestRssRangeIsFloat64:
+    """A checked rss range is two float64 bounds, so the scale stays in [0, 1] and never does
+    integer arithmetic (pytest turns a RuntimeWarning into an error)."""
+
+    def test_int_bound_past_2_53_scales_hi_to_one(self):
+        assert normalize_values(np.array([2.0**60]), -3, 2**53 + 3).tolist() == [1.0]
+
+    def test_int_bound_past_2_53_has_an_active_cut(self):
+        cut = pipeline._raw_cut(0.9999999999999999, -1, 2**53 + 1)
+        below = np.nextafter(cut, -np.inf)
+        bits = binarize_matrix(normalize_values(np.array([below, cut]), -1, 2**53 + 1),
+                               0.9999999999999999)
+        assert np.isfinite(cut) and bits.tolist() == [0, 1]
+
+    def test_int64_bounds_whose_width_overflows_int64(self):
+        lo, hi = np.int64(-2**62 - 2**61), np.int64(2**62)
+        assert normalize_values(np.array([0.0]), lo, hi).tolist() == [0.6]
+
+    def test_float32_bounds_subtract_in_float64(self):
+        lo, hi = np.float32(-100.1), np.float32(0.3)
+        width = float(hi) - float(lo)
+        assert normalize_values(np.array([float(hi)]), lo, hi).tolist() == [1.0]
+        assert normalize_values(np.array([0.0]), lo, hi).tolist() == [(0.0 - float(lo)) / width]

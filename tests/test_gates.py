@@ -164,6 +164,20 @@ class TestEncode:
                 bf = LatentCode(row_in, 0, 51)
                 assert encode(bf, LogicEncoderConfig(gate, 0.5, 2)).bits.tolist() == row_out.tolist()
 
+    def test_a_uint8_matrix_is_checked_like_any_other(self):
+        with pytest.raises(ValidationError, match="^bits must contain only 0 and 1$"):
+            encode_matrix(np.array([[2, 0, 255, 1]], np.uint8), GateType.OR, 1)
+
+    def test_a_bool_matrix_encodes_like_its_uint8_twin(self):
+        rng = np.random.default_rng(12)
+        B = rng.integers(0, 2, (7, 23)).astype(np.bool_)
+        for bits in (B, B[:, ::2], np.asfortranarray(B)):
+            for gate in ALL_GATES:
+                for depth in (1, 2, 3):
+                    got = encode_matrix(bits, gate, depth)
+                    expected = encode_matrix(bits.astype(np.uint8), gate, depth)
+                    assert got.dtype == np.uint8 and np.array_equal(got, expected)
+
     def test_latent_code_length_invariant(self):
         with pytest.raises(ValidationError):
             LatentCode(np.array([0, 1, 0]), depth=1, input_len=164)

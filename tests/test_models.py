@@ -229,8 +229,9 @@ class TestParamAccounting:
         assert m.widths == (164, 82, 61)
         assert count_params(m) == 164 * 82 + 82 + 82 * 61 + 61 == 18593
 
-    def test_empty_model_has_zero_params(self):
-        assert count_params(DenseStack((), ())) == 0
+    def test_empty_stack_is_rejected(self):
+        with pytest.raises(ShapeError, match="^a dense stack needs at least one layer$"):
+            DenseStack((), ())
 
     def test_classifiers_count_their_model(self):
         head = DenseStack(((np.zeros((82, 61)), np.zeros(61)),), tuple(range(61)))
@@ -294,6 +295,18 @@ class TestGradientCheck:
     def test_object_without_layers_is_rejected(self):
         with pytest.raises(ConfigError, match="does not support object"):
             gradient_check(object(), (np.ones(2), 0))
+
+    @pytest.mark.parametrize("label", ["a", 0.7], ids=["str", "fraction"])
+    def test_label_takes_the_trainers_rule(self, label):
+        m = DenseStack(((np.zeros((2, 2)), np.zeros(2)),), (0, 1))
+        with pytest.raises(ValidationError, match="^labels must be integers, got "):
+            gradient_check(m, (np.ones(2), label))
+
+    def test_a_batch_takes_one_label_per_row(self):
+        m = DenseStack(((np.zeros((2, 2)), np.zeros(2)),), (0, 1))
+        assert gradient_check(m, (np.ones((3, 2)), [0, 1, 1])) < 1e-5
+        with pytest.raises(ShapeError, match="do not match 1 labels"):
+            gradient_check(m, (np.ones((3, 2)), 0))
 
 
 class TestDivergence:

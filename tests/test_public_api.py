@@ -1,5 +1,5 @@
-"""The names `lognet` exports stay put when modules are merged or split, and the value rule
-and the float conversion each keep their one implementation."""
+"""The names `lognet` exports stay put when modules are merged or split, the value rule and
+the float conversion each keep their one implementation, and no module keeps an unused import."""
 
 import ast
 import inspect
@@ -64,3 +64,20 @@ def test_one_scalar_short_path():
               and any(isinstance(op, ast.Is) for op in node.ops)
               and any(ast.unparse(c) in ("int", "float") for c in node.comparators)}
     assert owners <= {"data._has_type"}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # `__init__` imports to export; every other module imports a name to use it.
+    unused = []
+    for path in sorted(Path(lognet.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in sorted(imported - used)]
+    assert unused == []

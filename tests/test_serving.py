@@ -39,6 +39,8 @@ SETTINGS = settings(max_examples=200, deadline=None,
 
 
 def reference_normalize(values, lo, hi):
+    """Clip, then scale, over the float64 bounds that `check_rss_range` makes of lo and hi."""
+    lo, hi = float(lo), float(hi)
     return (np.clip(np.asarray(values, dtype=np.float64), lo, hi) - lo) / (hi - lo)
 
 
@@ -65,6 +67,7 @@ BOUNDS = st.one_of(
 @st.composite
 def normalize_cases(draw):
     lo, hi = sorted(draw(st.lists(BOUNDS, min_size=2, max_size=2, unique=True)))
+    assume(float(lo) < float(hi) and np.isfinite(float(hi) - float(lo)))  # a valid range
     special = st.sampled_from([lo, hi, -0.0, 0.0, -1e308, 1e308, -np.inf, np.inf, 5e-324])
     values = draw(arrays(np.float64, draw(SHAPES),
                          elements=st.floats(allow_nan=False) | special))
@@ -77,6 +80,9 @@ class TestBitIdentity:
     @example(case=(np.array([-0.0, 0.0, -1e300, 1e300]), 0, 1))
     @example(case=(np.array([[-0.0, 0.0], [-100.0, 0.0]]), -100, 0))
     @example(case=(np.array([-0.0, 0.0, np.inf]), -0.0, 5e-324))
+    @example(case=(np.array([2.0, 2.0**60]), 1, 2**53 + 1))
+    @example(case=(np.array([2.0**60]), -3, 2**53 + 3))
+    @example(case=(np.array([0.0]), np.int64(-2**62 - 2**61), np.int64(2**62)))
     def test_normalize_equals_clip_then_scale(self, case):
         values, lo, hi = case
         with np.errstate(all="ignore"):
@@ -141,9 +147,7 @@ def cut_cases(draw):
     """A valid rss range, a threshold in (0, 1), and values around the range's raw cut: the cut
     and its neighbours a few ulps away, both zeros, both infinities, the bounds and any float."""
     lo, hi = sorted(draw(st.lists(BOUNDS, min_size=2, max_size=2, unique=True)))
-    assume(np.isfinite(float(hi) - float(lo)))
-    # An int bound beyond 2**53 can scale hi above 1; binarize rejects that, so no cut serves.
-    assume(normalize_values(float(hi), lo, hi) <= 1.0)
+    assume(float(lo) < float(hi) and np.isfinite(float(hi) - float(lo)))  # a valid range
     threshold = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
     cut = _raw_cut(threshold, lo, hi)
     near, down, up = [cut], cut, cut
@@ -172,6 +176,9 @@ class TestRawCut:
     @example(case=(np.array([-0.0, 0.0, 5e-324, 1e-323, np.inf]), 0.5, -0.0, 1e-323))
     @example(case=(np.array([-0.0, 0.0, -1.0, -0.5]), 0.999, -1.0, -0.0))
     @example(case=(np.array([0.0, 2.0**53, np.inf]), 0.9999999999999999, -1, 2**53 + 1))
+    @example(case=(np.array([0.0, 2.0**60, np.inf]), 0.5, -3, 2**53 + 3))
+    @example(case=(np.array([0.0, -2.0**62, np.inf]), 0.5, np.int64(-2**62 - 2**61),
+                   np.int64(2**62)))
     def test_raw_compare_equals_normalize_then_binarize(self, case):
         values, threshold, lo, hi = case
         expected = rule_bits(values, threshold, lo, hi)
