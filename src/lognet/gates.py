@@ -102,7 +102,7 @@ def encode_layer_matrix(bits: np.ndarray, gate: GateType) -> np.ndarray:
     if arr.shape[1] % 2 != 0:
         pad = np.zeros((arr.shape[0], 1), dtype=np.uint8)
         arr = np.hstack([arr, pad])
-    pairs = arr.reshape(arr.shape[0], -1, 2)
+    pairs = arr.reshape(arr.shape[0], arr.shape[1] // 2, 2)  # not -1: a matrix may have no rows
     return _gate_columns(pairs[:, :, 0], pairs[:, :, 1], gate)
 
 

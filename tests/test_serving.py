@@ -152,7 +152,8 @@ def cut_cases(draw):
     cut = _raw_cut(threshold, lo, hi)
     near, down, up = [cut], cut, cut
     for _ in range(3):
-        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        with np.errstate(over="ignore"):  # a cut at the top of float64 has +inf above it
+            down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
         near += [down, up]
     special = st.sampled_from(near + [lo, hi, -0.0, 0.0, -np.inf, np.inf])
     values = draw(st.lists(st.floats(allow_nan=False) | special, min_size=1, max_size=30))
@@ -263,6 +264,14 @@ class TestServingInvariants:
             assert lognet.predict(one).tolist() == [batch[0][i]]
             assert dnn.predict(one).tolist() == [batch[1][i]]
             assert np.array_equal(lognet.latent_matrix(one), latents[i : i + 1])
+
+    def test_a_dataset_without_rows_gets_no_predictions(self, served):
+        lognet, dnn, pool = served
+        empty = Dataset.from_columns([], [], [], np.zeros((0, pool.ap_count)))
+        assert lognet.latent_matrix(empty).shape == (0, lognet.latent_dim)
+        for clf in (lognet, dnn):
+            assert clf.predict(empty).shape == (0,)
+            assert clf.predict_proba(empty).shape == (0, 8)
 
     def test_predictions_are_fresh_arrays(self, served):
         lognet, dnn, pool = served
