@@ -317,6 +317,12 @@ class Dataset:
         return self._take(self.ci == ci)
 
 
+def _check_dataset(name: str, ds, error=ValidationError) -> None:
+    """Raise `error` unless `ds` is a Dataset by `_has_type`, naming it `name`."""
+    if not _has_type(ds, Dataset):
+        raise error(_must_be(name, Dataset, ds))
+
+
 def _check_rp_entry(rp_id, xy) -> tuple[float, float]:
     """RP `rp_id`'s (x, y) in meters as floats, else a ValidationError.
 
@@ -357,6 +363,7 @@ class RpMap:
         return np.asarray(self.entries[rp_id], dtype=np.float64)
 
     def require_covers(self, ds: Dataset) -> None:
+        _check_dataset("ds", ds)
         missing = sorted(ds.rp_ids - self.rp_ids)
         if missing:
             raise UnknownRpError(f"rp map lacks coordinates for rp_ids {missing}")
@@ -393,6 +400,7 @@ def normalize_values(
 
 def normalize(ds: Dataset, lo: float = DEFAULT_RSS_LO, hi: float = DEFAULT_RSS_HI) -> Dataset:
     """Normalize every fingerprint in the dataset onto [0, 1]."""
+    _check_dataset("ds", ds)
     return Dataset.from_columns(ds.rp_id, ds.device_id, ds.ci, normalize_values(ds.rss, lo, hi))
 
 
@@ -425,6 +433,7 @@ def split_train_test(ds: Dataset, per_rp_holdout: int, seed: int) -> tuple[Datas
     and collection instance, so the same seed always produces the same split.
     Train and test partition the dataset exactly.
     """
+    _check_dataset("ds", ds, ConfigError)
     if not (_has_type(per_rp_holdout, int) and per_rp_holdout >= 0):
         raise ConfigError(_must_be("per_rp_holdout", "a non-negative integer", per_rp_holdout))
     _check_seed("seed", seed)

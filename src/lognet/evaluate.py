@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import Dataset, RpMap, _floats, _has_type, _must_be
+from .data import Dataset, RpMap, _check_dataset, _floats, _has_type, _must_be
 from .errors import ShapeError, ValidationError
 from .fileio import atomic_open, read_pgm, write_pgm
 from .gates import LatentCode, ap_window, check_bits
@@ -97,6 +97,7 @@ class EvalReport:
 
 def evaluate(classifier, test: Dataset, rp_map: RpMap, config: dict | None = None) -> EvalReport:
     """Score a classifier per collection instance on a (possibly multi-CI) test set."""
+    _check_dataset("test", test)
     _check_aps(classifier, test)
     rp_map.require_covers(test)
     per_ci = {}
@@ -140,6 +141,7 @@ def environment_descriptor() -> dict:
 
 def measure_latency(classifier, test: Dataset, repetitions: int) -> LatencyResult:
     """Median wall-clock time of full-test-set inference, preprocessing included."""
+    _check_dataset("test", test)
     if not (_has_type(repetitions, int) and repetitions >= 3):
         raise ValidationError(_must_be("repetitions", "an integer >= 3", repetitions))
     classifier.predict(test)  # warm-up outside the timed region

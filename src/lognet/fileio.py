@@ -19,11 +19,13 @@ from contextlib import contextmanager, suppress
 
 import numpy as np
 
-from .data import Dataset, RpMap, _check_id, _check_rp_entry, check_fingerprint
+from .data import Dataset, RpMap, _check_dataset, _check_id, _check_rp_entry, check_fingerprint
 from .errors import ParseError, ShapeError, ValidationError
 from .gates import check_bits
 
 _FP_FIXED_COLS = ("rp_id", "device_id", "ci")
+# Bytes per read when a file is hashed or copied, so only one chunk is held at a time.
+_CHUNK = 1 << 16
 
 
 @contextmanager
@@ -81,6 +83,35 @@ def atomic_write(path, text: str) -> None:
     """Replace `path` atomically with the UTF-8 `text`."""
     with atomic_open(path) as fh:
         fh.write(text)
+
+
+def _sha256(path, copy_to=None) -> str:
+    """The SHA-256 hex digest of the file at `path`, read in fixed-size chunks, each
+    also written to the binary file `copy_to` if one is given."""
+    import hashlib  # loads OpenSSL (3-6 ms), so only a process that hashes a file pays it
+
+    h = hashlib.sha256()
+    with reading(path, binary=True) as fh:
+        while chunk := fh.read(_CHUNK):
+            h.update(chunk)
+            if copy_to is not None:
+                copy_to.write(chunk)
+    return h.hexdigest()
+
+
+def _copy_verified(src, dst, sha256: str) -> bool:
+    """Copy `src` to `dst` if its SHA-256 hex digest is `sha256`; whether it was copied.
+
+    The copy hashes as it goes, and `dst` is written through atomic_open, so a
+    source that cannot be read, or whose digest differs, leaves `dst` as it was.
+    """
+    try:
+        with atomic_open(dst, binary=True) as fh:
+            if _sha256(src, fh) != sha256:
+                raise ValidationError("the source's digest differs")
+    except (ParseError, ValidationError):
+        return False
+    return True
 
 
 def _read_csv(path, header_rule, add_row, what: str) -> None:
@@ -150,6 +181,7 @@ def write_fingerprints_csv(ds: Dataset, path: str) -> None:
     The bytes are those of csv.writer's default dialect with every RSS value
     written as repr(float). Rows are formatted and written one at a time.
     """
+    _check_dataset("ds", ds)
     device_ids = ds.device_id.tolist()
     quoted = {dev: _csv_field(dev) for dev in set(device_ids)}
     with atomic_open(path) as fh:

@@ -8,8 +8,8 @@ from enum import Enum
 
 import numpy as np
 
-from .data import (RSS_SENTINEL, Dataset, RpMap, _check_fields, _check_seed, _enum_named,
-                   _field_hints, _floats, _has_type, _must_be, _same)
+from .data import (RSS_SENTINEL, Dataset, RpMap, _check_dataset, _check_fields, _check_seed,
+                   _enum_named, _field_hints, _floats, _has_type, _must_be, _same)
 from .errors import CapacityError, ConfigError, ValidationError
 
 
@@ -289,6 +289,7 @@ def inject_noise(ds: Dataset, spec: NoiseSpec) -> Dataset:
 
     Sentinel values stay sentinel: a missing AP is never resurrected by noise.
     """
+    _check_dataset("ds", ds, ConfigError)
     if not _has_type(spec, NoiseSpec):
         raise ConfigError(_must_be("spec", NoiseSpec, spec))
     if spec.mode is NoiseMode.NON_ED and spec.delta.size != ds.ap_count:
@@ -320,6 +321,7 @@ def simulate_cis(ds: Dataset, base: NoiseSpec, sched: TemporalSchedule) -> Datas
     Each schedule entry emits a relabeled copy of the dataset with the base
     noise scaled by the entry's multiplier; ci 0 passes through unmodified.
     """
+    _check_dataset("ds", ds, ConfigError)
     for name, value, kind in (("base", base, NoiseSpec), ("sched", sched, TemporalSchedule)):
         if not _has_type(value, kind):
             raise ConfigError(_must_be(name, kind, value))

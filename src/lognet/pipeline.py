@@ -12,6 +12,7 @@ from .data import (
     DEFAULT_RSS_HI,
     DEFAULT_RSS_LO,
     Dataset,
+    _check_dataset,
     _has_type,
     _floats,
     _must_be,
@@ -170,6 +171,7 @@ def fit_lognet(
     rss_hi: float = DEFAULT_RSS_HI,
 ) -> tuple[LogNetClassifier, list[float]]:
     """Encode a raw training dataset and fit the softmax head on the latents."""
+    _check_dataset("train_ds", train_ds)
     latents = encode_rss(train_ds.rss_matrix(), encoder, rss_lo, rss_hi)
     head, history = train_softmax(latents, train_ds.rp_id, cfg)
     clf = LogNetClassifier(encoder, head, train_ds.ap_count, rss_lo, rss_hi)
@@ -184,6 +186,7 @@ def fit_dnn(
     rss_hi: float = DEFAULT_RSS_HI,
 ) -> tuple[DnnClassifier, list[float]]:
     """Normalize a raw training dataset and fit the MLP baseline."""
+    _check_dataset("train_ds", train_ds)
     model, history = train_dnn(normalize(train_ds, rss_lo, rss_hi), hidden_layers, cfg)
     return DnnClassifier(model, rss_lo, rss_hi), history
 

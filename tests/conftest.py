@@ -4,8 +4,17 @@ import numpy as np
 import pytest
 
 from lognet import Dataset, RpMap
+from lognet import experiment
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+@pytest.fixture(autouse=True)
+def no_registered_synth_files():
+    """Each test starts and ends with no fingerprints.csv registered for reuse by a later run."""
+    experiment._SYNTH_FILES.clear()
+    yield
+    experiment._SYNTH_FILES.clear()
 
 
 @pytest.fixture

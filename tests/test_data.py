@@ -21,15 +21,24 @@ from lognet import (
     ValidationError,
     binarize_matrix,
     dnn_hidden_widths,
+    NoiseSpec,
+    TemporalSchedule,
     encode_matrix,
+    evaluate,
     export_gray_bitmap,
+    fit_dnn,
+    fit_lognet,
     forward,
     gradient_check,
     init_dnn,
+    inject_noise,
+    measure_latency,
     normalize,
     normalize_values,
+    simulate_cis,
     split_train_test,
     train_softmax,
+    write_fingerprints_csv,
 )
 from lognet import pipeline
 from lognet.gates import encode_layer_matrix
@@ -481,6 +490,39 @@ class TestNonNumericArrays:
         with pytest.raises(ValidationError, match=r"^rss must be an \(n, ap_count\) matrix with "
                                                   r"ap_count >= 1, got array\(\[-50\.\]\)$"):
             Dataset.from_columns([0], ["d"], [0], [-50.0])
+
+
+class TestStageFunctionsTakeADataset:
+    """A stage function checks that its dataset argument is a Dataset before reading it, and
+    raises the error class it raises for its other arguments, naming the argument."""
+
+    ENCODER = LogicEncoderConfig(GateType.NOR, 0.5, 1)
+    NOISE = NoiseSpec(NoiseMode.ED, 1.0)
+
+    @pytest.mark.parametrize("call,name,error", [
+        (lambda bad, env: normalize(bad), "ds", ValidationError),
+        (lambda bad, env: split_train_test(bad, 1, 0), "ds", ConfigError),
+        (lambda bad, env: inject_noise(bad, TestStageFunctionsTakeADataset.NOISE), "ds", ConfigError),
+        (lambda bad, env: simulate_cis(bad, TestStageFunctionsTakeADataset.NOISE,
+                                       TemporalSchedule.default()), "ds", ConfigError),
+        (lambda bad, env: fit_lognet(bad, TestStageFunctionsTakeADataset.ENCODER,
+                                     TrainConfig(epochs=1)), "train_ds", ValidationError),
+        (lambda bad, env: fit_dnn(bad, 1, TrainConfig(epochs=1)), "train_ds", ValidationError),
+        (lambda bad, env: evaluate(env["clf"], bad, env["rp_map"]), "test", ValidationError),
+        (lambda bad, env: measure_latency(env["clf"], bad, 3), "test", ValidationError),
+        (lambda bad, env: write_fingerprints_csv(bad, env["path"]), "ds", ValidationError),
+        (lambda bad, env: env["rp_map"].require_covers(bad), "ds", ValidationError),
+    ], ids=["normalize", "split_train_test", "inject_noise", "simulate_cis", "fit_lognet",
+            "fit_dnn", "evaluate", "measure_latency", "write_fingerprints_csv",
+            "RpMap.require_covers"])
+    def test_stage_function_names_its_dataset_argument(self, call, name, error, tiny_dataset,
+                                                       tiny_rp_map, tmp_path):
+        clf, _ = fit_lognet(tiny_dataset, self.ENCODER, TrainConfig(epochs=1))
+        env = {"clf": clf, "rp_map": tiny_rp_map, "path": tmp_path / "fp.csv"}
+        for bad in (None, "a", tiny_dataset.rss):
+            with pytest.raises(error, match=rf"^{name} must be a Dataset, got "):
+                call(bad, env)
+        assert not env["path"].exists()
 
 
 class TestOneScalarRule:

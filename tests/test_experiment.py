@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import types
@@ -23,7 +24,11 @@ from lognet import (
     ValidationError,
     compare_models,
     run_experiment,
+    synth_dataset,
+    write_fingerprints_csv,
 )
+from lognet import experiment
+from lognet.cli import main
 from lognet.experiment import CONFIG_KEYS, ConfigKey
 
 
@@ -213,6 +218,115 @@ class TestCompareModels:
         lines = out.read_text().splitlines()
         assert len(lines) == 3
         assert lines[0].startswith("model,gate,hidden_layers,params,size_bytes,latency_ms")
+
+
+class TestSynthFileReuse:
+    """A synthetic run copies the fingerprints.csv that the last successful run of the same
+    spec wrote, if its SHA-256 still matches, instead of formatting the dataset again."""
+
+    @pytest.fixture
+    def writes(self, monkeypatch):
+        """The paths run_experiment formats a fingerprints.csv at, in call order."""
+        paths = []
+
+        def counting(ds, path):
+            paths.append(Path(path))
+            write_fingerprints_csv(ds, path)
+
+        monkeypatch.setattr(experiment, "write_fingerprints_csv", counting)
+        return paths
+
+    @staticmethod
+    def fresh(spec, path) -> bytes:
+        write_fingerprints_csv(synth_dataset(spec)[0], path)
+        return path.read_bytes()
+
+    @staticmethod
+    def cfg(out, **synth):
+        return dataclasses.replace(_synth_cfg(out, epochs=2),
+                                   synth=SynthSpec(8, 16, 6, seed=7, **synth))
+
+    def registered(self, spec):
+        path, digest = experiment._SYNTH_FILES[repr(spec)]
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        return path
+
+    @pytest.mark.parametrize("pattern", ["window", "random", "beacon-tint"])
+    def test_formatting_a_spec_twice_gives_the_bytes_lognet_synth_writes(self, tmp_path, pattern):
+        spec = SynthSpec(6, 16, 3, seed=5, base_pattern=pattern)
+        assert main(["synth", "--rps", "6", "--aps", "16", "--per-rp", "3", "--seed", "5",
+                     "--pattern", pattern, "--out", str(tmp_path / "cli")]) == 0
+        cli = (tmp_path / "cli" / "fingerprints.csv").read_bytes()
+        assert self.fresh(spec, tmp_path / "a.csv") == self.fresh(spec, tmp_path / "b.csv") == cli
+        jittered = dataclasses.replace(spec, jitter_sigma_db=1.5)
+        assert self.fresh(jittered, tmp_path / "c.csv") == self.fresh(jittered, tmp_path / "d.csv")
+
+    def test_a_copied_file_equals_a_fresh_write(self, tmp_path, writes):
+        a, b = self.cfg(tmp_path / "a"), self.cfg(tmp_path / "b")
+        run_experiment(a)
+        run_experiment(b)
+        assert writes == [tmp_path / "a" / ".staging" / "fingerprints.csv"]
+        expected = self.fresh(a.synth, tmp_path / "fresh.csv")
+        for out in ("a", "b"):
+            assert (tmp_path / out / "fingerprints.csv").read_bytes() == expected
+            assert (tmp_path / out / "rp_map.csv").exists()
+        assert self.registered(a.synth) == (tmp_path / "b" / "fingerprints.csv").absolute()
+
+    @pytest.mark.parametrize("damage", ["one byte changed", "deleted"])
+    def test_a_damaged_source_is_written_afresh_and_registered_again(self, tmp_path, writes,
+                                                                     damage):
+        run_experiment(self.cfg(tmp_path / "a"))
+        source = tmp_path / "a" / "fingerprints.csv"
+        if damage == "deleted":
+            source.unlink()
+        else:
+            data = bytearray(source.read_bytes())
+            data[-3] ^= 1  # a digit of the last value
+            source.write_bytes(bytes(data))
+        cfg = self.cfg(tmp_path / "b")
+        run_experiment(cfg)
+        assert len(writes) == 2
+        expected = self.fresh(cfg.synth, tmp_path / "fresh.csv")
+        assert (tmp_path / "b" / "fingerprints.csv").read_bytes() == expected
+        assert self.registered(cfg.synth) == (tmp_path / "b" / "fingerprints.csv").absolute()
+        run_experiment(self.cfg(tmp_path / "c"))
+        assert len(writes) == 2
+        assert (tmp_path / "c" / "fingerprints.csv").read_bytes() == expected
+
+    def test_an_int_and_a_float_field_share_nothing(self, tmp_path, writes):
+        as_int, as_float = self.cfg(tmp_path / "i", strong_dbm=-40), self.cfg(tmp_path / "f")
+        assert as_int.synth == as_float.synth and repr(as_int.synth) != repr(as_float.synth)
+        run_experiment(as_int)
+        run_experiment(as_float)
+        assert len(writes) == 2
+        assert self.registered(as_int.synth) == (tmp_path / "i" / "fingerprints.csv").absolute()
+        assert self.registered(as_float.synth) == (tmp_path / "f" / "fingerprints.csv").absolute()
+
+    def test_a_quarantined_run_registers_nothing(self, tmp_path, writes):
+        failing = dataclasses.replace(self.cfg(tmp_path / "bad"), per_rp_holdout=6)
+        with pytest.raises(StageError, match="'split'"):
+            run_experiment(failing)
+        assert experiment._SYNTH_FILES == {}
+        run_experiment(self.cfg(tmp_path / "good"))
+        with pytest.raises(StageError, match="'split'"):
+            run_experiment(failing)  # copies from "good", then fails again
+        assert len(writes) == 2
+        assert (tmp_path / "bad" / "quarantine" / "fingerprints.csv").read_bytes() == \
+            (tmp_path / "good" / "fingerprints.csv").read_bytes()
+        assert self.registered(failing.synth) == (tmp_path / "good" / "fingerprints.csv").absolute()
+
+    def test_a_rerun_into_the_same_out_dir_copies_its_own_file(self, tmp_path, writes):
+        cfg = self.cfg(tmp_path / "run")
+        run_experiment(cfg)
+        run_experiment(cfg)
+        assert len(writes) == 1
+        assert (tmp_path / "run" / "fingerprints.csv").read_bytes() == \
+            self.fresh(cfg.synth, tmp_path / "fresh.csv")
+        assert not (tmp_path / "run" / ".staging").exists()
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == sorted(
+            ["report.json", "model.json", "latents.csv", "latent_bitmap.pgm", "trace.txt",
+             "loss_history.csv", "fingerprints.csv", "rp_map.csv"])
+        self.registered(cfg.synth)
 
 
 class TestConfigKeys:
