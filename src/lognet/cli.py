@@ -30,7 +30,7 @@ from .fileio import (
     write_latents_csv,
     write_rp_map_csv,
 )
-from .gates import LatentCode
+from .gates import LatentCode, ceil_chain
 from .noise import SynthSpec, synth_dataset
 from .pipeline import encode_rss, load_model, save_model
 
@@ -104,10 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="diff two RPs' latents and trace bits to APs")
     p.add_argument("--latents", required=True, metavar="CSV")
+    _add_config_flags(p, "data.fingerprints")
     p.add_argument("--rp-a", type=int, required=True)
     p.add_argument("--rp-b", type=int, required=True)
-    p.add_argument("--hidden", type=int, required=True, help="encoder depth used for the latents")
-    p.add_argument("--ap-count", type=int, required=True, help="original AP count")
     p.add_argument("--out", metavar="DIR", help="also write trace.txt here")
     p.set_defaults(func=cmd_trace)
 
@@ -197,13 +196,20 @@ def cmd_bitmap(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    rp_ids, bits = read_latents_csv(args.latents)
-    ids, rows = majority_by_rp(rp_ids, bits)
+    if not args.data:
+        raise ConfigError("trace requires --data")
+    n = read_fingerprints_csv(args.data).ap_count
+    ids, rows = majority_by_rp(*read_latents_csv(args.latents))
+    width = rows.shape[1]  # ceil(n / 2**depth); at width 1 every valid depth gives [0, n)
+    depth = max((n - 1).bit_length() - (width - 1).bit_length(), 0)
+    if ceil_chain(n, depth) != width:
+        raise ConfigError(f"{width}-bit latents in {args.latents} come from no encoder depth "
+                          f"over the {n} APs of {args.data}")
 
     def code_for(rp: int) -> LatentCode:
         if rp not in ids:
             raise ConfigError(f"no latents for rp {rp} in {args.latents}")
-        return LatentCode(rows[ids.index(rp)], args.hidden, args.ap_count)
+        return LatentCode(rows[ids.index(rp)], depth, n)
 
     diff = LatentDiff.between(code_for(args.rp_a), code_for(args.rp_b), args.rp_a, args.rp_b)
     table = diff.format_table()

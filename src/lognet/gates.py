@@ -117,17 +117,20 @@ def check_bits(bits) -> np.ndarray:
     return bits
 
 
-def ceil_chain(length: int, depth: int) -> int:
-    """Apply L -> ceil(L/2) `depth` times, i.e. ceil(length / 2**depth).
+def _span(depth: int, n: int) -> int:
+    """How many inputs one latent bit at `depth` over `n` inputs reaches: 2**depth, capped at
+    2**n.bit_length(). Every deeper span covers all n inputs too, so the cap changes no width
+    or window, and a huge depth builds no huge integer."""
+    return 1 << min(depth, int(n).bit_length())
 
-    Every depth of at least `length`'s bit length gives 1, so the shift is
-    capped there and a huge depth builds no huge integer.
-    """
+
+def ceil_chain(length: int, depth: int) -> int:
+    """Apply L -> ceil(L/2) `depth` times, i.e. ceil(length / 2**depth)."""
     if not (_has_type(length, int) and length >= 1):
         raise ValidationError(_must_be("length", "a positive integer", length))
     if not (_has_type(depth, int) and depth >= 0):
         raise ValidationError(_must_be("depth", "a non-negative integer", depth))
-    return -(-length // (1 << min(depth, int(length).bit_length())))
+    return -(-length // _span(depth, length))
 
 
 def check_depth(hidden_layers) -> None:
@@ -220,17 +223,5 @@ def trace_bit_to_aps(bit_index: int, depth: int, input_len: int) -> range:
         raise BoundsError(
             f"bit_index {_shown(bit_index)} out of range for latent length {latent_len}"
         )
-    return ap_window(bit_index, depth, input_len)
-
-
-def ap_window(bit_index: int, depth: int, input_len: int) -> range:
-    """`trace_bit_to_aps` without the bounds check.
-
-    Windows are clipped at `input_len`, so every depth of at least its bit
-    length gives the same windows; capping the shift there keeps a huge depth
-    from building a huge integer.
-    """
-    cap = int(input_len).bit_length()
-    span = 1 << (depth if depth < cap else cap)  # not min(): this runs once per differing bit
-    start = bit_index * span
-    return range(start, min(start + span, input_len))
+    span = _span(depth, input_len)
+    return range(bit_index * span, min((bit_index + 1) * span, input_len))

@@ -46,20 +46,50 @@ def test_flags_left_out_take_the_config_dataclass_defaults(tmp_path, fixture_dir
     assert run.to_dict() == ExperimentConfig().to_dict()
 
 
-def test_trace_takes_a_depth_past_the_ap_count_bit_length(tmp_path, capsys):
+def _fingerprints_csv(path, aps: int) -> str:
+    """A small fingerprint CSV over `aps` APs, for `lognet trace` to read the AP count from."""
+    write_fingerprints_csv(synth_dataset(SynthSpec(2, aps, 1))[0], path)
+    return str(path)
+
+
+@pytest.mark.parametrize("aps", [5, 70])
+def test_trace_of_width_1_latents_covers_every_ap(tmp_path, capsys, aps):
+    # Every depth from the AP count's bit length on gives width 1 and the window [0, n).
     write_latents_csv([0, 1], np.array([[0], [1]], dtype=np.uint8), tmp_path / "latents.csv")
-    for depth in ("70", "1000000000000000000000"):
-        assert main(["trace", "--latents", str(tmp_path / "latents.csv"), "--rp-a", "0",
-                     "--rp-b", "1", "--hidden", depth, "--ap-count", "5"]) == 0
-        assert "[0, 5)" in capsys.readouterr().out
+    data = _fingerprints_csv(tmp_path / "fp.csv", aps)
+    assert main(["trace", "--latents", str(tmp_path / "latents.csv"), "--data", data,
+                 "--rp-a", "0", "--rp-b", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split() == ["0", "[0,", f"{aps})", "0", "1"]
 
 
-def test_trace_rejects_latents_whose_width_the_depth_does_not_give(tmp_path, capsys):
-    write_latents_csv([0, 1], np.array([[0, 1], [1, 1]], dtype=np.uint8), tmp_path / "latents.csv")
-    assert main(["trace", "--latents", str(tmp_path / "latents.csv"), "--rp-a", "0",
-                 "--rp-b", "1", "--hidden", "1", "--ap-count", "5"]) == 1
+def test_trace_rejects_latents_whose_width_no_depth_gives(tmp_path, capsys):
+    # 5 APs encode to 5, 3, 2 or 1 bits; never to 4.
+    latents = tmp_path / "latents.csv"
+    write_latents_csv([0, 1], np.array([[0, 1, 0, 1], [1, 1, 0, 0]], dtype=np.uint8), latents)
+    data = _fingerprints_csv(tmp_path / "fp.csv", 5)
+    assert main(["trace", "--latents", str(latents), "--data", data,
+                 "--rp-a", "0", "--rp-b", "1"]) == 1
     assert capsys.readouterr().err == (
-        "error: latent of depth 1 over 5 inputs must have 3 bits, got 2\n")
+        f"error: 4-bit latents in {latents} come from no encoder depth over the 5 APs of {data}\n")
+
+
+def test_trace_requires_data(tmp_path, capsys):
+    write_latents_csv([0, 1], np.array([[0], [1]], dtype=np.uint8), tmp_path / "latents.csv")
+    assert main(["trace", "--latents", str(tmp_path / "latents.csv"),
+                 "--rp-a", "0", "--rp-b", "1"]) == 1
+    assert capsys.readouterr().err == "error: trace requires --data\n"
+
+
+def test_trace_names_no_ap_past_the_data(tmp_path, capsys):
+    # Depth-2 latents over 70 APs: the last bit's window stops at AP 70, the data's AP count.
+    assert main(["synth", "--rps", "30", "--aps", "70", "--out", str(tmp_path)]) == 0
+    data = str(tmp_path / "fingerprints.csv")
+    assert main(["encode", "--data", data, "--gate", "nor", "--hidden", "2",
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["trace", "--latents", str(tmp_path / "latents.csv"), "--data", data,
+                 "--rp-a", "0", "--rp-b", "29"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "   17        [68, 70)  0        1       "
 
 
 def test_encode_takes_a_depth_past_width_1(tmp_path, fixture_dir):
@@ -84,8 +114,8 @@ def test_encode_bitmap_trace_chain(tmp_path, fixture_dir, capsys):
     assert read_pgm(out / "latent_bitmap.pgm").shape == (2, 2)
 
     assert main(["trace", "--latents", str(out / "latents.csv"),
-                 "--rp-a", "0", "--rp-b", "1", "--hidden", "1", "--ap-count", "3",
-                 "--out", str(out)]) == 0
+                 "--data", f"{fixture_dir}/fingerprints_2rp3ap.csv",
+                 "--rp-a", "0", "--rp-b", "1", "--out", str(out)]) == 0
     printed = capsys.readouterr().out
     assert "rp 0 vs rp 1" in printed
     assert (out / "trace.txt").exists()
@@ -112,13 +142,14 @@ def test_run_artifacts_match_the_public_latent_path(tmp_path, capsys):
     pgm = (run / "latent_bitmap.pgm").read_bytes()
     assert pgm == (tmp_path / "public.pgm").read_bytes()
 
+    data = str(run / "fingerprints.csv")
     for (rp_a, rp_b), block in zip(pairs, blocks):
-        assert main(["trace", "--latents", str(run / "latents.csv"), "--rp-a", str(rp_a),
-                     "--rp-b", str(rp_b), "--hidden", "1", "--ap-count", "20"]) == 0
+        assert main(["trace", "--latents", str(run / "latents.csv"), "--data", data,
+                     "--rp-a", str(rp_a), "--rp-b", str(rp_b)]) == 0
         assert capsys.readouterr().out == block + "\n"
     cli_out = tmp_path / "cli"
-    assert main(["trace", "--latents", str(run / "latents.csv"), "--rp-a", "0",
-                 "--rp-b", "1", "--hidden", "1", "--ap-count", "20", "--out", str(cli_out)]) == 0
+    assert main(["trace", "--latents", str(run / "latents.csv"), "--data", data,
+                 "--rp-a", "0", "--rp-b", "1", "--out", str(cli_out)]) == 0
     assert (cli_out / "trace.txt").read_text() == blocks[0] + "\n"
     assert main(["bitmap", "--latents", str(run / "latents.csv"), "--out", str(cli_out)]) == 0
     assert (cli_out / "latent_bitmap.pgm").read_bytes() == pgm
@@ -135,9 +166,10 @@ def test_trace_and_bitmap_vote_over_per_fingerprint_rows(tmp_path, capsys):
     votes = np.stack([2 * bits[rp_ids == rp].sum(axis=0) >= 4 for rp in range(5)]).astype(np.uint8)
     codes = {rp: LatentCode(votes[rp], 1, 16) for rp in range(5)}
     assert any((2 * bits[rp_ids == rp].sum(axis=0) == 4).any() for rp in range(5))  # a tie
+    data = _fingerprints_csv(tmp_path / "fp.csv", 16)
     for rp_a, rp_b in ((0, 1), (3, 2), (4, 4)):
-        assert main(["trace", "--latents", str(tmp_path / "latents.csv"), "--rp-a", str(rp_a),
-                     "--rp-b", str(rp_b), "--hidden", "1", "--ap-count", "16"]) == 0
+        assert main(["trace", "--latents", str(tmp_path / "latents.csv"), "--data", data,
+                     "--rp-a", str(rp_a), "--rp-b", str(rp_b)]) == 0
         expected = LatentDiff.between(codes[rp_a], codes[rp_b], rp_a, rp_b).format_table()
         assert capsys.readouterr().out == expected + "\n"
     write_latent_bitmap(votes, tmp_path / "public.pgm")

@@ -24,7 +24,7 @@ from lognet import (
     trace_bit_to_aps,
     write_latent_bitmap,
 )
-from lognet.gates import ap_window, check_bits, encode_layer_matrix
+from lognet.gates import check_bits, encode_layer_matrix
 
 ALL_GATES = list(GateType)
 ALL_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -304,7 +304,7 @@ class TestTrace:
         # Windows are clipped at the input length, so a deep latent's one
         # window covers every input without building a 2**depth integer.
         assert trace_bit_to_aps(0, depth, 164) == range(0, 164)
-        assert ap_window(0, depth, 5) == range(0, 5)
+        assert trace_bit_to_aps(0, depth, 5) == range(0, 5)
         a, b = LatentCode([0], depth, 164), LatentCode([1], depth, 164)
         assert LatentDiff.between(a, b, 0, 1).ap_windows == (range(0, 164),)
 
