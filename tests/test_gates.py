@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lognet import (
     BoundsError,
@@ -307,6 +309,27 @@ class TestTrace:
         assert trace_bit_to_aps(0, depth, 5) == range(0, 5)
         a, b = LatentCode([0], depth, 164), LatentCode([1], depth, 164)
         assert LatentDiff.between(a, b, 0, 1).ap_windows == (range(0, 164),)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 600), depth=st.integers(0, 12) | st.sampled_from([70, 10**21]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=70, depth=2, seed=0)
+    @example(n=164, depth=70, seed=1)
+    @example(n=5, depth=10**21, seed=2)
+    def test_diff_windows_keep_the_one_window_rule(self, n, depth, seed):
+        width = ceil_chain(n, depth)
+        bits = np.random.default_rng(seed).integers(0, 2, (2, width)).astype(np.uint8)
+        a, b = (LatentCode(row, depth, n) for row in bits)
+        diff = LatentDiff.between(a, b, 0, 1)
+        assert diff.ap_windows == tuple(trace_bit_to_aps(j, depth, n) for j in diff.differing_bits)
+        # A code and its complement differ in every bit: each window is the inputs i < n with
+        # i // 2**depth == j, so together the windows partition [0, n).
+        every = LatentDiff.between(a, LatentCode(1 - bits[0], depth, n), 0, 1).ap_windows
+        expected = [[] for _ in range(width)]
+        for i in range(n):
+            expected[i >> depth].append(i)
+        assert [list(w) for w in every] == expected
+        assert [i for w in every for i in w] == list(range(n))
 
     def test_windows_are_never_empty(self):
         rng = np.random.default_rng(7)

@@ -1,5 +1,6 @@
-"""The names `lognet` exports stay put when modules are merged or split, the value rule and
-the float conversion each keep their one implementation, and no module keeps an unused import."""
+"""The names `lognet` exports stay put when modules are merged or split, the value rule, the
+float conversion and the halving span each keep their one implementation, and no module keeps an
+unused import."""
 
 import ast
 import inspect
@@ -64,6 +65,16 @@ def test_one_scalar_short_path():
               and any(isinstance(op, ast.Is) for op in node.ops)
               and any(ast.unparse(c) in ("int", "float") for c in node.comparators)}
     assert owners <= {"data._has_type"}
+
+
+def test_one_halving_span():
+    # A shift by a computed amount is the bit-to-AP span; `gates._span` is its one rule, which
+    # layer widths and AP windows both read. A shift by a literal, as `fileio._CHUNK`, is a size.
+    owners = {owner for owner, node in _owned_nodes()
+              if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.LShift)
+              and not isinstance(node.right if isinstance(node, ast.BinOp) else node.value,
+                                 ast.Constant)}
+    assert owners == {"gates._span"}
 
 
 def test_no_module_imports_a_name_it_never_uses():
