@@ -54,14 +54,21 @@ def _bit_pair(x, y) -> tuple[int, int]:
     return int(x), int(y)
 
 
+def _check_gate(gate) -> None:
+    if not _has_type(gate, GateType):
+        raise ConfigError(_must_be("gate", GateType, gate))
+
+
 def apply_gate(x: int, y: int, gate: GateType) -> int:
     """Evaluate one gate on a bit pair via its truth table."""
+    _check_gate(gate)
     x, y = _bit_pair(x, y)
     return TRUTH_TABLES[gate][2 * x + y]
 
 
 def gate_arithmetic(x: int, y: int, gate: GateType) -> int:
     """Evaluate one gate through its closed-form expression."""
+    _check_gate(gate)
     return GATE_FORMULAS[gate](*_bit_pair(x, y))
 
 
@@ -188,6 +195,10 @@ class LatentCode:
 
 def encode(code: LatentCode, cfg: LogicEncoderConfig) -> LatentCode:
     """Run cfg's logic layers over a code; the result is `cfg.hidden_layers` deeper."""
+    if not _has_type(code, LatentCode):
+        raise ValidationError(_must_be("code", LatentCode, code))
+    if not _has_type(cfg, LogicEncoderConfig):
+        raise ConfigError(_must_be("cfg", LogicEncoderConfig, cfg))
     bits = encode_matrix(code.bits[None, :], cfg.gate, cfg.hidden_layers)[0]
     return LatentCode(bits, code.depth + cfg.hidden_layers, code.input_len)
 

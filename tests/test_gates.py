@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -83,6 +85,23 @@ class TestGateTables:
         assert GateType.from_name("NOR") is GateType.NOR
         with pytest.raises(ConfigError):
             GateType.from_name("nandor")
+
+
+class TestArgumentTypes:
+    """A gate, code or encoder config of the wrong type is named in the library's own error,
+    not met as a raw KeyError or AttributeError."""
+
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda: apply_gate(1, 0, "and"), ConfigError, "gate must be a GateType, got 'and'"),
+        (lambda: gate_arithmetic(1, 0, "and"), ConfigError, "gate must be a GateType, got 'and'"),
+        (lambda: encode(np.array([1, 0]), LogicEncoderConfig(GateType.NOR)), ValidationError,
+         "code must be a LatentCode, got array([1, 0])"),
+        (lambda: encode(LatentCode([1, 0], 0, 2), None), ConfigError,
+         "cfg must be a LogicEncoderConfig, got None"),
+    ], ids=["apply_gate", "gate_arithmetic", "encode-code", "encode-cfg"])
+    def test_wrong_type_is_named(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestRaggedBits:
