@@ -234,5 +234,5 @@ def trace_bit_to_aps(bit_index: int, depth: int, input_len: int) -> range:
         raise BoundsError(
             f"bit_index {_shown(bit_index)} out of range for latent length {latent_len}"
         )
-    span = _span(depth, input_len)
-    return range(bit_index * span, min((bit_index + 1) * span, input_len))
+    j, span = int(bit_index), _span(depth, input_len)  # a numpy j * span would wrap past int64
+    return range(j * span, min((j + 1) * span, input_len))

@@ -329,6 +329,9 @@ class TestTrace:
         a, b = LatentCode([0], depth, 164), LatentCode([1], depth, 164)
         assert LatentDiff.between(a, b, 0, 1).ap_windows == (range(0, 164),)
 
+    def test_numpy_bit_index_does_not_wrap_past_int64(self):
+        assert trace_bit_to_aps(np.int64(1), 62, 2**63) == range(2**62, 2**63)
+
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 600), depth=st.integers(0, 12) | st.sampled_from([70, 10**21]),
            seed=st.integers(0, 2**32 - 1))

@@ -71,9 +71,8 @@ def test_one_halving_span():
     # A shift by a computed amount is the bit-to-AP span; `gates._span` is its one rule, which
     # layer widths and AP windows both read. A shift by a literal, as `fileio._CHUNK`, is a size.
     owners = {owner for owner, node in _owned_nodes()
-              if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.LShift)
-              and not isinstance(node.right if isinstance(node, ast.BinOp) else node.value,
-                                 ast.Constant)}
+              if isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift)
+              and not isinstance(node.right, ast.Constant)}
     assert owners == {"gates._span"}
 
 
