@@ -198,8 +198,12 @@ def cmd_bitmap(args) -> int:
 def cmd_trace(args) -> int:
     if not args.data:
         raise ConfigError("trace requires --data")
-    n = read_fingerprints_csv(args.data).ap_count
+    data = read_fingerprints_csv(args.data)
+    n = data.ap_count
     ids, rows = majority_by_rp(*read_latents_csv(args.latents))
+    unknown = sorted(set(ids) - set(data.rp_id.tolist()))
+    if unknown:
+        raise ConfigError(f"rp {unknown[0]} of {args.latents} has no fingerprint in {args.data}")
     width = rows.shape[1]  # ceil(n / 2**depth); at width 1 every valid depth gives [0, n)
     depth = max((n - 1).bit_length() - (width - 1).bit_length(), 0)
     if ceil_chain(n, depth) != width:

@@ -13,7 +13,7 @@ import numpy as np
 from .data import Dataset, RpMap, _check_dataset, _floats, _has_type, _must_be
 from .errors import ShapeError, ValidationError
 from .fileio import atomic_open, read_pgm, write_pgm
-from .gates import LatentCode, _span, check_bits
+from .gates import LatentCode, _windows, check_bits
 from .models import count_params, model_size_bytes
 from .pipeline import _check_aps
 
@@ -192,11 +192,7 @@ class LatentDiff:
         if len(maj_a) != len(maj_b) or maj_a.input_len != maj_b.input_len:
             raise ShapeError("latent codes have mismatched shapes")
         differing = np.flatnonzero(maj_a.bits != maj_b.bits)
-        # trace_bit_to_aps for every differing bit at once, in Python ints: no int64 overflow.
-        span, n = _span(maj_a.depth, maj_a.input_len), maj_a.input_len
-        starts = differing.astype(object) * span
-        stops = np.minimum(starts + span, n)
-        windows = tuple(map(range, starts.tolist(), stops.tolist()))
+        windows = _windows(differing, maj_a.depth, maj_a.input_len)
         return cls(rp_a, rp_b, tuple(differing.tolist()), windows, maj_a, maj_b)
 
     def format_table(self) -> str:

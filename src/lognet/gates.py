@@ -234,5 +234,14 @@ def trace_bit_to_aps(bit_index: int, depth: int, input_len: int) -> range:
         raise BoundsError(
             f"bit_index {_shown(bit_index)} out of range for latent length {latent_len}"
         )
-    j, span = int(bit_index), _span(depth, input_len)  # a numpy j * span would wrap past int64
-    return range(j * span, min((j + 1) * span, input_len))
+    return _windows([int(bit_index)], depth, input_len)[0]
+
+
+def _windows(bits, depth: int, n: int) -> tuple[range, ...]:
+    """`trace_bit_to_aps` of each in-range bit index in `bits`, without the bounds check.
+
+    The windows are built in Python ints, so a huge `n` wraps nothing past int64.
+    """
+    span = _span(depth, n)
+    starts = np.array(bits, dtype=object) * span
+    return tuple(map(range, starts.tolist(), np.minimum(starts + span, n).tolist()))

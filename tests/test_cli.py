@@ -46,9 +46,10 @@ def test_flags_left_out_take_the_config_dataclass_defaults(tmp_path, fixture_dir
     assert run.to_dict() == ExperimentConfig().to_dict()
 
 
-def _fingerprints_csv(path, aps: int) -> str:
-    """A small fingerprint CSV over `aps` APs, for `lognet trace` to read the AP count from."""
-    write_fingerprints_csv(synth_dataset(SynthSpec(2, aps, 1))[0], path)
+def _fingerprints_csv(path, aps: int, rps: int = 2) -> str:
+    """A fingerprint CSV of RPs 0..rps-1 over `aps` APs, for `lognet trace` to read the AP
+    count from."""
+    write_fingerprints_csv(synth_dataset(SynthSpec(rps, aps, 1))[0], path)
     return str(path)
 
 
@@ -71,6 +72,16 @@ def test_trace_rejects_latents_whose_width_no_depth_gives(tmp_path, capsys):
                  "--rp-a", "0", "--rp-b", "1"]) == 1
     assert capsys.readouterr().err == (
         f"error: 4-bit latents in {latents} come from no encoder depth over the 5 APs of {data}\n")
+
+
+def test_trace_rejects_latents_of_an_rp_the_data_lacks(tmp_path, capsys):
+    # The AP count is read from --data, so a latent RP missing there shows a wrong file.
+    latents = tmp_path / "latents.csv"
+    write_latents_csv([0, 5], np.array([[0], [1]], dtype=np.uint8), latents)
+    data = _fingerprints_csv(tmp_path / "fp.csv", 5)
+    assert main(["trace", "--latents", str(latents), "--data", data,
+                 "--rp-a", "0", "--rp-b", "5"]) == 1
+    assert capsys.readouterr().err == f"error: rp 5 of {latents} has no fingerprint in {data}\n"
 
 
 def test_trace_requires_data(tmp_path, capsys):
@@ -166,7 +177,7 @@ def test_trace_and_bitmap_vote_over_per_fingerprint_rows(tmp_path, capsys):
     votes = np.stack([2 * bits[rp_ids == rp].sum(axis=0) >= 4 for rp in range(5)]).astype(np.uint8)
     codes = {rp: LatentCode(votes[rp], 1, 16) for rp in range(5)}
     assert any((2 * bits[rp_ids == rp].sum(axis=0) == 4).any() for rp in range(5))  # a tie
-    data = _fingerprints_csv(tmp_path / "fp.csv", 16)
+    data = _fingerprints_csv(tmp_path / "fp.csv", 16, rps=5)
     for rp_a, rp_b in ((0, 1), (3, 2), (4, 4)):
         assert main(["trace", "--latents", str(tmp_path / "latents.csv"), "--data", data,
                      "--rp-a", str(rp_a), "--rp-b", str(rp_b)]) == 0

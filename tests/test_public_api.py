@@ -74,6 +74,11 @@ def test_one_halving_span():
               if isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift)
               and not isinstance(node.right, ast.Constant)}
     assert owners == {"gates._span"}
+    # The span has two readers, the layer width and the one window rule; a window written
+    # anywhere else would be a second rule.
+    readers = {owner for owner, node in _owned_nodes()
+               if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_span"}
+    assert readers == {"gates.ceil_chain", "gates._windows"}
 
 
 def test_no_module_imports_a_name_it_never_uses():
