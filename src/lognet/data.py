@@ -345,8 +345,13 @@ class RpMap:
     entries: Mapping[int, tuple[float, float]]
 
     def __post_init__(self):
+        try:
+            entries = dict(self.entries)
+        except (TypeError, ValueError):  # neither a mapping nor pairs
+            raise ValidationError(_must_be("RpMap.entries", "a mapping of rp_id to (x, y)",
+                                           self.entries)) from None
         clean = {}
-        for rp_id, xy in dict(self.entries).items():
+        for rp_id, xy in entries.items():
             clean[int(rp_id)] = _check_rp_entry(rp_id, xy)  # checked before int() runs
         object.__setattr__(self, "entries", clean)
 

@@ -10,12 +10,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import Dataset, RpMap, _check_dataset, _floats, _has_type, _must_be
+from .data import Dataset, RpMap, _check_dataset, _field_hints, _floats, _has_type, _must_be
 from .errors import ShapeError, ValidationError
 from .fileio import atomic_open, read_pgm, write_pgm
 from .gates import LatentCode, _windows, check_bits
 from .models import count_params, model_size_bytes
-from .pipeline import _check_aps
+from .pipeline import _check_aps, _field
 
 
 def sample_errors(preds, truth, rp_map: RpMap) -> np.ndarray:
@@ -85,9 +85,19 @@ class EvalReport:
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
-        doc = json.loads(text)
-        per_ci = {int(ci): CiStats(**s) for ci, s in doc["per_ci"].items()}
-        return cls(per_ci, doc["model_meta"], doc.get("config", {}))
+        """The report that `to_json` wrote; other text raises ValidationError saying what is wrong."""
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"report is not JSON: {exc}") from None
+        per_ci = {}
+        for ci, stats in _field(doc, "per_ci", dict, "report").items():
+            if not ci.isdecimal():
+                raise ValidationError(_must_be("report.per_ci key", "a CI number", ci))
+            where = f"report.per_ci[{ci}]"
+            per_ci[int(ci)] = CiStats(**{name: _field(stats, name, kind, where)
+                                         for name, kind in _field_hints(CiStats).items()})
+        return cls(per_ci, _field(doc, "model_meta", dict, "report"), doc.get("config", {}))
 
     def write(self, path: str) -> None:
         """Replace `path` atomically with the JSON report."""

@@ -61,16 +61,22 @@ def atomic_open(path, binary: bool = False):
     """A file, UTF-8 text or bytes, whose contents replace `path` only if the block succeeds.
 
     The block writes a temp file in the target directory, which os.replace
-    then renames over `path`. On any failure the temp file is removed and a
-    previous file at `path` is left as it was. Text is written untranslated
-    (newline=""), so csv.writer's \\r\\n line ends are kept.
+    then renames over `path`. A temp file that cannot be created (say, the
+    directory is missing) raises ParseError naming `path`. On any later
+    failure the temp file is removed and a previous file at `path` is left as
+    it was. Text is written untranslated (newline=""), so csv.writer's \\r\\n
+    line ends are kept.
     """
     path = os.fspath(path)
     head, name = os.path.split(path)
     tmp = os.path.join(head, f".{name}.{uuid.uuid4().hex}.tmp")
     text = {} if binary else {"encoding": "utf-8", "newline": ""}
     try:
-        with open(tmp, "xb" if binary else "x", **text) as fh:
+        fh = open(tmp, "xb" if binary else "x", **text)
+    except OSError as exc:
+        raise ParseError(f"cannot write file: {exc.strerror or exc}", path=path) from None
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

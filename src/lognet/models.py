@@ -209,35 +209,36 @@ def dnn_hidden_widths(input_dim: int, hidden_layers: int) -> list[int]:
 
 
 class Adam:
-    """Adam over a flat list of parameter arrays, updated in place.
+    """Adam over one flat float64 parameter vector, updated in place.
 
-    Each parameter has two scratch arrays, so a step allocates nothing; it
-    evaluates m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
-    p -= (lr_t*m) / (sqrt(v) + eps) in that order.
+    The moments m and v and two scratch vectors have the parameters' length,
+    so a step allocates nothing and runs each of its 12 ufunc calls once over
+    the whole vector, at any depth. It evaluates m = b1*m + (1-b1)*g,
+    v = b2*v + ((1-b2)*g)*g and p -= (lr_t*m) / (sqrt(v) + eps) in that order.
     """
 
-    def __init__(self, shapes, learning_rate: float):
+    def __init__(self, size: int, learning_rate: float):
         self.lr = learning_rate
         self.t = 0
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
-        self._scratch = [(np.empty(s), np.empty(s)) for s in shapes]
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._scratch = (np.empty(size), np.empty(size))
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, p: np.ndarray, g: np.ndarray) -> None:
         self.t += 1
         lr_t = self.lr * np.sqrt(1.0 - ADAM_BETA2**self.t) / (1.0 - ADAM_BETA1**self.t)
-        for p, g, m, v, (a, d) in zip(params, grads, self.m, self.v, self._scratch):
-            m *= ADAM_BETA1
-            m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
-            v *= ADAM_BETA2
-            np.multiply(g, 1.0 - ADAM_BETA2, out=a)
-            a *= g
-            v += a
-            np.sqrt(v, out=d)
-            d += ADAM_EPS
-            np.multiply(m, lr_t, out=a)
-            a /= d
-            p -= a
+        m, v, (a, d) = self.m, self.v, self._scratch
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+        v *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=a)
+        a *= g
+        v += a
+        np.sqrt(v, out=d)
+        d += ADAM_EPS
+        np.multiply(m, lr_t, out=a)
+        a /= d
+        p -= a
 
 
 def _init_linear(rng: np.random.Generator, fan_in: int, fan_out: int):
@@ -275,19 +276,28 @@ def _training_targets(X: np.ndarray, labels, class_labels) -> tuple[tuple[int, .
     return classes, _class_index(y, classes)
 
 
-def _fit(params: list[np.ndarray], X: np.ndarray, y_idx: np.ndarray,
-         cfg: TrainConfig, rng: np.random.Generator) -> list[float]:
-    """Adam on mean cross-entropy over a flat [W1, b1, ..., Wk, bk] stack.
+def _fit(layers, X: np.ndarray, y_idx: np.ndarray, cfg: TrainConfig,
+         rng: np.random.Generator) -> tuple[tuple, list[float]]:
+    """Adam on mean cross-entropy over a copy of a dense stack's (weights, biases) layers.
 
-    Updates `params` in place; `rng` orders the minibatches. Returns the
-    per-epoch full-set loss history; raises TrainingError, naming the epoch,
-    once that loss is not finite.
+    The parameters live in one float64 vector whose reshaped views are
+    [W1, b1, ..., Wk, bk], and the gradients in one vector of the same layout
+    that each backward pass overwrites, so a step builds no gradient list and
+    Adam runs once over the whole vector. `rng` orders the minibatches, which
+    are gathered into one buffer per fit. Returns the trained layers, read-only
+    views of that vector, and the per-epoch full-set loss history; raises
+    TrainingError, naming the epoch, once that loss is not finite.
 
     A full-batch epoch's loss is taken at the parameters that the next
     epoch's gradients use, so one forward pass serves both: `epochs + 1`
     passes in all, the last one for the final loss only.
     """
-    opt = Adam([p.shape for p in params], cfg.learning_rate)
+    arrays = [a for W, b in layers for a in (W, b)]
+    shapes = [a.shape for a in arrays]
+    theta = np.concatenate([a.ravel() for a in arrays])
+    grad = np.empty_like(theta)
+    params, grads = _views(theta, shapes), _views(grad, shapes)
+    opt = Adam(theta.size, cfg.learning_rate)
     history: list[float] = []
 
     def record(loss: float) -> None:
@@ -300,19 +310,27 @@ def _fit(params: list[np.ndarray], X: np.ndarray, y_idx: np.ndarray,
 
     n = X.shape[0]
     if cfg.batch_size is None or cfg.batch_size >= n:
-        grads = _loss_and_grads(params, X, y_idx, with_loss=False)[1] if cfg.epochs else None
+        if cfg.epochs:
+            _backprop(params, X, y_idx, grads, with_loss=False)
         for epoch in range(1, cfg.epochs + 1):
-            opt.step(params, grads)
-            loss, grads = _loss_and_grads(params, X, y_idx, with_grads=epoch < cfg.epochs)
-            record(loss)
-        return history
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            opt.step(params, _loss_and_grads(params, X[idx], y_idx[idx], with_loss=False)[1])
-        record(_loss_and_grads(params, X, y_idx, with_grads=False)[0])
-    return history
+            opt.step(theta, grad)
+            record(_backprop(params, X, y_idx, grads if epoch < cfg.epochs else None))
+    else:
+        X_batch = np.empty((cfg.batch_size, X.shape[1]))
+        y_batch = np.empty(cfg.batch_size, dtype=y_idx.dtype)
+        for _ in range(cfg.epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                Xb, yb = X_batch[: idx.size], y_batch[: idx.size]
+                # A permutation's indices are in range; "clip" lets take write `out` unbuffered.
+                np.take(X, idx, axis=0, out=Xb, mode="clip")
+                np.take(y_idx, idx, out=yb, mode="clip")
+                _backprop(params, Xb, yb, grads, with_loss=False)
+                opt.step(theta, grad)
+            record(_backprop(params, X, y_idx, None))
+    theta.setflags(write=False)
+    return _params_to_layers(params), history
 
 
 def train_softmax(latents, labels, cfg: TrainConfig,
@@ -328,9 +346,8 @@ def train_softmax(latents, labels, cfg: TrainConfig,
 
     # Batch order continues the stream that drew the initial weights.
     rng = np.random.default_rng(cfg.seed)
-    params = list(_init_linear(rng, X.shape[1], len(classes)))
-    history = _fit(params, X, y_idx, cfg, rng)
-    return DenseStack(((params[0], params[1]),), classes), history
+    layers, history = _fit((_init_linear(rng, X.shape[1], len(classes)),), X, y_idx, cfg, rng)
+    return DenseStack(layers, classes), history
 
 
 def init_dnn(input_dim: int, hidden_layers: int, class_labels: Sequence[int],
@@ -357,9 +374,15 @@ def train_dnn(ds: Dataset, hidden_layers: int, cfg: TrainConfig,
         raise ValidationError("train_dnn expects a normalized dataset (values in [0, 1])")
 
     # Batch order uses a fresh stream from the same seed as init_dnn.
-    params = _flat_params(init_dnn(ds.ap_count, hidden_layers, classes, cfg.seed).layers)
-    history = _fit(params, X, y_idx, cfg, np.random.default_rng(cfg.seed))
-    return DenseStack(_params_to_layers(params), classes), history
+    init = init_dnn(ds.ap_count, hidden_layers, classes, cfg.seed)
+    layers, history = _fit(init.layers, X, y_idx, cfg, np.random.default_rng(cfg.seed))
+    return DenseStack(layers, classes), history
+
+
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive slices of `flat`, one per shape, reshaped to it."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    return [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
 
 
 def _flat_params(layers) -> list[np.ndarray]:
@@ -375,10 +398,22 @@ def _loss_and_grads(params, X: np.ndarray, y_idx: np.ndarray, with_loss: bool = 
                     with_grads: bool = True) -> tuple[float | None, list[np.ndarray] | None]:
     """Mean cross-entropy of a flat [W1, b1, ..., Wk, bk] stack and its gradients.
 
+    Each is None when not asked for.
+    """
+    grads = [np.empty_like(p) for p in params] if with_grads else None
+    return _backprop(params, X, y_idx, grads, with_loss), grads
+
+
+def _backprop(params, X: np.ndarray, y_idx: np.ndarray, grads: list[np.ndarray] | None,
+              with_loss: bool = True) -> float | None:
+    """Mean cross-entropy of a flat [W1, b1, ..., Wk, bk] stack, or None without
+    `with_loss`; its gradients are written into `grads`, arrays shaped as
+    `params`, unless that is None.
+
     One forward pass and one exp serve both: the loss is the mean of
     `log(sum(exp(shifted))) - shifted[true class]` over the max-shifted
     logits, and the output delta starts from `softmax` of the same logits,
-    bit for bit. Each is None when not asked for.
+    bit for bit.
     """
     layers = _params_to_layers(params)
     acts = _activations(layers, X)
@@ -393,22 +428,20 @@ def _loss_and_grads(params, X: np.ndarray, y_idx: np.ndarray, with_loss: bool = 
     np.exp(delta, out=delta)
     exp_sums = delta.sum(axis=-1, keepdims=True)
     loss = float(-(true_shifted - np.log(exp_sums[:, 0])).mean()) if with_loss else None
-    if not with_grads:
-        return loss, None
+    if grads is None:
+        return loss
 
     delta /= exp_sums
     delta[rows, y_idx] -= 1.0
     delta /= m
 
-    grads: list[np.ndarray] = []
     for k in range(len(layers) - 1, -1, -1):
-        W, _ = layers[k]
-        grads.insert(0, delta.sum(axis=0))
-        grads.insert(0, acts[k].T @ delta)
+        np.matmul(acts[k].T, delta, out=grads[2 * k])
+        np.add.reduce(delta, axis=0, out=grads[2 * k + 1])
         if k > 0:
-            delta = delta @ W.T
+            delta = delta @ layers[k][0].T
             delta *= acts[k] > 0
-    return loss, grads
+    return loss
 
 
 def count_params(model) -> int:

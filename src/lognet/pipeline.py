@@ -299,16 +299,19 @@ def load_model(path: str):
             for i, layer in enumerate(_field(doc, "layers", list))
         )
         return DnnClassifier(DenseStack(layers, labels), *rss_range)
-    except KeyError as exc:
-        raise ParseError(f"model document lacks key {exc.args[0]!r}", path=path) from None
     except LogNetError as exc:
         raise ParseError(str(exc), path=path) from None
 
 
 def _field(obj, key: str, kind=object, where: str = ""):
-    """`obj[key]` of a model document, checked to have type hint `kind` by `_has_type`."""
+    """`obj[key]` of a JSON document, checked to have type hint `kind` by `_has_type`.
+
+    `where` names `obj` in messages; by default it is the model document.
+    """
     if not isinstance(obj, dict):
         raise ValidationError(_must_be(where or "model document", dict, obj))
+    if key not in obj:
+        raise ValidationError(f"{where or 'model document'} lacks key {key!r}")
     value = obj[key]
     if kind is not object and not _has_type(value, kind):
         raise ValidationError(_must_be(f"{where}.{key}" if where else key, kind, value))

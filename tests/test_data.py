@@ -139,6 +139,14 @@ class TestRpMap:
         with pytest.raises(ValidationError, match="rp_id"):
             RpMap({rp_id: (0.0, 0.0)})
 
+    @pytest.mark.parametrize("entries", [None, 5, [1, 2], "xy"])
+    def test_rejects_entries_that_are_no_mapping(self, entries):
+        with pytest.raises(ValidationError, match=r"RpMap\.entries must be a mapping"):
+            RpMap(entries)
+
+    def test_takes_a_list_of_pairs(self):
+        assert RpMap([(0, (1.0, 2.0))]).entries == {0: (1.0, 2.0)}
+
     def test_require_covers(self, tiny_dataset):
         with pytest.raises(UnknownRpError):
             RpMap({0: (0.0, 0.0)}).require_covers(tiny_dataset)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -133,6 +135,18 @@ class TestEvaluate:
         clone = EvalReport.from_json(report.to_json())
         assert clone.per_ci == report.per_ci
         assert clone.config == report.config
+
+    @pytest.mark.parametrize("text,message", [
+        ("{}", "report lacks key 'per_ci'"),
+        ("[]", "report must be a JSON object, got []"),
+        ('{"per_ci": {"0": {"mean_error_m": 0.0, "min_error_m": 0.0, "max_error_m": 0.0, '
+         '"accuracy": 1.0}}, "model_meta": {}}', "report.per_ci[0] lacks key 'samples'"),
+        ('{"per_ci": {"one": {}}, "model_meta": {}}', "report.per_ci key must be a CI number"),
+        ("per_ci", "report is not JSON"),
+    ], ids=["empty-object", "array", "entry-lacks-a-field", "key-no-ci", "not-json"])
+    def test_report_json_that_is_no_report(self, text, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            EvalReport.from_json(text)
 
     def test_ap_mismatch_reads_as_the_classifiers_and_comes_first(self):
         ds, _ = synth_dataset(SynthSpec(num_rps=4, num_aps=8, fingerprints_per_rp=2, seed=1))

@@ -471,6 +471,17 @@ class TestAtomicWrites:
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
     @pytest.mark.parametrize("write", [
+        lambda p: save_model(DnnClassifier(DenseStack(((np.ones((2, 2)), np.zeros(2)),), (0, 1))), p),
+        lambda p: atomic_write(p, "text\n"),
+    ], ids=["save_model", "atomic_write"])
+    def test_a_missing_directory_is_named_by_the_target(self, tmp_path, write):
+        path = tmp_path / "missing" / "model.json"
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: cannot write file") as info:
+            write(path)
+        assert ".tmp" not in str(info.value)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("write", [
         lambda p: write_fingerprints_csv(
             synth_dataset(SynthSpec(num_rps=2, num_aps=3, fingerprints_per_rp=2))[0], p),
         lambda p: write_rp_map_csv(RpMap({0: (0.0, 1.0)}), p),

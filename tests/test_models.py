@@ -218,6 +218,44 @@ class TestTrainDnn:
             assert np.array_equal(Wa, Wb) and np.array_equal(ba, bb)
 
 
+class TestTrainingBuffers:
+    """Training writes minibatches and gradients into buffers of its own: a
+    writable input stays as it was, and every trained array is read-only and
+    shares no memory with an input."""
+
+    CASES = pytest.mark.parametrize("batch_size", [None, 4], ids=["full", "short-last-batch"])
+
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(6)
+        return rng.uniform(0.0, 1.0, (10, 5)), rng.integers(0, 3, 10)
+
+    @staticmethod
+    def check_outputs(model, inputs):
+        for a in (a for layer in model.layers for a in layer):
+            assert not a.flags.writeable
+            assert not any(np.shares_memory(a, x) for x in inputs)
+
+    @CASES
+    def test_softmax(self, batch_size):
+        X, labels = self.inputs()
+        before = X.tobytes(), labels.tobytes()
+        model, _ = train_softmax(X, labels, TrainConfig(epochs=3, batch_size=batch_size))
+        assert X.flags.writeable and labels.flags.writeable
+        assert (X.tobytes(), labels.tobytes()) == before
+        self.check_outputs(model, (X, labels))
+
+    @CASES
+    def test_dnn(self, batch_size):
+        X, labels = self.inputs()
+        ds = _ci0(labels, X)
+        columns = (ds.rss, ds.rp_id, ds.ci, ds.device_id)
+        before = [c.tobytes() for c in columns]
+        model, _ = train_dnn(ds, 1, TrainConfig(epochs=3, batch_size=batch_size))
+        assert [c.tobytes() for c in (ds.rss, ds.rp_id, ds.ci, ds.device_id)] == before
+        self.check_outputs(model, columns + (X, labels))
+
+
 class TestParamAccounting:
     def test_softmax_closed_form(self):
         m = DenseStack(((np.zeros((82, 61)), np.zeros(61)),), tuple(range(61)))
