@@ -180,24 +180,16 @@ def dnn_hidden_activations(model: DenseStack, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _hidden_layer(a: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One hidden layer's ReLU output, in a fresh array.
+def _hidden_layer(a: np.ndarray, W: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """One hidden layer's ReLU output, in `out` or else a fresh array.
 
     The bias and ReLU work in place on the matmul output: the same ufuncs in
     the same order as `np.maximum(a @ W + b, 0.0)`, without two temporaries.
     """
-    h = a @ W
+    h = np.matmul(a, W, out=out)
     h += b
     np.maximum(h, 0.0, out=h)
     return h
-
-
-def _activations(layers, X: np.ndarray) -> list[np.ndarray]:
-    """The input, then each hidden layer's ReLU output (training keeps them all for backprop)."""
-    acts = [X]
-    for W, b in layers[:-1]:
-        acts.append(_hidden_layer(acts[-1], W, b))
-    return acts
 
 
 def dnn_hidden_widths(input_dim: int, hidden_layers: int) -> list[int]:
@@ -284,8 +276,9 @@ def _fit(layers, X: np.ndarray, y_idx: np.ndarray, cfg: TrainConfig,
     [W1, b1, ..., Wk, bk], and the gradients in one vector of the same layout
     that each backward pass overwrites, so a step builds no gradient list and
     Adam runs once over the whole vector. `rng` orders the minibatches, which
-    are gathered into one buffer per fit. Returns the trained layers, read-only
-    views of that vector, and the per-epoch full-set loss history; raises
+    are gathered into one buffer per fit; the layer outputs and deltas go to
+    one `_workspace` per fit. Returns the trained layers, read-only views of
+    that vector, and the per-epoch full-set loss history; raises
     TrainingError, naming the epoch, once that loss is not finite.
 
     A full-batch epoch's loss is taken at the parameters that the next
@@ -297,6 +290,7 @@ def _fit(layers, X: np.ndarray, y_idx: np.ndarray, cfg: TrainConfig,
     theta = np.concatenate([a.ravel() for a in arrays])
     grad = np.empty_like(theta)
     params, grads = _views(theta, shapes), _views(grad, shapes)
+    work = _workspace(layers, X.shape[0])
     opt = Adam(theta.size, cfg.learning_rate)
     history: list[float] = []
 
@@ -311,10 +305,10 @@ def _fit(layers, X: np.ndarray, y_idx: np.ndarray, cfg: TrainConfig,
     n = X.shape[0]
     if cfg.batch_size is None or cfg.batch_size >= n:
         if cfg.epochs:
-            _backprop(params, X, y_idx, grads, with_loss=False)
+            _backprop(params, X, y_idx, grads, work, with_loss=False)
         for epoch in range(1, cfg.epochs + 1):
             opt.step(theta, grad)
-            record(_backprop(params, X, y_idx, grads if epoch < cfg.epochs else None))
+            record(_backprop(params, X, y_idx, grads if epoch < cfg.epochs else None, work))
     else:
         X_batch = np.empty((cfg.batch_size, X.shape[1]))
         y_batch = np.empty(cfg.batch_size, dtype=y_idx.dtype)
@@ -326,9 +320,9 @@ def _fit(layers, X: np.ndarray, y_idx: np.ndarray, cfg: TrainConfig,
                 # A permutation's indices are in range; "clip" lets take write `out` unbuffered.
                 np.take(X, idx, axis=0, out=Xb, mode="clip")
                 np.take(y_idx, idx, out=yb, mode="clip")
-                _backprop(params, Xb, yb, grads, with_loss=False)
+                _backprop(params, Xb, yb, grads, work, with_loss=False)
                 opt.step(theta, grad)
-            record(_backprop(params, X, y_idx, None))
+            record(_backprop(params, X, y_idx, None, work))
     theta.setflags(write=False)
     return _params_to_layers(params), history
 
@@ -401,14 +395,25 @@ def _loss_and_grads(params, X: np.ndarray, y_idx: np.ndarray, with_loss: bool = 
     Each is None when not asked for.
     """
     grads = [np.empty_like(p) for p in params] if with_grads else None
-    return _backprop(params, X, y_idx, grads, with_loss), grads
+    work = _workspace(_params_to_layers(params), X.shape[0])
+    return _backprop(params, X, y_idx, grads, work, with_loss), grads
+
+
+def _workspace(layers, rows: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """`_backprop`'s buffers for batches of up to `rows` rows: each layer's
+    output, and the delta that the backward pass carries into each hidden
+    layer. A fit allocates them once, so its epochs allocate no row-sized
+    array but the ReLU masks."""
+    outs = [np.empty((rows, W.shape[1])) for W, _ in layers]
+    return outs, [np.empty_like(h) for h in outs[:-1]]
 
 
 def _backprop(params, X: np.ndarray, y_idx: np.ndarray, grads: list[np.ndarray] | None,
-              with_loss: bool = True) -> float | None:
+              work, with_loss: bool = True) -> float | None:
     """Mean cross-entropy of a flat [W1, b1, ..., Wk, bk] stack, or None without
     `with_loss`; its gradients are written into `grads`, arrays shaped as
-    `params`, unless that is None.
+    `params`, unless that is None. `work` is a `_workspace` for at least as
+    many rows as `X` has.
 
     One forward pass and one exp serve both: the loss is the mean of
     `log(sum(exp(shifted))) - shifted[true class]` over the max-shifted
@@ -416,13 +421,16 @@ def _backprop(params, X: np.ndarray, y_idx: np.ndarray, grads: list[np.ndarray] 
     bit for bit.
     """
     layers = _params_to_layers(params)
-    acts = _activations(layers, X)
+    outs, backs = work
+    m = len(y_idx)
+    acts = [X]
+    for (W, b), out in zip(layers[:-1], outs):
+        acts.append(_hidden_layer(acts[-1], W, b, out[:m]))
     W_out, b_out = layers[-1]
     # One array holds the max-shifted logits, then their exp, then the output delta.
-    delta = acts[-1] @ W_out
+    delta = np.matmul(acts[-1], W_out, out=outs[-1][:m])
     delta += b_out
     delta -= delta.max(axis=-1, keepdims=True)
-    m = len(y_idx)
     rows = np.arange(m)
     true_shifted = delta[rows, y_idx] if with_loss else None
     np.exp(delta, out=delta)
@@ -439,7 +447,7 @@ def _backprop(params, X: np.ndarray, y_idx: np.ndarray, grads: list[np.ndarray] 
         np.matmul(acts[k].T, delta, out=grads[2 * k])
         np.add.reduce(delta, axis=0, out=grads[2 * k + 1])
         if k > 0:
-            delta = delta @ layers[k][0].T
+            delta = np.matmul(delta, layers[k][0].T, out=backs[k - 1][:m])
             delta *= acts[k] > 0
     return loss
 
