@@ -180,13 +180,13 @@ def dnn_hidden_activations(model: DenseStack, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _hidden_layer(a: np.ndarray, W: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
-    """One hidden layer's ReLU output, in `out` or else a fresh array.
+def _hidden_layer(a: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One hidden layer's ReLU output, in a fresh array.
 
     The bias and ReLU work in place on the matmul output: the same ufuncs in
     the same order as `np.maximum(a @ W + b, 0.0)`, without two temporaries.
     """
-    h = np.matmul(a, W, out=out)
+    h = a @ W
     h += b
     np.maximum(h, 0.0, out=h)
     return h
@@ -425,7 +425,10 @@ def _backprop(params, X: np.ndarray, y_idx: np.ndarray, grads: list[np.ndarray] 
     m = len(y_idx)
     acts = [X]
     for (W, b), out in zip(layers[:-1], outs):
-        acts.append(_hidden_layer(acts[-1], W, b, out[:m]))
+        # `_hidden_layer`, written into this layer's buffer.
+        h = np.matmul(acts[-1], W, out=out[:m])
+        h += b
+        acts.append(np.maximum(h, 0.0, out=h))
     W_out, b_out = layers[-1]
     # One array holds the max-shifted logits, then their exp, then the output delta.
     delta = np.matmul(acts[-1], W_out, out=outs[-1][:m])
