@@ -166,7 +166,7 @@ def check_fingerprint(rp_id: int, ci: int, rss) -> np.ndarray:
     rss = _floats("rss", rss, "a vector of numbers")
     if rss.ndim != 1 or rss.size == 0:
         raise ValidationError("rss must be a non-empty 1-D vector")
-    if not np.isfinite(rss).all():
+    if not np.logical_and.reduce(np.isfinite(rss)):  # `.all()` without its Python wrapper
         raise ValidationError("rss values must be finite")
     _check_id("rp_id", rp_id)
     _check_id("ci", ci)

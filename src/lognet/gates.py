@@ -73,23 +73,30 @@ def gate_arithmetic(x: int, y: int, gate: GateType) -> int:
 
 
 _ONE = np.uint8(1)
+# The members as module globals: on CPython 3.11 a global read is several times cheaper than
+# an attribute read on the Enum class, and a single query reads up to six of them per layer.
+_AND, _OR, _NAND, _NOR, _XOR, _XNOR = (GateType.AND, GateType.OR, GateType.NAND, GateType.NOR,
+                                       GateType.XOR, GateType.XNOR)
 
 
 def _gate_columns(left: np.ndarray, right: np.ndarray, gate: GateType) -> np.ndarray:
-    """Vectorized gate over aligned uint8 bit arrays."""
-    if gate is GateType.AND:
+    """Vectorized gate over aligned uint8 bit arrays, in a fresh array."""
+    if gate is _AND:
         return left & right
-    if gate is GateType.OR:
+    if gate is _OR:
         return left | right
-    if gate is GateType.NAND:
-        return (left & right) ^ _ONE
-    if gate is GateType.NOR:
-        return (left | right) ^ _ONE
-    if gate is GateType.XOR:
+    if gate is _NAND:
+        out = left & right
+    elif gate is _NOR:
+        out = left | right
+    elif gate is _XOR:
         return left ^ right
-    if gate is GateType.XNOR:
-        return (left ^ right) ^ _ONE
-    raise ConfigError(f"unknown gate {gate!r}")
+    elif gate is _XNOR:
+        out = left ^ right
+    else:
+        raise ConfigError(f"unknown gate {gate!r}")
+    out ^= _ONE  # the inverted gates flip their own fresh output, in place
+    return out
 
 
 def encode_layer_matrix(bits: np.ndarray, gate: GateType) -> np.ndarray:
@@ -109,8 +116,7 @@ def encode_layer_matrix(bits: np.ndarray, gate: GateType) -> np.ndarray:
     if arr.shape[1] % 2 != 0:
         pad = np.zeros((arr.shape[0], 1), dtype=np.uint8)
         arr = np.hstack([arr, pad])
-    pairs = arr.reshape(arr.shape[0], arr.shape[1] // 2, 2)  # not -1: a matrix may have no rows
-    return _gate_columns(pairs[:, :, 0], pairs[:, :, 1], gate)
+    return _gate_columns(arr[:, 0::2], arr[:, 1::2], gate)
 
 
 def check_bits(bits) -> np.ndarray:
@@ -213,6 +219,8 @@ def encode_matrix(bits: np.ndarray, gate: GateType, hidden_layers: int) -> np.nd
     """
     check_depth(hidden_layers)
     out = encode_layer_matrix(bits, gate)  # validates the input
+    if hidden_layers == 1:
+        return out
     rest = hidden_layers - 1
     to_one = (out.shape[1] - 1).bit_length()  # layers until the width is 1
     if rest > to_one + 2:

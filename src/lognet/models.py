@@ -136,9 +136,10 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def _softmax_into(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Softmax of float64 `logits` written to `out`, which may be `logits` itself."""
-    np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
+    # The ufunc reductions `ndarray.max` and `.sum` run, without their Python-level wrapper.
+    np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True), out=out)
     np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
+    out /= np.add.reduce(out, axis=-1, keepdims=True)
     return out
 
 
@@ -155,7 +156,7 @@ def forward(model: DenseStack, x) -> np.ndarray:
     shape = x.shape
     if x.ndim == 1:
         x = x.reshape(1, -1)
-    dim = model.input_dim
+    dim = model.layers[0][0].shape[0]  # `input_dim`, without the property call
     if x.ndim != 2 or x.shape[1] != dim:
         raise ShapeError(f"input of shape {shape} does not match model input_dim {dim}")
     for W, b in model.layers[:-1]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,12 +55,19 @@ def encode_rss(
 
 def _raw_cut(threshold: float, lo: float, hi: float) -> float:
     """The smallest float64 x that `binarize_matrix(normalize_values(x, lo, hi), threshold)`
-    makes active, so `rss >= x` gives that rule's bits exactly. The rule is monotone in
-    float64, inactive at lo and active at hi, which scales to exactly 1.0, so bisection over
-    the float64 ordering (|x|'s bit pattern as an integer, negated for a negative x) finds its
-    step in (lo, hi] in <= 64 probes."""
+    makes active, so `rss >= x` gives that rule's bits exactly. The arguments are checked on
+    every call, and `_bisect_cut` memoizes the cut of each checked triple."""
     lo, hi = check_rss_range(lo, hi)
     check_threshold(threshold)
+    return _bisect_cut(threshold, lo, hi)
+
+
+@lru_cache(maxsize=64, typed=True)
+def _bisect_cut(threshold: float, lo: float, hi: float) -> float:
+    """`_raw_cut` of a checked triple. The rule is monotone in float64, inactive at lo and
+    active at hi, which scales to exactly 1.0, so bisection over the float64 ordering (|x|'s
+    bit pattern as an integer, negated for a negative x) finds its step in (lo, hi] in <= 64
+    probes."""
     place = lambda x: int(np.float64(abs(x)).view(np.int64)) * (-1 if x < 0 else 1)
     value = lambda n: float(np.int64(abs(n)).view(np.float64)) * (-1 if n < 0 else 1)
     active = lambda n: binarize_matrix(normalize_values(value(n), lo, hi), threshold)
@@ -77,8 +85,12 @@ def _setup(clf, stack: DenseStack) -> None:
 
 
 def _check_aps(clf, ds: Dataset) -> None:
-    if ds.ap_count != clf.input_dim:
-        raise ShapeError(f"dataset has {ds.ap_count} APs but the model expects {clf.input_dim}")
+    try:
+        aps = ds.ap_count
+    except AttributeError:  # not a type check: on CPython >= 3.11 a try costs success nothing
+        raise ValidationError(_must_be("ds", Dataset, ds)) from None
+    if aps != clf.input_dim:
+        raise ShapeError(f"dataset has {aps} APs but the model expects {clf.input_dim}")
 
 
 def _predict(clf, ds: Dataset) -> np.ndarray:
@@ -172,7 +184,10 @@ def fit_lognet(
 ) -> tuple[LogNetClassifier, list[float]]:
     """Encode a raw training dataset and fit the softmax head on the latents."""
     _check_dataset("train_ds", train_ds)
-    latents = encode_rss(train_ds.rss_matrix(), encoder, rss_lo, rss_hi)
+    # A Dataset holds no NaN, so its bits skip `encode_rss`'s scan; the classifier below
+    # finds this cut memoized.
+    bits = train_ds.rss_matrix() >= _raw_cut(encoder.threshold, rss_lo, rss_hi)
+    latents = encode_matrix(bits, encoder.gate, encoder.hidden_layers)
     head, history = train_softmax(latents, train_ds.rp_id, cfg)
     clf = LogNetClassifier(encoder, head, train_ds.ap_count, rss_lo, rss_hi)
     return clf, history

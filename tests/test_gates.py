@@ -199,6 +199,26 @@ class TestEncode:
                     expected = encode_matrix(bits.astype(np.uint8), gate, depth)
                     assert got.dtype == np.uint8 and np.array_equal(got, expected)
 
+    @pytest.mark.parametrize("gate", ALL_GATES)
+    @pytest.mark.parametrize("shape", [(0, 7), (0, 8), (6, 23), (6, 1), (6, 16)])
+    def test_encoding_leaves_the_callers_bits_alone(self, gate, shape):
+        """The inverted gates flip their fresh output in place, never the caller's bits."""
+        B = np.random.default_rng(13).integers(0, 2, shape).astype(np.bool_)
+        U = B.astype(np.uint8)
+        kept = B.copy(), U.copy()
+        table = np.array(TRUTH_TABLES[gate], np.uint8)
+        for depth in (1, 2, 3):
+            expected = U
+            for _ in range(depth):  # pad an odd width with one 0, then look up each pair
+                if expected.shape[1] % 2:
+                    expected = np.hstack([expected, np.zeros((len(expected), 1), np.uint8)])
+                expected = table[2 * expected[:, 0::2] + expected[:, 1::2]]
+            for bits in (B, U):
+                got = encode_matrix(bits, gate, depth)
+                assert got.dtype == np.uint8 and np.array_equal(got, expected)
+                assert not np.shares_memory(got, bits)
+                assert np.array_equal(B, kept[0]) and np.array_equal(U, kept[1])
+
     def test_latent_code_length_invariant(self):
         with pytest.raises(ValidationError):
             LatentCode(np.array([0, 1, 0]), depth=1, input_len=164)

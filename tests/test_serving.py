@@ -213,6 +213,34 @@ class TestRawCut:
         with pytest.raises(ValidationError, match="^rss must be an array of numbers, got"):
             encode_rss([["a", "b"]], encoder)
 
+    def test_one_fit_derives_the_cut_once_and_scans_no_nan(self, monkeypatch):
+        train, _ = synth_dataset(SynthSpec(num_rps=4, num_aps=10, fingerprints_per_rp=2, seed=3))
+        probes, scanned = [], []
+        binarize, isnan = pipeline.binarize_matrix, np.isnan
+
+        def counted(*args, **kwargs):
+            probes.append(1)
+            return binarize(*args, **kwargs)
+
+        def watched(x, *args, **kwargs):
+            scanned.append(np.shape(x))
+            return isnan(x, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "binarize_matrix", counted)
+        monkeypatch.setattr(np, "isnan", watched)
+        pipeline._bisect_cut.cache_clear()  # earlier tests may have derived this cut already
+        fit_lognet(train, LogicEncoderConfig(GateType.NOR, 0.45, 1), TrainConfig(epochs=2))
+        assert 0 < len(probes) <= 64
+        assert train.rss.shape not in scanned
+
+    @pytest.mark.parametrize("lo,hi,threshold", [
+        (True, 2.0, 0.5), (1.0, 2.0, True), (1, 2, 1), (1.0, 2.0, np.array([0.5])),
+    ])
+    def test_a_memoized_cut_still_checks_each_argument(self, lo, hi, threshold):
+        _raw_cut(0.5, 1.0, 2.0)
+        with pytest.raises(ConfigError):
+            _raw_cut(threshold, lo, hi)
+
     @pytest.mark.parametrize("value,bit", [(np.inf, 1), (-np.inf, 0)])
     def test_encode_rss_keeps_the_bits_of_an_infinity(self, value, bit):
         encoder = LogicEncoderConfig(GateType.AND, 0.5, 1)
@@ -341,6 +369,20 @@ class TestWrongApCount:
         ds = Dataset.from_columns([0], ["d"], [0], np.full((1, 23), -50.0))
         with pytest.raises(ShapeError, match="dataset has 23 APs but the model expects 24"):
             getattr(clf, method)(ds)
+
+
+class TestNotADataset:
+    """A query that is no Dataset is named as such, not met with a raw AttributeError."""
+
+    @pytest.mark.parametrize("which,method", [
+        (0, "predict"), (0, "predict_proba"), (0, "latent_matrix"),
+        (1, "predict"), (1, "predict_proba"),
+    ])
+    @pytest.mark.parametrize("query", [np.zeros((1, 24)), None, [[-50.0] * 24]],
+                             ids=["ndarray", "None", "list"])
+    def test_raises_validation_error_naming_dataset(self, served, which, method, query):
+        with pytest.raises(ValidationError, match="^ds must be a Dataset, got "):
+            getattr(served[which], method)(query)
 
 
 def traced_peak(call) -> int:
