@@ -87,7 +87,7 @@ def _setup(clf, stack: DenseStack) -> None:
 def _check_aps(clf, ds: Dataset) -> None:
     try:
         aps = ds.ap_count
-    except AttributeError:  # not a type check: on CPython >= 3.11 a try costs success nothing
+    except AttributeError:  # a try, not a type check: on CPython >= 3.11 it costs a query nothing
         raise ValidationError(_must_be("ds", Dataset, ds)) from None
     if aps != clf.input_dim:
         raise ShapeError(f"dataset has {aps} APs but the model expects {clf.input_dim}")
