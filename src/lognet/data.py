@@ -31,7 +31,7 @@ _ID_LIMIT = 2**63
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
+    arr.setflags(False)  # `write`, by position: numpy's keyword parsing doubles the call's cost
     return arr
 
 
@@ -173,7 +173,7 @@ def check_fingerprint(rp_id: int, ci: int, rss) -> np.ndarray:
     return rss
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Fingerprint:
     """One RSS vector (dBm per AP) tagged with RP label, device and collection instance."""
 
@@ -182,8 +182,11 @@ class Fingerprint:
     ci: int
     rss: np.ndarray  # dBm per AP
 
-    def __post_init__(self):
-        object.__setattr__(self, "rss", _readonly(check_fingerprint(self.rp_id, self.ci, self.rss)))
+    def __init__(self, rp_id: int, device_id: str, ci: int, rss: np.ndarray):
+        # Each field is set once, after the checks; a frozen dataclass's own `__init__` would
+        # set `rss` a second time.
+        rss = _readonly(check_fingerprint(rp_id, ci, rss))
+        self.__dict__.update(rp_id=rp_id, device_id=device_id, ci=ci, rss=rss)
 
     @classmethod
     def _row(cls, rp_id: int, device_id: str, ci: int, rss: np.ndarray) -> "Fingerprint":
@@ -212,25 +215,29 @@ class Dataset:
     __slots__ = ("ap_count", "rss", "rp_id", "ci", "device_id")
 
     def __init__(self, fingerprints: Iterable[Fingerprint], ap_count: int):
-        fps = tuple(fingerprints)
         if not (_has_type(ap_count, int) and ap_count > 0):
             raise ValidationError(_must_be("ap_count", "a positive integer", ap_count))
-        for fp in fps:
+        rss, rp_id, ci, device_id = [], [], [], []
+        for fp in fingerprints:  # one pass checks each width and gathers the columns
             if fp.rss.size != ap_count:
                 raise ValidationError(
                     f"fingerprint for rp {fp.rp_id} has {fp.ap_count} APs, expected {ap_count}"
                 )
+            rss.append(fp.rss)
+            rp_id.append(fp.rp_id)
+            ci.append(fp.ci)
+            device_id.append(fp.device_id)
         self._adopt(
             ap_count,
-            np.array([fp.rss for fp in fps], dtype=np.float64).reshape(len(fps), ap_count),
-            np.array([fp.rp_id for fp in fps], dtype=np.int64),
-            np.array([fp.ci for fp in fps], dtype=np.int64),
-            np.array([fp.device_id for fp in fps], dtype=object),
+            np.array(rss, dtype=np.float64).reshape(len(rss), ap_count),  # a copy of each row
+            np.array(rp_id, dtype=np.int64),
+            np.array(ci, dtype=np.int64),
+            np.array(device_id, dtype=object),
         )
 
     def _adopt(self, ap_count, rss, rp_id, ci, device_id) -> None:
         for col in (rss, rp_id, ci, device_id):
-            col.setflags(write=False)
+            col.setflags(False)  # write=False, by position as in `_readonly`
         init = object.__setattr__
         init(self, "ap_count", int(ap_count))
         init(self, "rss", rss)

@@ -135,11 +135,21 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _softmax_into(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Softmax of float64 `logits` written to `out`, which may be `logits` itself."""
+    """Softmax of float64 `logits` written to `out`, which may be `logits` itself.
+
+    Logits that hold one row in total (a single query) reduce to scalars, which skips two
+    keepdims results and their broadcasts. The max is exact in any order and a one-row sum
+    runs the same contiguous loop, so the bits are those of the row-wise reductions.
+    """
     # The ufunc reductions `ndarray.max` and `.sum` run, without their Python-level wrapper.
-    np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True), out=out)
-    np.exp(out, out=out)
-    out /= np.add.reduce(out, axis=-1, keepdims=True)
+    if logits.ndim < 2 or logits.size == logits.shape[-1]:
+        np.subtract(logits, np.maximum.reduce(logits, axis=None), out=out)
+        np.exp(out, out=out)
+        out /= np.add.reduce(out, axis=None)
+    else:
+        np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True), out=out)
+        np.exp(out, out=out)
+        out /= np.add.reduce(out, axis=-1, keepdims=True)
     return out
 
 

@@ -79,18 +79,20 @@ def _bisect_cut(threshold: float, lo: float, hi: float) -> float:
 
 
 def _setup(clf, stack: DenseStack) -> None:
-    """Check a classifier's RSS range and build, once, the label array predict indexes."""
+    """Check a classifier's RSS range and store, once, the label array predict indexes and
+    the input width every query is checked against."""
     check_rss_range(clf.rss_lo, clf.rss_hi)
     object.__setattr__(clf, "_classes", _readonly(np.asarray(stack.class_labels)))
+    object.__setattr__(clf, "_input_dim", clf.input_dim)
 
 
 def _check_aps(clf, ds: Dataset) -> None:
-    try:
-        aps = ds.ap_count
-    except AttributeError:  # a try, not a type check: on CPython >= 3.11 it costs a query nothing
-        raise ValidationError(_must_be("ds", Dataset, ds)) from None
-    if aps != clf.input_dim:
-        raise ShapeError(f"dataset has {aps} APs but the model expects {clf.input_dim}")
+    # `_check_dataset`'s rule without its cost per query (about 1 µs, against 70 ns for the
+    # isinstance test). Reading `ds.ap_count` is no test: a `Fingerprint` has one too.
+    if not isinstance(ds, Dataset):
+        raise ValidationError(_must_be("ds", Dataset, ds))
+    if ds.ap_count != clf._input_dim:
+        raise ShapeError(f"dataset has {ds.ap_count} APs but the model expects {clf._input_dim}")
 
 
 def _predict(clf, ds: Dataset) -> np.ndarray:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import pickle
 import weakref
@@ -86,6 +87,34 @@ class TestFingerprint:
         c = Fingerprint(0, "d", 0, [-50.0, -61.0])
         assert a == b and a != c
 
+    def test_keeps_its_dataclass_surface(self):
+        fp = Fingerprint(3, "dev", 1, [-50.0, -60.0])
+        assert [f.name for f in dataclasses.fields(fp)] == ["rp_id", "device_id", "ci", "rss"]
+        assert repr(fp) == "Fingerprint(rp_id=3, device_id='dev', ci=1, rss=array([-50., -60.]))"
+        assert Fingerprint(rp_id=3, device_id="dev", ci=1, rss=[-50.0, -60.0]) == fp
+        for name in ("rp_id", "device_id", "ci", "rss"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(fp, name, 0)
+
+    def test_replace_validates(self):
+        fp = Fingerprint(3, "dev", 1, [-50.0, -60.0])
+        moved = dataclasses.replace(fp, ci=2)
+        assert (moved.rp_id, moved.device_id, moved.ci) == (3, "dev", 2)
+        assert np.array_equal(moved.rss, fp.rss) and not moved.rss.flags.writeable
+        with pytest.raises(ValidationError, match="^rss values must be finite$"):
+            dataclasses.replace(fp, rss=[np.nan, -60.0])
+        with pytest.raises(ValidationError, match="^ci must be non-negative, got -1$"):
+            dataclasses.replace(fp, ci=-1)
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        fp = Fingerprint(3, "dev", 1, [-50.0, -60.0])
+        for clone in (pickle.loads(pickle.dumps(fp)), copy.deepcopy(fp)):
+            assert clone == fp and clone is not fp
+
+    def test_an_rss_fault_is_reported_before_an_id_fault(self):
+        with pytest.raises(ValidationError, match="^rss values must be finite$"):
+            Fingerprint(-1, "d", "x", [np.nan])
+
 
 class TestDataset:
     def test_rejects_mixed_ap_counts(self):
@@ -109,6 +138,35 @@ class TestDataset:
     def test_empty_split_keeps_ap_count(self, tiny_dataset):
         empty = Dataset((), tiny_dataset.ap_count)
         assert len(empty) == 0 and empty.ap_count == 3
+
+    @staticmethod
+    def three_rows() -> list:
+        return [Fingerprint(rp, f"d{rp}", rp % 2, [-50.0 - rp, -60.0, -70.0]) for rp in (5, 2, 9)]
+
+    def test_takes_a_generator_and_keeps_row_order(self):
+        fps = self.three_rows()
+        ds = Dataset((fp for fp in fps), 3)
+        assert ds.rp_id.tolist() == [5, 2, 9] and ds.ci.tolist() == [1, 0, 1]
+        assert ds.device_id.tolist() == ["d5", "d2", "d9"]
+        assert ds.rss_matrix().tolist() == [fp.rss.tolist() for fp in fps]
+        assert [col.dtype for col in (ds.rss, ds.rp_id, ds.ci, ds.device_id)] == [
+            np.float64, np.int64, np.int64, object]
+        assert list(ds) == fps
+
+    def test_names_the_first_fingerprint_of_the_wrong_width(self):
+        fps = [Fingerprint(5, "d", 0, [-50.0] * 3), Fingerprint(6, "d", 0, [-50.0] * 2),
+               Fingerprint(7, "d", 0, [-50.0])]
+        with pytest.raises(ValidationError, match="^fingerprint for rp 6 has 2 APs, expected 3$"):
+            Dataset(fps, 3)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_copies_every_row(self, rows):
+        # A fingerprint's vector may view a caller's matrix; the dataset's column is its own.
+        base = np.full((rows, 3), -50.0)
+        fps = [Fingerprint(i, "d", 0, base[i]) for i in range(rows)]
+        ds = Dataset(fps, 3)
+        assert not np.shares_memory(ds.rss_matrix(), base)
+        assert not any(np.shares_memory(ds.rss_matrix(), fp.rss) for fp in fps)
 
 
 class TestRpMap:

@@ -19,7 +19,7 @@ from lognet import (
     train_softmax,
 )
 from lognet.gates import GateType, LogicEncoderConfig
-from lognet.models import BYTES_PER_PARAM, dnn_hidden_activations, softmax
+from lognet.models import BYTES_PER_PARAM, _softmax_into, dnn_hidden_activations, softmax
 from lognet import pipeline
 from lognet.pipeline import DnnClassifier, LogNetClassifier
 
@@ -65,6 +65,81 @@ class TestSoftmaxForward:
         m = DenseStack(((np.array([[1000.0, -1000.0]]), np.zeros(2)),), (0, 1))
         probs = forward(m, np.array([1.0]))
         assert np.all(np.isfinite(probs)) and probs.sum() == pytest.approx(1.0)
+
+
+
+def _keepdims_softmax(logits) -> np.ndarray:
+    """The row-wise reference: keepdims reductions over the last axis, in a fresh array."""
+    out = np.array(logits, dtype=np.float64)
+    np.subtract(out, np.maximum.reduce(out, axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= np.add.reduce(out, axis=-1, keepdims=True)
+    return out
+
+
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+ONE_ROW_SHAPES = {"1-D": lambda k: (k,), "(1, k)": lambda k: (1, k), "(1, 1, k)": lambda k: (1, 1, k)}
+
+
+class TestOneRowSoftmax:
+    """Logits that hold one row in total reduce to scalars, with the bits of the row-wise
+    keepdims reductions; every other shape takes the row-wise path."""
+
+    @pytest.mark.parametrize("shape", ONE_ROW_SHAPES.values(), ids=ONE_ROW_SHAPES.keys())
+    @pytest.mark.parametrize("width", [1, 2, 3, 7, 8, 9, 16, 17, 61, 127, 128, 129, 164, 1000,
+                                       8191, 8192, 8193])
+    def test_matches_the_keepdims_reference_bit_for_bit(self, width, shape):
+        rng = np.random.default_rng(width)
+        for scale in (1.0, 30.0, 1000.0):  # at 1000 most shifted logits lie far below -708
+            logits = (scale * rng.normal(size=width)).reshape(shape(width))
+            expected = _bits(_keepdims_softmax(logits))
+            assert np.array_equal(_bits(softmax(logits)), expected)
+            assert np.array_equal(_bits(_softmax_into(logits, np.empty_like(logits))), expected)
+            in_place = logits.copy()
+            assert np.array_equal(_bits(_softmax_into(in_place, in_place)), expected)
+
+    def test_logits_far_below_the_exp_range_match_bit_for_bit(self):
+        row = np.array([0.0, -1.5, -700.0, -708.5, -720.0, -744.0, -745.2, -800.0, -1e4, 3.0])
+        assert np.array_equal(_bits(softmax(row)), _bits(_keepdims_softmax(row)))
+        assert np.array_equal(_bits(softmax(row[None])), _bits(_keepdims_softmax(row[None])))
+
+    def test_a_strided_row_matches_bit_for_bit(self):
+        logits = 30 * np.random.default_rng(5).normal(size=(3, 600))
+        for row in (logits[1, ::3], logits[:1, ::2], logits.T[:, 2]):
+            assert np.array_equal(_bits(softmax(row)), _bits(_keepdims_softmax(row)))
+
+    @pytest.mark.parametrize("width", [1, 61, 164, 8193])
+    def test_forward_on_one_row_matches_the_reference(self, width):
+        rng = np.random.default_rng(width)
+        for scale in (0.3, 40.0):
+            m = DenseStack(((scale * rng.normal(size=(12, width)), rng.normal(size=width)),),
+                           tuple(range(width)))
+            x = rng.normal(size=12)
+            logits = x[None] @ m.weights
+            logits += m.biases
+            expected = _bits(_keepdims_softmax(logits))
+            assert np.array_equal(_bits(forward(m, x[None])), expected)
+            assert np.array_equal(_bits(forward(m, x)), expected[0])
+
+    @pytest.mark.parametrize("shape", [(2, 61), (3, 1, 61), (2, 1), (1, 2, 5), (0, 61), (0, 1)])
+    def test_batches_keep_the_row_wise_bits(self, shape):
+        logits = 30 * np.random.default_rng(3).normal(size=shape)
+        expected = _bits(_keepdims_softmax(logits))
+        assert softmax(logits).shape == shape
+        assert np.array_equal(_bits(softmax(logits)), expected)
+
+    def test_each_row_of_a_batch_is_shifted_by_its_own_max(self):
+        probs = softmax([[0.0, 0.0], [-1000.0, -1000.0]])
+        assert np.array_equal(probs, np.full((2, 2), 0.5))
+
+    def test_a_scalar_and_a_zero_width_row_behave_as_before(self):
+        assert softmax(1.0) == 1.0 and softmax(1.0).shape == ()
+        for shape in [(1, 0), (0,), (1, 1, 0)]:
+            with pytest.raises(ValueError, match="zero-size array to reduction operation"):
+                softmax(np.zeros(shape))
 
 
 class TestTrainSoftmax:

@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from lognet import (
     Dataset,
+    Fingerprint,
     GateType,
     LogicEncoderConfig,
     NoiseMode,
@@ -372,14 +373,16 @@ class TestWrongApCount:
 
 
 class TestNotADataset:
-    """A query that is no Dataset is named as such, not met with a raw AttributeError."""
+    """A query that is no Dataset is named as such, not met with a raw AttributeError; a
+    Fingerprint of the model's width has an `ap_count` too, and is no Dataset either."""
 
     @pytest.mark.parametrize("which,method", [
         (0, "predict"), (0, "predict_proba"), (0, "latent_matrix"),
         (1, "predict"), (1, "predict_proba"),
     ])
-    @pytest.mark.parametrize("query", [np.zeros((1, 24)), None, [[-50.0] * 24]],
-                             ids=["ndarray", "None", "list"])
+    @pytest.mark.parametrize("query", [np.zeros((1, 24)), None, [[-50.0] * 24],
+                                       Fingerprint(0, "d", 0, [-50.0] * 24)],
+                             ids=["ndarray", "None", "list", "Fingerprint"])
     def test_raises_validation_error_naming_dataset(self, served, which, method, query):
         with pytest.raises(ValidationError, match="^ds must be a Dataset, got "):
             getattr(served[which], method)(query)
